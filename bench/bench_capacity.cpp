@@ -10,12 +10,12 @@
 /// The hot tick kernel — mobility advance, unit-disk delta update, link
 /// diffing, and a fixed batch of hop queries — runs at n = 100 000 under
 /// 1/2/8 worker threads, and at n = 25 000 over a full shards x threads
-/// matrix (shard topology is a runtime knob since the SoA refactor). The
-/// sharded path is bit-identical to sequential by construction (runtime
-/// shard decomposition, shard-order merges), so the bench also folds every
-/// delta edge and hop answer into a digest and reports
-/// `identity_violations` when any shards x threads cell diverges from the
-/// sequential reference. The matrix lands in the artifact as per-cell
+/// matrix (shard topology is a runtime knob since the SoA refactor). Every
+/// cell is bit-identical by construction (runtime shard decomposition,
+/// shard-order merges), so the bench also folds every delta edge and hop
+/// answer into a digest and reports `identity_violations` when any
+/// shards x threads cell diverges from the one-shard inline reference. The
+/// matrix lands in the artifact as per-cell
 /// `ticks_per_sec_s<S>_t<T>` scalars plus the derived `speedup_2t` /
 /// `speedup_max` ratios; the committed baseline carries `min_capacity_n` =
 /// 100000 and `min_parallel_speedup`, turning tools/check_bench.py into the
@@ -57,11 +57,10 @@ std::pair<NodeId, NodeId> query_pair(Size q, Size n) {
 }
 
 /// Run `ticks` steps of the sharded tick kernel (RWP mobility -> unit-disk
-/// delta -> link diff -> kQueries hop lookups) and time it. threads == 1
-/// with shards == 0 runs the pure sequential path (no pool, no executor);
-/// any other combination attaches a ShardExecutor over
-/// sim::resolve_shard_count(shards, workers) shards — mirroring the
-/// RunOptions::threads / RunOptions::shards semantics exactly.
+/// delta -> link diff -> kQueries hop lookups) and time it over a
+/// ShardExecutor of sim::resolve_shard_count(shards, workers) shards: inline
+/// on the calling thread at threads == 1, over a pool otherwise — mirroring
+/// the RunOptions::threads / RunOptions::shards semantics exactly.
 KernelResult run_shard_kernel(Size n, Size threads, Size shards, Size ticks) {
   constexpr Size kQueries = 256;
   auto cfg = bench::paper_scenario();
@@ -69,22 +68,21 @@ KernelResult run_shard_kernel(Size n, Size threads, Size shards, Size ticks) {
   auto scenario = exp::Scenario::materialize(cfg);
 
   std::unique_ptr<common::ThreadPool> pool;
-  std::unique_ptr<sim::ShardExecutor> exec;
+  if (threads != 1) pool = std::make_unique<common::ThreadPool>(threads);
+  sim::ShardExecutor exec =
+      pool != nullptr
+          ? sim::ShardExecutor(*pool, sim::resolve_shard_count(shards, pool->thread_count()))
+          : sim::ShardExecutor(sim::resolve_shard_count(shards, 1));
   net::UnitDiskBuilder disk(cfg.tx_radius());
-  if (threads != 1 || shards != 0) {
-    pool = std::make_unique<common::ThreadPool>(threads);
-    exec = std::make_unique<sim::ShardExecutor>(
-        *pool, sim::resolve_shard_count(shards, pool->thread_count()));
-    disk.set_parallel(exec.get());
-  }
+  disk.set_parallel(&exec);
 
   const auto& g0 = disk.update(scenario.mobility->positions());
   net::LinkTracker links(g0, 0.0);
-  if (exec != nullptr) links.set_parallel(exec.get());
+  links.set_parallel(&exec);
   net::HopOracle oracle;
-  std::vector<net::HopOracle::Scratch> scratch(
-      exec != nullptr ? exec->shard_count() : 1);
-  std::vector<std::uint64_t> partial(scratch.size(), 0);
+  const Size shard_count = exec.shard_count();
+  std::vector<net::HopOracle::Scratch> scratch(shard_count);
+  std::vector<std::uint64_t> partial(shard_count, 0);
   net::LinkDelta delta;
 
   KernelResult out;
@@ -102,32 +100,21 @@ KernelResult run_shard_kernel(Size n, Size threads, Size shards, Size ticks) {
     for (const auto& e : delta.down) mix((std::uint64_t{e.first} << 32) | e.second);
 
     oracle.prepare(g);
-    if (exec != nullptr) {
-      const Size shard_count = exec->shard_count();
-      exec->for_each_shard([&](Size s) {
-        const auto [begin, end] =
-            sim::ShardExecutor::slice(kQueries, s, shard_count);
-        std::uint64_t sum = 0;
-        for (Size q = begin; q < end; ++q) {
-          const auto [src, dst] = query_pair(q, n);
-          sum += oracle.hops(src, dst, scratch[s]);
-        }
-        partial[s] = sum;
-      });
-      // Fold the shard partials into one total (integer addition, so the
-      // grouping is immaterial) — the digest must see exactly what the
-      // sequential arm sees: one sum per tick.
-      std::uint64_t total = 0;
-      for (Size s = 0; s < shard_count; ++s) total += partial[s];
-      mix(total);
-    } else {
+    exec.for_each_shard([&](Size s) {
+      const auto [begin, end] = sim::ShardExecutor::slice(kQueries, s, shard_count);
       std::uint64_t sum = 0;
-      for (Size q = 0; q < kQueries; ++q) {
+      for (Size q = begin; q < end; ++q) {
         const auto [src, dst] = query_pair(q, n);
-        sum += oracle.hops(src, dst, scratch[0]);
+        sum += oracle.hops(src, dst, scratch[s]);
       }
-      mix(sum);
-    }
+      partial[s] = sum;
+    });
+    // Fold the shard partials into one total (integer addition, so the
+    // grouping is immaterial): the digest sees one sum per tick at every
+    // topology.
+    std::uint64_t total = 0;
+    for (Size s = 0; s < shard_count; ++s) total += partial[s];
+    mix(total);
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - started;
@@ -209,7 +196,8 @@ int main() {
   const Size kMatrixThreads[] = {1, 2, 8};
 
   // Identity sweep: every shards x threads cell must fold the identical
-  // delta stream and hop answers into the sequential reference's digest.
+  // delta stream and hop answers into the reference digest (one inline
+  // shard: the threads = 1, shards = 0 auto topology).
   const Size kIdentityN = 10000;
   Size identity_violations = 0;
   const auto seq = run_shard_kernel(kIdentityN, 1, 0, 3);
@@ -301,8 +289,8 @@ int main() {
   std::printf(
       "\nreading: the digest column is constant down each block — the runtime\n"
       "shard decomposition (shard-order merges; sim::resolve_shard_count) makes\n"
-      "the parallel tick bit-identical to sequential at every shard count x\n"
-      "thread count, so the matrix cells differ in wall-clock only.\n"
+      "the tick bit-identical at every shard count x thread count, so\n"
+      "the matrix cells differ in wall-clock only.\n"
       "tools/check_bench.py enforces the n=100000 capacity point,\n"
       "identity_violations == 0, matrix-cell presence, and (on multi-core\n"
       "machines) speedup_max >= min_parallel_speedup.\n");

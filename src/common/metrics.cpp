@@ -202,21 +202,4 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::entries() const {
   return out;
 }
 
-// --- ShardedMetrics ---
-
-ShardedMetrics::ShardedMetrics(Size shard_count) : shards_(shard_count) {
-  MANET_CHECK_MSG(shard_count > 0, "ShardedMetrics needs at least one shard");
-}
-
-MetricsRegistry& ShardedMetrics::shard(Size index) {
-  MANET_CHECK_MSG(index < shards_.size(), "shard index out of range");
-  return shards_[index];
-}
-
-MetricsRegistry ShardedMetrics::merged() const {
-  MetricsRegistry out;
-  for (const auto& s : shards_) out.merge(s);
-  return out;
-}
-
 }  // namespace manet::common

@@ -21,11 +21,11 @@
 ///   Histogram  fixed-bucket latency/size distributions (transfer hop counts).
 ///
 /// Determinism contract (matching montecarlo.hpp): a registry is single-
-/// threaded by design. Parallel work uses ShardedMetrics — one registry
-/// *shard per task index*, written without locks because indices partition
-/// the work, then merged in shard-index order. Merging is a fold of exact
-/// integer adds and index-ordered gauge overwrites, so the merged aggregate
-/// is bit-identical regardless of thread count or completion order.
+/// threaded by design. Parallel work keeps one registry per task index,
+/// written without locks because indices partition the work, then merged in
+/// index order. Merging is a fold of exact integer adds and index-ordered
+/// gauge overwrites, so the merged aggregate is bit-identical regardless of
+/// thread count or completion order.
 
 namespace manet::common {
 
@@ -176,23 +176,6 @@ class MetricsRegistry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, RateMeter> rate_meters_;
   std::map<std::string, Histogram> histograms_;
-};
-
-/// Per-task-index registry shards for ThreadPool::parallel_for work: task i
-/// writes shard(i) exclusively (no locks), and merged() folds shards in
-/// index order, so the aggregate is bit-identical at any thread count.
-class ShardedMetrics {
- public:
-  explicit ShardedMetrics(Size shard_count);
-
-  Size shard_count() const noexcept { return shards_.size(); }
-  MetricsRegistry& shard(Size index);
-
-  /// Fold shards 0..n-1, in that order, into a fresh registry.
-  MetricsRegistry merged() const;
-
- private:
-  std::vector<MetricsRegistry> shards_;
 };
 
 }  // namespace manet::common

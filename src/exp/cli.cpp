@@ -1,5 +1,6 @@
 #include "exp/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -243,11 +244,13 @@ std::string cli_usage(const std::string& program) {
          "                     disables the incremental pipeline)\n"
          "  --no-repair        incremental ticks rebuild changed hierarchies\n"
          "                     with HierarchyBuilder instead of localized repair\n"
-         "  --threads N        sharded-tick worker threads (default 1 = sequential,\n"
-         "                     0 = hardware); output is identical at any N\n"
+         "  --threads N        sharded-tick worker threads (default 1 = inline on\n"
+         "                     the calling thread, 0 = hardware); output is\n"
+         "                     identical at any N\n"
          "  --shards N         sharded-tick shard count (rounded up to a power of\n"
-         "                     two, max 1024; default 0 = auto from the worker\n"
-         "                     count); output is identical at any N\n"
+         "                     two, max 1024; default 0 = auto: 1 at one thread,\n"
+         "                     else max(16, 4 x workers)); output is identical\n"
+         "                     at any N\n"
          "query serving (E31; see docs/QUERY_ENGINE.md):\n"
          "  --query-load N     serve N location lookups per measured tick through\n"
          "                     the epoch-gated lm::QueryEngine (default 0 = off);\n"
@@ -471,13 +474,15 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
     }
   }
 
-  if (opt.scenario.n < 2) return fail("--n must be >= 2");
+  // Scenario constraints live in ScenarioConfig::validate(); each field maps
+  // to its flag ("handover.backoff" -> "--handover-backoff").
+  const auto errors = opt.scenario.validate();
+  if (!errors.empty()) {
+    std::string flag = "--" + errors.front().field;
+    std::replace(flag.begin(), flag.end(), '.', '-');
+    return fail(flag + " " + errors.front().rule);
+  }
   if (opt.replications < 1) return fail("--reps must be >= 1");
-  if (opt.scenario.handover.backoff < 1.0) return fail("--handover-backoff must be >= 1");
-  if (opt.scenario.tick <= 0.0) return fail("--tick must be > 0");
-  if (opt.scenario.warmup < 0.0) return fail("--warmup must be >= 0");
-  if (opt.scenario.duration < 0.0) return fail("--duration must be >= 0");
-  if (opt.scenario.density <= 0.0) return fail("--density must be > 0");
   result.ok = true;
   return result;
 }

@@ -23,6 +23,18 @@ double ScenarioConfig::tx_radius() const {
   return 1.0;
 }
 
+std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
+  // Negated comparisons so NaN fails every rule.
+  std::vector<Error> errors;
+  if (n < 2) errors.push_back({"n", "must be >= 2"});
+  if (!(tick > 0.0)) errors.push_back({"tick", "must be > 0"});
+  if (!(warmup >= 0.0)) errors.push_back({"warmup", "must be >= 0"});
+  if (!(duration >= 0.0)) errors.push_back({"duration", "must be >= 0"});
+  if (!(density > 0.0)) errors.push_back({"density", "must be > 0"});
+  if (!(handover.backoff >= 1.0)) errors.push_back({"handover.backoff", "must be >= 1"});
+  return errors;
+}
+
 std::string ScenarioConfig::describe() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),

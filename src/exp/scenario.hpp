@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "geom/region.hpp"
 #include "lm/handoff.hpp"
@@ -93,6 +94,18 @@ struct ScenarioConfig {
 
   double tx_radius() const;  ///< resolved R_TX for this config
   std::string describe() const;
+
+  /// One violated constraint: the offending member (dotted path, e.g.
+  /// "handover.backoff") and the rule it breaks (e.g. "must be >= 1").
+  struct Error {
+    std::string field;
+    std::string rule;
+  };
+  /// Every violated constraint, in declaration order (empty = valid):
+  /// n >= 2, tick > 0, warmup >= 0, duration >= 0, density > 0 and
+  /// handover.backoff >= 1. run_simulation() refuses an invalid config; the
+  /// CLI maps each field to its flag.
+  std::vector<Error> validate() const;
 };
 
 /// Materialized scenario: region + mobility model + id assignment.

@@ -94,6 +94,11 @@ double measure_hk(const cluster::Hierarchy& h, const graph::Graph& g, Level k, S
 }  // namespace
 
 RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& options) {
+  const auto errors = config.validate();
+  std::string invalid;
+  for (const auto& e : errors) invalid += (invalid.empty() ? "" : "; ") + e.field + " " + e.rule;
+  MANET_CHECK_MSG(errors.empty(), invalid.c_str());
+
   // Allocation accounting (MANET_PROFILE_ALLOC builds only): setup covers
   // everything up to the first measured tick — materialization, the initial
   // hierarchy, warmup — and ticks covers the measured window. Published as
@@ -149,25 +154,22 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   handoff.set_metrics(options.metrics);
   handoff.set_trace(options.trace);
 
-  // --- Sharded parallel tick (inert at threads == 1 && shards == 0, the
-  // default) --- One per-run pool + a runtime-topology executor: the heavy
-  // per-tick phases (unit-disk delta, link diffing, pricing) shard over a
-  // grid resolved from RunOptions::shards (0 = auto from the worker count;
-  // sim::resolve_shard_count), and per-shard outputs merge in shard index
-  // order — so every artifact of the run is bit-identical to the sequential
-  // tick regardless of options.threads AND options.shards (see
-  // sim/shard.hpp). An explicit shard request with threads == 1 runs the
-  // sharded path on a one-worker pool, which the cross-shard-count identity
-  // suite uses to pin the {S} x {1} cells.
+  // --- Sharded tick --- The heavy per-tick phases (unit-disk delta, link
+  // diffing, pricing, the query plane) run over one executor whose grid is
+  // resolved from RunOptions::shards (0 = auto from the worker count;
+  // sim::resolve_shard_count). threads == 1 runs it inline on this thread;
+  // any other value gives it a per-run pool. Per-shard outputs merge in
+  // shard index order, so every artifact of the run is bit-identical
+  // regardless of options.threads AND options.shards (see sim/shard.hpp).
   std::unique_ptr<common::ThreadPool> tick_pool;
-  std::unique_ptr<sim::ShardExecutor> tick_shards;
-  if (options.threads != 1 || options.shards != 0) {
-    tick_pool = std::make_unique<common::ThreadPool>(options.threads);
-    tick_shards = std::make_unique<sim::ShardExecutor>(
-        *tick_pool, sim::resolve_shard_count(options.shards, tick_pool->thread_count()));
-    disk.set_parallel(tick_shards.get());
-    handoff.set_parallel(tick_shards.get());
-  }
+  if (options.threads != 1) tick_pool = std::make_unique<common::ThreadPool>(options.threads);
+  sim::ShardExecutor tick_shards =
+      tick_pool != nullptr
+          ? sim::ShardExecutor(*tick_pool, sim::resolve_shard_count(options.shards,
+                                                                    tick_pool->thread_count()))
+          : sim::ShardExecutor(sim::resolve_shard_count(options.shards, 1));
+  disk.set_parallel(&tick_shards);
+  handoff.set_parallel(&tick_shards);
   cluster::StateChainTracker states;
   cluster::HeadLifetimeTracker tenures;
   common::Xoshiro256 hop_rng(common::derive_seed(cfg.seed, 0xB0F5));
@@ -238,22 +240,19 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   // without it). Each measured tick publishes one epoch and serves
   // query_load lookups whose targets are a pure function of the global
   // lookup index. Partial hit counts and digest contributions are computed
-  // per slice of the run's OWN shard topology (one slice on the sequential
-  // path) and folded with commutative, associative operations (integer sum,
-  // wrapping sum), so the query_* metrics are invariant to how the lookup
-  // range is partitioned — never a function of options.threads or
-  // options.shards.
+  // per slice of the run's shard topology and folded with commutative,
+  // associative operations (integer sum, wrapping sum), so the query_*
+  // metrics are invariant to how the lookup range is partitioned — never a
+  // function of options.threads or options.shards.
   std::unique_ptr<lm::QueryEngine> query_engine;
-  std::vector<Size> query_shard_hits;
-  std::vector<std::uint64_t> query_shard_digests;
-  Size query_lookups = 0, query_hits = 0;
-  std::uint64_t query_digest = 0x9E3779B97F4A7C15ULL;
-  const Size query_shards = tick_shards != nullptr ? tick_shards->shard_count() : 1;
   if (options.query_load > 0) {
     query_engine = std::make_unique<lm::QueryEngine>(cfg.handoff.select);
-    query_shard_hits.assign(query_shards, 0);
-    query_shard_digests.assign(query_shards, 0);
   }
+  const Size query_shards = tick_shards.shard_count();
+  std::vector<Size> query_shard_hits(query_shards, 0);
+  std::vector<std::uint64_t> query_shard_digests(query_shards, 0);
+  Size query_lookups = 0, query_hits = 0;
+  std::uint64_t query_digest = 0x9E3779B97F4A7C15ULL;
 
   auto refresh_down = [&](Time t) {
     const auto& pos = scenario.mobility->positions();
@@ -328,7 +327,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   }
   net::LinkTracker links(*g, t0);
   links.set_metrics(options.metrics);
-  if (tick_shards) links.set_parallel(tick_shards.get());
+  links.set_parallel(&tick_shards);
   if (gls) gls->prime(scenario.mobility->positions(), scenario.ids, t0);
 
   std::unique_ptr<lm::RegistrationTracker> registration;
@@ -530,14 +529,13 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       sessions->tick_sessions(sctx);
     }
     // Query-serving plane: the tick's write phase is done — publish the new
-    // epoch and serve this tick's lookup load against it (sharded over the
-    // tick executor when one exists; the sequential path serves the whole
-    // range as one slice — the commutative fold makes both identical).
+    // epoch and serve this tick's lookup load against it, sharded over the
+    // tick executor (the commutative fold makes every partition identical).
     if (query_engine) {
       query_engine->publish(hier, handoff.database(), now);
       const std::uint64_t tick_base =
           static_cast<std::uint64_t>(ticks) * static_cast<std::uint64_t>(options.query_load);
-      auto serve_shard = [&](Size shard) {
+      tick_shards.for_each_shard([&](Size shard) {
         const auto [begin, end] =
             sim::ShardExecutor::slice(options.query_load, shard, query_shards);
         Size hits = 0;
@@ -554,20 +552,15 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
           // Per-lookup contribution folded with a wrapping sum. Unlike the
           // old chained-FNV-per-slice scheme, a sum of per-lookup mixes is
           // commutative and associative, so the digest is invariant to how
-          // [0, query_load) is partitioned: any shard count, any thread
-          // count and the sequential path all fold to the same word.
+          // [0, query_load) is partitioned: any shard count and any thread
+          // count fold to the same word.
           const std::uint64_t answer = (static_cast<std::uint64_t>(r.server) << 32) ^
                                        r.version ^ (r.found ? 1ULL : 0ULL);
           digest += common::mix64(gq ^ common::mix64(answer));
         }
         query_shard_hits[shard] = hits;
         query_shard_digests[shard] = digest;
-      };
-      if (tick_shards) {
-        tick_shards->for_each_shard(serve_shard);
-      } else {
-        serve_shard(0);  // query_shards == 1: the whole range, one slice
-      }
+      });
       Size tick_hits = 0;
       for (Size shard = 0; shard < query_shards; ++shard) {
         tick_hits += query_shard_hits[shard];
@@ -622,14 +615,6 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
           .set(static_cast<double>(measured.allocations) /
                static_cast<double>(total_ticks));
     }
-  }
-
-  // Sharded-tick telemetry: fold the per-shard par.* counters into the run
-  // registry. The values are pure functions of the workload and the fixed
-  // shard grid — identical at every thread count >= 2 (the sequential path
-  // has no executor and publishes none, like alloc.* in default builds).
-  if (tick_shards != nullptr && options.metrics != nullptr) {
-    tick_shards->merge_metrics_into(*options.metrics);
   }
 
   // --- Flatten metrics ---

@@ -106,25 +106,24 @@ struct RunOptions {
   bool localized_repair = true;
 
   /// Intra-run worker threads for the sharded tick (docs/ARCHITECTURE.md
-  /// "Sharded parallel tick"). 1 (the default) runs the historical
-  /// sequential tick with no pool and no executor (unless \ref shards
-  /// requests a topology explicitly); 0 means one worker per hardware
-  /// thread; any other value sizes the per-run pool explicitly. The sharded
-  /// tick is bit-identical to the sequential one at every thread count —
-  /// work is split over a shard grid whose per-shard outputs are merged in
-  /// shard index order, so metrics, traces and run artifacts never depend
-  /// on this knob (enforced by tests/integration/sharded_tick_test).
+  /// "Sharded parallel tick"). The tick always runs over one
+  /// sim::ShardExecutor: 1 (the default) runs its shards inline on the
+  /// calling thread with no pool; 0 means one worker per hardware thread;
+  /// any other value sizes the per-run pool explicitly. Work is split over a
+  /// shard grid whose per-shard outputs are merged in shard index order, so
+  /// metrics, traces and run artifacts never depend on this knob (enforced
+  /// by tests/integration/sharded_tick_test).
   Size threads = 1;
 
   /// Shard topology for the sharded tick: the number of contiguous slices
   /// the per-tick index spaces are decomposed into (sim::resolve_shard_count
   /// rounds it up to a power of two and clamps to sim::kMaxShardCount).
-  /// 0 (the default) derives the count from the worker pool size with
-  /// sim::kDefaultShardCount as the floor. A non-zero value with
-  /// threads == 1 still runs the sharded path (on a one-worker pool), which
-  /// is how the identity suite pins shards x threads = {S} x {1}. Outputs
-  /// are bit-identical at every shard count — this knob only moves
-  /// throughput (enforced by tests/integration/sharded_tick_test).
+  /// 0 (the default) derives the count from the worker count: one shard at
+  /// threads == 1, otherwise max(sim::kDefaultShardCount, 4 x workers). A
+  /// non-zero value with threads == 1 runs that many shards inline, which is
+  /// how the identity suite pins shards x threads = {S} x {1}. Outputs are
+  /// bit-identical at every shard count — this knob only moves throughput
+  /// (enforced by tests/integration/sharded_tick_test).
   Size shards = 0;
 
   /// Query-serving plane (docs/QUERY_ENGINE.md, experiment E31): when > 0,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,32 +33,26 @@ class SpatialGrid {
   void neighbors_within(Vec2 query, double radius, NodeId self,
                         std::vector<NodeId>& out) const;
 
-  /// Visit every unordered pair (u, v), u < v, with distance <= radius.
-  /// Callback signature: void(NodeId u, NodeId v).
+  /// For every node u in the occupied cells with bucket index in
+  /// [cell_begin, cell_end), visit(u, neighbors): every v != u within
+  /// \p radius (radius <= cell_size) through the 3x3 stencil, in bucket
+  /// order, as a span valid for the call. Every pair is therefore seen once
+  /// from each end, under the symmetric test distance2 <= radius^2. Every
+  /// node lies in exactly one cell, so disjoint ranges own disjoint u — the
+  /// sharding hook for filling per-node adjacency lists in place.
+  /// Callback signature: void(NodeId u, std::span<const NodeId> neighbors).
   template <typename F>
-  void for_each_pair_within(double radius, F&& visit) const;
-
-  /// Same, restricted to the occupied cells with bucket index in
-  /// [cell_begin, cell_end) — the sharding hook for parallel pair
-  /// enumeration. Every pair is owned by exactly one cell (the one that
-  /// enumerates it through the forward stencil), so covering [0,
-  /// cell_count()) with disjoint ranges visits each pair exactly once, and
-  /// concatenating the ranges' outputs in range order reproduces the
-  /// unsharded enumeration order.
-  template <typename F>
-  void for_each_pair_within(double radius, std::size_t cell_begin, std::size_t cell_end,
-                            F&& visit) const;
+  void for_each_neighbor(double radius, std::size_t cell_begin, std::size_t cell_end,
+                         F&& visit) const;
 
   double cell_size() const { return cell_size_; }
   std::size_t node_count() const { return positions_.size(); }
-  /// Occupied cells in the current index (the shardable bucket count).
+  /// Occupied cells in the current index (the range of for_each_neighbor).
   std::size_t cell_count() const { return cell_starts_.size(); }
 
-  /// Index into the occupied-cell table ([0, cell_count())) of the cell
-  /// containing \p p, or -1 when that cell holds no node. This is the
-  /// shard-space coordinate used by for_each_pair_within's cell ranges, so
-  /// callers can map node -> owning shard slice (sim::NodeStateSoA caches it
-  /// per node at anchor time).
+  /// Index into the occupied-cell table of the cell containing \p p, or -1
+  /// when that cell holds no node (sim::NodeStateSoA caches it per node at
+  /// anchor time).
   std::int32_t bucket_index_of(Vec2 p) const;
 
  private:
@@ -73,56 +68,40 @@ class SpatialGrid {
 
   /// Locate bucket range for a cell key; returns {0,0} when absent.
   std::pair<std::uint32_t, std::uint32_t> bucket(std::int64_t key) const;
-
-  template <typename F>
-  void visit_bucket_pairs(std::uint32_t a_begin, std::uint32_t a_end, std::uint32_t b_begin,
-                          std::uint32_t b_end, double r2, bool same_bucket, F&& visit) const;
 };
 
 template <typename F>
-void SpatialGrid::for_each_pair_within(double radius, F&& visit) const {
-  for_each_pair_within(radius, 0, cell_starts_.size(), std::forward<F>(visit));
-}
-
-template <typename F>
-void SpatialGrid::for_each_pair_within(double radius, std::size_t cell_begin,
-                                       std::size_t cell_end, F&& visit) const {
+void SpatialGrid::for_each_neighbor(double radius, std::size_t cell_begin,
+                                    std::size_t cell_end, F&& visit) const {
   const double r2 = radius * radius;
-  // For each occupied cell, pair within the cell and with the 4 forward
-  // neighbor cells (E, SW, S, SE); each unordered cell pair is visited once,
-  // by the cell that owns it through the forward stencil.
+  std::pair<std::uint32_t, std::uint32_t> around[9];  // 3x3 stencil; [4] is the cell
+  std::vector<NodeId> found;
   for (std::size_t c = cell_begin; c < cell_end; ++c) {
     const std::int64_t key = cell_starts_[c].first;
-    const auto [a_begin, a_end] = bucket(key);
-    visit_bucket_pairs(a_begin, a_end, a_begin, a_end, r2, /*same_bucket=*/true, visit);
     const std::int64_t cx = key >> 32;
     const std::int64_t cy = static_cast<std::int32_t>(key & 0xFFFFFFFF);
-    static constexpr std::pair<int, int> kForward[] = {{1, 0}, {-1, 1}, {0, 1}, {1, 1}};
-    for (const auto& [dx, dy] : kForward) {
-      const auto [b_begin, b_end] = bucket(cell_key(cx + dx, cy + dy));
-      if (b_begin == b_end) continue;
-      visit_bucket_pairs(a_begin, a_end, b_begin, b_end, r2, /*same_bucket=*/false, visit);
+    std::size_t k = 0, candidates = 0;
+    for (std::int64_t dx = -1; dx <= 1; ++dx) {
+      for (std::int64_t dy = -1; dy <= 1; ++dy) {
+        around[k] = bucket(cell_key(cx + dx, cy + dy));
+        candidates += around[k].second - around[k].first;
+        ++k;
+      }
     }
-  }
-}
-
-template <typename F>
-void SpatialGrid::visit_bucket_pairs(std::uint32_t a_begin, std::uint32_t a_end,
-                                     std::uint32_t b_begin, std::uint32_t b_end, double r2,
-                                     bool same_bucket, F&& visit) const {
-  for (std::uint32_t i = a_begin; i < a_end; ++i) {
-    const NodeId u = sorted_ids_[i];
-    const Vec2 pu = positions_[u];
-    const std::uint32_t j0 = same_bucket ? i + 1 : b_begin;
-    for (std::uint32_t j = j0; j < b_end; ++j) {
-      const NodeId v = sorted_ids_[j];
-      if (distance2(pu, positions_[v]) <= r2) {
-        if (u < v) {
-          visit(u, v);
-        } else {
-          visit(v, u);
+    if (found.size() < candidates) found.resize(candidates);
+    for (std::uint32_t i = around[4].first; i < around[4].second; ++i) {
+      const NodeId u = sorted_ids_[i];
+      const Vec2 pu = positions_[u];
+      // Branch-free compaction: write every candidate, keep the hits.
+      std::size_t hits = 0;
+      for (const auto& [b_begin, b_end] : around) {
+        for (std::uint32_t j = b_begin; j < b_end; ++j) {
+          const NodeId v = sorted_ids_[j];
+          found[hits] = v;
+          hits += static_cast<std::size_t>((v != u) & (distance2(pu, positions_[v]) <= r2));
         }
       }
+      visit(u, std::span<const NodeId>(found.data(), hits));
     }
   }
 }

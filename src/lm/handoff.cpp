@@ -96,8 +96,8 @@ LevelOverhead& HandoffEngine::ledger(Level k) {
 std::uint32_t HandoffEngine::hops_between(const graph::Graph& g0, NodeId from, NodeId to) {
   // All branches are exact on g0, so this dispatch can never change a
   // priced value — only how fast it is produced. The batch cache (filled by
-  // batch_price_pairs under a sharded executor) is consulted first; hop
-  // distance is symmetric, so the canonical pair key covers both directions.
+  // batch_price_pairs) is consulted first; hop distance is symmetric, so the
+  // canonical pair key covers both directions.
   if (!price_keys_.empty()) {
     const std::uint64_t key = pack_pair(from, to);
     const auto it = std::lower_bound(price_keys_.begin(), price_keys_.end(), key);
@@ -156,7 +156,6 @@ void HandoffEngine::batch_price_pairs(const graph::Graph& g0, const Snapshot& ne
       price_vals_[i] = oracle_.ready() ? oracle_.hops(a, b, scratch)
                                        : scratch.pair_bfs.hops(g0, a, b);
     }
-    par_->metrics(s).counter("par.priced_pairs").add(end - begin);
   });
 }
 
@@ -332,9 +331,10 @@ HandoffEngine::TickResult HandoffEngine::update(const cluster::Hierarchy& h,
   TickResult tick;
 
   // Sharded pricing: compute every hop distance the loop below will ask for
-  // up front, in parallel. Gated off the ARQ path (lossy transfers consume
-  // RNG in loop order) and the unit metric (which never prices hops).
-  if (par_ != nullptr && arq_ == nullptr && config_.metric == HopMetric::kBfsExact) {
+  // up front, over the executor's shards. Gated off the ARQ path (lossy
+  // transfers consume RNG in loop order) and the unit metric (which never
+  // prices hops).
+  if (arq_ == nullptr && config_.metric == HopMetric::kBfsExact) {
     batch_price_pairs(g0, next);
   }
 

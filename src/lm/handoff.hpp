@@ -184,17 +184,21 @@ class HandoffEngine {
   /// disabled default stays the bit-identity reference.
   void set_fast_pricing(bool on) noexcept { fast_pricing_ = on; }
 
-  /// Shard the per-tick pricing work over \p executor (nullptr = sequential,
-  /// the default). update() then pre-scans the snapshot diff for the exact
-  /// set of (from, to) endpoint pairs its entry-move loop will price,
-  /// computes their hop distances in parallel (each shard with a private
-  /// net::HopOracle::Scratch), and the sequential loop reads the answers
-  /// from the cache. Hop queries are exact and symmetric, so the cache can
-  /// never change a priced value — ledgers, traces, database versions and
-  /// observer callbacks are emitted by the unchanged sequential loop in the
-  /// unchanged order. Inert while an ARQ layer is attached (the lossy path
-  /// consumes per-transfer RNG in loop order, which must stay sequential).
-  void set_parallel(sim::ShardExecutor* executor) noexcept { par_ = executor; }
+  /// Shard the per-tick pricing work over \p executor. Until this is
+  /// called, and again after set_parallel(nullptr), the engine uses
+  /// sim::kInlineExecutor (one shard on the calling thread). update()
+  /// pre-scans the snapshot diff for the exact set of (from, to) endpoint
+  /// pairs its entry-move loop will price, computes their hop distances
+  /// over the shards (each with a private net::HopOracle::Scratch), and the
+  /// serial loop reads the answers from the cache. Hop queries are exact and
+  /// symmetric, so the cache can never change a priced value — ledgers,
+  /// traces, database versions and observer callbacks are emitted by the
+  /// unchanged serial loop in the unchanged order. Pricing stays per-query
+  /// while an ARQ layer is attached (the lossy path consumes per-transfer
+  /// RNG in loop order) or under the unit metric (which never prices hops).
+  void set_parallel(sim::ShardExecutor* executor) noexcept {
+    par_ = executor != nullptr ? executor : &sim::kInlineExecutor;
+  }
 
   // --- Resilience plane (fault injection; see sim/fault.hpp) ---
   //
@@ -333,14 +337,15 @@ class HandoffEngine {
 
   /// Pre-computed hop distances for this update()'s pricing queries, keyed
   /// by canonical packed pair (min << 32 | max), sorted for binary search.
-  /// Filled by batch_price_pairs() when an executor is attached; cleared at
-  /// the end of every update() so between-tick callers (audit_repair,
-  /// on_node_up) never read answers computed on an older graph.
+  /// Filled by batch_price_pairs() on exact-metric, ARQ-free updates;
+  /// cleared at the end of every update() so between-tick callers
+  /// (audit_repair, on_node_up) never read answers computed on an older
+  /// graph.
   void batch_price_pairs(const graph::Graph& g0, const Snapshot& next);
   static std::uint64_t pack_pair(NodeId a, NodeId b) {
     return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
   }
-  sim::ShardExecutor* par_ = nullptr;
+  const sim::ShardExecutor* par_ = &sim::kInlineExecutor;
   std::vector<net::HopOracle::Scratch> par_scratch_;  ///< one per shard
   std::vector<std::uint64_t> price_keys_;
   std::vector<std::uint32_t> price_vals_;

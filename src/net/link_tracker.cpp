@@ -9,17 +9,13 @@ namespace manet::net {
 std::vector<graph::Edge> edge_difference(std::span<const graph::Edge> a,
                                          std::span<const graph::Edge> b) {
   std::vector<graph::Edge> out;
-  edge_difference_into(a, b, out);
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
   return out;
 }
 
-void edge_difference_into(std::span<const graph::Edge> a, std::span<const graph::Edge> b,
-                          std::vector<graph::Edge>& out) {
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-}
-
 void ShardedEdgeDiff::run(std::span<const graph::Edge> a, std::span<const graph::Edge> b,
-                          sim::ShardExecutor& executor, std::vector<graph::Edge>& out) {
+                          const sim::ShardExecutor& executor,
+                          std::vector<graph::Edge>& out) {
   const Size shards = executor.shard_count();
   if (shard_out_.size() < shards) shard_out_.resize(shards);
   executor.for_each_shard([&](Size s) {
@@ -58,13 +54,8 @@ void LinkTracker::update_into(const graph::Graph& current, Time t, LinkDelta& de
                   "node count changed between snapshots");
   delta.up.clear();
   delta.down.clear();
-  if (par_ != nullptr) {
-    diff_.run(current.edges(), prev_edges_, *par_, delta.up);
-    diff_.run(prev_edges_, current.edges(), *par_, delta.down);
-  } else {
-    edge_difference_into(current.edges(), prev_edges_, delta.up);
-    edge_difference_into(prev_edges_, current.edges(), delta.down);
-  }
+  diff_.run(current.edges(), prev_edges_, *par_, delta.up);
+  diff_.run(prev_edges_, current.edges(), *par_, delta.down);
   total_events_ += delta.event_count();
   prev_edges_.assign(current.edges().begin(), current.edges().end());
   last_time_ = t;

@@ -25,17 +25,17 @@ struct LinkDelta {
 };
 
 /// Sharded set-difference over canonical sorted edge lists: `a \ b`,
-/// bit-identical to std::set_difference at any thread count. The left list
-/// is cut into contiguous shard slices; each shard narrows the right list
-/// to the value range its slice can cancel against (binary search) and
-/// diffs independently; outputs concatenate in shard index order, which is
-/// exactly the sequential output order. Owns per-shard scratch so
+/// bit-identical to std::set_difference at any shard and thread count. The
+/// left list is cut into contiguous shard slices; each shard narrows the
+/// right list to the value range its slice can cancel against (binary
+/// search) and diffs independently; outputs concatenate in shard index
+/// order, which is exactly std::set_difference's output order. Owns per-shard scratch so
 /// steady-state diffs allocate nothing.
 class ShardedEdgeDiff {
  public:
   /// Append a \ b to \p out (not cleared), sharded over \p executor.
   void run(std::span<const graph::Edge> a, std::span<const graph::Edge> b,
-           sim::ShardExecutor& executor, std::vector<graph::Edge>& out);
+           const sim::ShardExecutor& executor, std::vector<graph::Edge>& out);
 
  private:
   std::vector<std::vector<graph::Edge>> shard_out_;
@@ -75,11 +75,14 @@ class LinkTracker {
   /// gauge into \p registry on every update. nullptr turns publishing off.
   void set_metrics(common::MetricsRegistry* registry);
 
-  /// Shard the two edge-set differences of update_into() over \p executor
-  /// (nullptr = sequential, the default). The sharded diff is bit-identical
-  /// to the sequential one — per-shard outputs concatenate in shard index
-  /// order — so attaching an executor never changes a delta.
-  void set_parallel(sim::ShardExecutor* executor) noexcept { par_ = executor; }
+  /// Shard the two edge-set differences of update_into() over \p executor.
+  /// Until this is called, and again after set_parallel(nullptr), the
+  /// tracker uses sim::kInlineExecutor (one shard on the calling thread).
+  /// Per-shard outputs concatenate in shard index order, so the executor
+  /// never changes a delta.
+  void set_parallel(sim::ShardExecutor* executor) noexcept {
+    par_ = executor != nullptr ? executor : &sim::kInlineExecutor;
+  }
 
  private:
   std::vector<graph::Edge> prev_edges_;
@@ -90,16 +93,13 @@ class LinkTracker {
   common::MetricsRegistry* metrics_ = nullptr;
   common::Counter* up_c_ = nullptr;
   common::Counter* down_c_ = nullptr;
-  sim::ShardExecutor* par_ = nullptr;
+  const sim::ShardExecutor* par_ = &sim::kInlineExecutor;
   ShardedEdgeDiff diff_;
 };
 
-/// Set-difference of two canonical sorted edge lists (a \ b).
+/// Set-difference of two canonical sorted edge lists (a \ b): the
+/// reference that ShardedEdgeDiff reproduces.
 std::vector<graph::Edge> edge_difference(std::span<const graph::Edge> a,
                                          std::span<const graph::Edge> b);
-
-/// Same, appending to \p out (not cleared; callers clear to reuse capacity).
-void edge_difference_into(std::span<const graph::Edge> a, std::span<const graph::Edge> b,
-                          std::vector<graph::Edge>& out);
 
 }  // namespace manet::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "graph/components.hpp"
@@ -66,10 +67,13 @@ graph::Graph UnitDiskBuilder::build(const std::vector<geom::Vec2>& positions) {
   arena_.rewind();
   grid_.rebuild(positions);
   edge_buffer_.clear();
-  grid_.for_each_pair_within(tx_radius_, [this](NodeId u, NodeId v) {
-    edge_buffer_.emplace_back(u, v);
-  });
-  // for_each_pair_within emits canonical (u < v) pairs, each exactly once.
+  // Each pair is seen from both ends; keep the canonical (u < v) one.
+  grid_.for_each_neighbor(tx_radius_, 0, grid_.cell_count(),
+                          [this](NodeId u, std::span<const NodeId> nbrs) {
+                            for (const NodeId v : nbrs) {
+                              if (u < v) edge_buffer_.emplace_back(u, v);
+                            }
+                          });
   graph::Graph g(positions.size(), edge_buffer_);
   last_augmented_ = 0;
   if (!ensure_connected_ || graph::is_connected(g) || positions.size() < 2) return g;
@@ -83,20 +87,16 @@ graph::Graph UnitDiskBuilder::build(const std::vector<geom::Vec2>& positions) {
 
 void UnitDiskBuilder::refresh_cells() {
   // Node -> occupied-bucket map over the anchored snapshot. Every write is
-  // an independent pure function of (anchor_pos_, grid_), so the sharded
-  // fill is trivially identical to the sequential one.
+  // an independent pure function of (anchor_pos_, grid_), so any shard
+  // split fills the same map.
   const Size n = anchor_pos_.size();
-  if (par_ != nullptr) {
-    const Size shards = par_->shard_count();
-    par_->for_each_shard([&](Size s) {
-      const auto [begin, end] = sim::ShardExecutor::slice(n, s, shards);
-      for (Size v = begin; v < end; ++v) {
-        state_.set_cell(static_cast<NodeId>(v), grid_.bucket_index_of(anchor_pos_[v]));
-      }
-    });
-  } else {
-    for (NodeId v = 0; v < n; ++v) state_.set_cell(v, grid_.bucket_index_of(anchor_pos_[v]));
-  }
+  const Size shards = par_->shard_count();
+  par_->for_each_shard([&](Size s) {
+    const auto [begin, end] = sim::ShardExecutor::slice(n, s, shards);
+    for (Size v = begin; v < end; ++v) {
+      state_.set_cell(static_cast<NodeId>(v), grid_.bucket_index_of(anchor_pos_[v]));
+    }
+  });
 }
 
 void UnitDiskBuilder::full_reset(const std::vector<geom::Vec2>& positions) {
@@ -106,42 +106,21 @@ void UnitDiskBuilder::full_reset(const std::vector<geom::Vec2>& positions) {
   grid_.rebuild(positions);
   refresh_cells();
   adj_.resize(n);
-  for (auto& a : adj_) a.clear();
-  if (par_ != nullptr) {
-    // Sharded pair enumeration over contiguous occupied-cell ranges: each
-    // pair is owned by exactly one cell (the forward-stencil owner, the
-    // lexically lower cell key), hence by exactly one shard. The adjacency
-    // fill below walks shard buffers in shard order and every list is
-    // sorted afterwards, so the result cannot depend on the thread count.
-    const Size shards = par_->shard_count();
-    if (shard_pairs_.size() < shards) shard_pairs_.resize(shards);
-    const Size cells = grid_.cell_count();
-    par_->for_each_shard([&](Size s) {
-      const auto [begin, end] = sim::ShardExecutor::slice(cells, s, shards);
-      auto& mine = shard_pairs_[s];
-      mine.clear();
-      grid_.for_each_pair_within(tx_radius_, begin, end, [&mine](NodeId u, NodeId v) {
-        mine.emplace_back(u, v);
-      });
-      par_->metrics(s).counter("par.udg_pairs").add(mine.size());
-    });
-    for (Size s = 0; s < shards; ++s) {
-      for (const auto& [u, v] : shard_pairs_[s]) {
-        adj_[u].push_back(v);
-        adj_[v].push_back(u);
-      }
-    }
-    par_->for_each_shard([&](Size s) {
-      const auto [begin, end] = sim::ShardExecutor::slice(n, s, shards);
-      for (Size v = begin; v < end; ++v) std::sort(adj_[v].begin(), adj_[v].end());
-    });
-  } else {
-    grid_.for_each_pair_within(tx_radius_, [this](NodeId u, NodeId v) {
-      adj_[u].push_back(v);
-      adj_[v].push_back(u);
-    });
-    for (auto& a : adj_) std::sort(a.begin(), a.end());
-  }
+  // Sharded adjacency build over contiguous occupied-cell ranges: every node
+  // lies in exactly one cell, so each shard writes only its own nodes'
+  // sorted lists (with build()'s symmetric distance test) — no staging, no
+  // serial merge, and lists that depend on neither the shard nor the thread
+  // count.
+  const Size shards = par_->shard_count();
+  const Size cells = grid_.cell_count();
+  par_->for_each_shard([&](Size s) {
+    const auto [begin, end] = sim::ShardExecutor::slice(cells, s, shards);
+    grid_.for_each_neighbor(tx_radius_, begin, end,
+                            [this](NodeId u, std::span<const NodeId> nbrs) {
+                              adj_[u].assign(nbrs.begin(), nbrs.end());
+                              std::sort(adj_[u].begin(), adj_[u].end());
+                            });
+  });
   stale_.assign(n, 0);
   stale_list_.clear();
   moved_now_.assign(n, 0);
@@ -152,34 +131,33 @@ void UnitDiskBuilder::full_reset(const std::vector<geom::Vec2>& positions) {
 void UnitDiskBuilder::refresh_graphs(bool raw_dirty) {
   const Size n = state_.size();
   if (raw_dirty) {
-    edge_buffer_.clear();
-    if (par_ != nullptr) {
-      // Sharded canonical-edge rebuild: contiguous node ranges, per-shard
-      // buffers concatenated in shard order == the sequential u-major walk.
-      // shard_pairs_ is free here (full_reset consumed it into adj_).
-      const Size shards = par_->shard_count();
-      if (shard_pairs_.size() < shards) shard_pairs_.resize(shards);
-      par_->for_each_shard([&](Size s) {
-        const auto [begin, end] = sim::ShardExecutor::slice(n, s, shards);
-        auto& mine = shard_pairs_[s];
-        mine.clear();
-        for (Size u = begin; u < end; ++u) {
-          for (const NodeId v : adj_[u]) {
-            if (v > u) mine.emplace_back(static_cast<NodeId>(u), v);
-          }
-        }
-      });
-      for (Size s = 0; s < shards; ++s) {
-        edge_buffer_.insert(edge_buffer_.end(), shard_pairs_[s].begin(),
-                            shard_pairs_[s].end());
+    // Sharded canonical-edge rebuild, written in place: each shard counts
+    // the (u, v > u) edges of its node range, a prefix sum over shards
+    // places them, and each shard fills its own span of edge_buffer_ — the
+    // u-major walk at any shard count.
+    const Size shards = par_->shard_count();
+    shard_offsets_.assign(shards + 1, 0);
+    par_->for_each_shard([&](Size s) {
+      const auto [begin, end] = sim::ShardExecutor::slice(n, s, shards);
+      Size count = 0;
+      for (Size u = begin; u < end; ++u) {
+        count += static_cast<Size>(adj_[u].end() - std::upper_bound(adj_[u].begin(),
+                                                                    adj_[u].end(), u));
       }
-    } else {
-      for (NodeId u = 0; u < n; ++u) {
-        for (const NodeId v : adj_[u]) {
-          if (v > u) edge_buffer_.emplace_back(u, v);
+      shard_offsets_[s + 1] = count;
+    });
+    std::partial_sum(shard_offsets_.begin(), shard_offsets_.end(), shard_offsets_.begin());
+    edge_buffer_.resize(shard_offsets_[shards]);
+    par_->for_each_shard([&](Size s) {
+      const auto [begin, end] = sim::ShardExecutor::slice(n, s, shards);
+      auto out = edge_buffer_.begin() + static_cast<std::ptrdiff_t>(shard_offsets_[s]);
+      for (Size u = begin; u < end; ++u) {
+        const auto& a = adj_[u];
+        for (auto v = std::upper_bound(a.begin(), a.end(), u); v != a.end(); ++v) {
+          *out++ = graph::Edge(static_cast<NodeId>(u), *v);
         }
       }
-    }
+    });
     raw_graph_.assign(n, edge_buffer_);
   }
   bool aug_dirty = false;
@@ -252,15 +230,8 @@ const graph::Graph& UnitDiskBuilder::update(const std::vector<geom::Vec2>& posit
     old_edges_scratch_.assign(raw_graph_.edges().begin(), raw_graph_.edges().end());
     full_reset(positions);
     const auto new_edges = raw_graph_.edges();
-    if (par_ != nullptr) {
-      diff_.run(new_edges, old_edges_scratch_, *par_, ups_);
-      diff_.run(old_edges_scratch_, new_edges, *par_, downs_);
-    } else {
-      std::set_difference(new_edges.begin(), new_edges.end(), old_edges_scratch_.begin(),
-                          old_edges_scratch_.end(), std::back_inserter(ups_));
-      std::set_difference(old_edges_scratch_.begin(), old_edges_scratch_.end(),
-                          new_edges.begin(), new_edges.end(), std::back_inserter(downs_));
-    }
+    diff_.run(new_edges, old_edges_scratch_, *par_, ups_);
+    diff_.run(old_edges_scratch_, new_edges, *par_, downs_);
     // full_reset's refresh left the pre-reset bridge set in bridge_scratch_,
     // so a position-only bridge swap (same count, different endpoints) is
     // still visible here.
@@ -270,8 +241,8 @@ const graph::Graph& UnitDiskBuilder::update(const std::vector<geom::Vec2>& posit
   }
 
   // --- Point updates ---
-  // Phase 1 (sequential; positions were already committed by advance()):
-  // mark movers and refresh stale flags. Phase 2 reads that state without
+  // Phase 1 (serial; positions were already committed by advance()): mark
+  // movers and refresh stale flags. Phase 2 reads that state without
   // writing it, so it shards over the moved list.
   const double slack2 = slack_ * slack_;
   for (const NodeId v : moved_scratch_) {
@@ -282,36 +253,29 @@ const graph::Graph& UnitDiskBuilder::update(const std::vector<geom::Vec2>& posit
     }
   }
 
-  if (par_ != nullptr) {
-    // Phase 2 (sharded): contiguous slices of the moved list, per-shard
-    // scratch and delta buffers; concatenating the buffers in shard index
-    // order reproduces the sequential emission order exactly.
-    const Size shards = par_->shard_count();
-    if (shard_ups_.size() < shards) {
-      shard_ups_.resize(shards);
-      shard_downs_.resize(shards);
-      shard_nbr_.resize(shards);
-      shard_fresh_.resize(shards);
+  // Phase 2 (sharded): contiguous slices of the moved list, per-shard
+  // scratch and delta buffers; concatenating the buffers in shard index
+  // order reproduces the moved-list emission order exactly.
+  const Size shards = par_->shard_count();
+  if (shard_ups_.size() < shards) {
+    shard_ups_.resize(shards);
+    shard_downs_.resize(shards);
+    shard_nbr_.resize(shards);
+    shard_fresh_.resize(shards);
+  }
+  par_->for_each_shard([&](Size s) {
+    const auto [begin, end] = sim::ShardExecutor::slice(moved_scratch_.size(), s, shards);
+    auto& ups = shard_ups_[s];
+    auto& downs = shard_downs_[s];
+    ups.clear();
+    downs.clear();
+    for (Size idx = begin; idx < end; ++idx) {
+      recompute_moved(moved_scratch_[idx], shard_nbr_[s], shard_fresh_[s], ups, downs);
     }
-    par_->for_each_shard([&](Size s) {
-      const auto [begin, end] = sim::ShardExecutor::slice(moved_scratch_.size(), s, shards);
-      auto& ups = shard_ups_[s];
-      auto& downs = shard_downs_[s];
-      ups.clear();
-      downs.clear();
-      for (Size idx = begin; idx < end; ++idx) {
-        recompute_moved(moved_scratch_[idx], shard_nbr_[s], shard_fresh_[s], ups, downs);
-      }
-      par_->metrics(s).counter("par.moved_nodes").add(end - begin);
-    });
-    for (Size s = 0; s < shards; ++s) {
-      ups_.insert(ups_.end(), shard_ups_[s].begin(), shard_ups_[s].end());
-      downs_.insert(downs_.end(), shard_downs_[s].begin(), shard_downs_[s].end());
-    }
-  } else {
-    for (const NodeId u : moved_scratch_) {
-      recompute_moved(u, nbr_scratch_, new_nbrs_, ups_, downs_);
-    }
+  });
+  for (Size s = 0; s < shards; ++s) {
+    ups_.insert(ups_.end(), shard_ups_[s].begin(), shard_ups_[s].end());
+    downs_.insert(downs_.end(), shard_downs_[s].begin(), shard_downs_[s].end());
   }
   for (const NodeId v : moved_scratch_) moved_now_[v] = 0;
 

@@ -70,15 +70,17 @@ class UnitDiskBuilder {
   /// updates, still emitting an exact delta).
   const graph::Graph& update(const std::vector<geom::Vec2>& positions);
 
-  /// Shard the heavy update() phases — full-rescan pair enumeration,
+  /// Run the heavy update() phases — full-rescan neighborhoods,
   /// per-moved-node neighborhood recomputation, edge-buffer refresh,
-  /// fallback edge diffing — over \p executor (nullptr = sequential, the
-  /// default). Sharding is by shard index with per-shard outputs
-  /// concatenated in shard order, so the maintained graph and the ups/downs
-  /// delta are bit-identical to the sequential build at any shard count x
-  /// any thread count (the executor's shard_count() is a pure throughput
-  /// knob here).
-  void set_parallel(sim::ShardExecutor* executor) noexcept { par_ = executor; }
+  /// fallback edge diffing — over \p executor's shards. Until this is
+  /// called, and again after set_parallel(nullptr), the builder uses
+  /// sim::kInlineExecutor (one shard on the calling thread). Every sharded
+  /// phase reproduces the canonical emission order, so the maintained graph
+  /// and the ups/downs delta are bit-identical at any shard count x any
+  /// thread count (the executor's shard_count() is a pure throughput knob).
+  void set_parallel(sim::ShardExecutor* executor) noexcept {
+    par_ = executor != nullptr ? executor : &sim::kInlineExecutor;
+  }
 
   /// True when the last update() took a full-rescan path (a (re)seed or the
   /// exact > n/4 fallback) rather than point updates. Test hook for the
@@ -136,8 +138,8 @@ class UnitDiskBuilder {
   std::vector<graph::Edge> edge_buffer_;
   Size last_augmented_ = 0;
 
-  /// Refresh state_'s anchored-cell array from the (just rebuilt) grid;
-  /// sharded over par_ when attached (independent per-node writes).
+  /// Refresh state_'s anchored-cell array from the (just rebuilt) grid,
+  /// sharded over par_ (independent per-node writes).
   void refresh_cells();
 
   // --- Incremental state (valid while inc_valid_) ---
@@ -161,12 +163,13 @@ class UnitDiskBuilder {
   Size last_moved_ = 0;
   std::vector<graph::Edge> ups_, downs_;
   // Scratch reused across ticks so steady-state updates allocate nothing.
-  std::vector<NodeId> moved_scratch_, nbr_scratch_, new_nbrs_;
+  std::vector<NodeId> moved_scratch_;
   std::vector<graph::Edge> old_edges_scratch_, bridge_scratch_, combine_scratch_;
-  // Sharded-update state (inert while par_ == nullptr). Per-shard output
-  // and scratch buffers, reused across ticks like the sequential scratch.
-  sim::ShardExecutor* par_ = nullptr;
-  std::vector<std::vector<graph::Edge>> shard_pairs_, shard_ups_, shard_downs_;
+  // Sharded-update state: the executor plus per-shard output and scratch
+  // buffers, reused across ticks like the scratch above.
+  const sim::ShardExecutor* par_ = &sim::kInlineExecutor;
+  std::vector<Size> shard_offsets_;  ///< per-shard edge_buffer_ offsets
+  std::vector<std::vector<graph::Edge>> shard_ups_, shard_downs_;
   std::vector<std::vector<NodeId>> shard_nbr_, shard_fresh_;
   ShardedEdgeDiff diff_;
   /// Bump arena for the augmentation path's transients (component sizes,

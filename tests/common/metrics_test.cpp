@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstring>
 #include <string>
 #include <vector>
-
-#include "common/thread_pool.hpp"
 
 namespace manet::common {
 namespace {
@@ -93,81 +90,6 @@ TEST(MetricsRegistry, EntriesAreSortedByName) {
   EXPECT_EQ(entries[0].name, "aa");
   EXPECT_EQ(entries[1].name, "mm");
   EXPECT_EQ(entries[2].name, "zz");
-}
-
-/// The deterministic workload each parallel task writes into its shard.
-void write_shard(MetricsRegistry& shard, std::size_t index) {
-  shard.counter("events").add(index + 1);
-  shard.counter("task." + std::to_string(index % 3)).add(2 * index + 1);
-  shard.gauge("last_index").set(static_cast<double>(index));
-  const std::array<double, 3> bounds{1.0, 4.0, 16.0};
-  auto& h = shard.histogram("hops", bounds);
-  for (std::size_t i = 0; i <= index; ++i) h.observe(static_cast<double>(i % 20));
-  shard.rate_meter("moves", 10.0, 10).mark(static_cast<Time>(index % 7), index);
-}
-
-/// Byte-exact fingerprint of a registry's aggregate state.
-std::string fingerprint(const MetricsRegistry& reg) {
-  std::string out;
-  const auto append_double = [&out](double v) {
-    char bytes[sizeof(double)];
-    std::memcpy(bytes, &v, sizeof(double));
-    out.append(bytes, sizeof(double));
-  };
-  for (const auto& e : reg.entries()) {
-    out += e.name;
-    switch (e.kind) {
-      case MetricsRegistry::Entry::Kind::kCounter:
-        out += std::to_string(e.counter->value());
-        break;
-      case MetricsRegistry::Entry::Kind::kGauge:
-        append_double(e.gauge->value());
-        break;
-      case MetricsRegistry::Entry::Kind::kRateMeter:
-        out += std::to_string(e.rate_meter->total());
-        append_double(e.rate_meter->rate(100.0));
-        break;
-      case MetricsRegistry::Entry::Kind::kHistogram:
-        out += std::to_string(e.histogram->count());
-        append_double(e.histogram->sum());
-        for (Size i = 0; i < e.histogram->bucket_total(); ++i) {
-          out += std::to_string(e.histogram->bucket_count(i));
-        }
-        break;
-    }
-    out += '|';
-  }
-  return out;
-}
-
-TEST(ShardedMetrics, MergeIsBitIdenticalAcrossThreadCounts) {
-  constexpr std::size_t kTasks = 24;
-  std::vector<std::string> prints;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ShardedMetrics sharded(kTasks);
-    ThreadPool pool(threads);
-    pool.parallel_for(kTasks,
-                      [&sharded](std::size_t i) { write_shard(sharded.shard(i), i); });
-    prints.push_back(fingerprint(sharded.merged()));
-  }
-  EXPECT_EQ(prints[0], prints[1]);
-  EXPECT_EQ(prints[0], prints[2]);
-}
-
-TEST(ShardedMetrics, MergedAggregatesMatchHandComputation) {
-  constexpr std::size_t kTasks = 5;
-  ShardedMetrics sharded(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) write_shard(sharded.shard(i), i);
-  const auto merged = sharded.merged();
-  // events = sum of (i+1) = 15.
-  ASSERT_NE(merged.find_counter("events"), nullptr);
-  EXPECT_EQ(merged.find_counter("events")->value(), 15u);
-  // Gauge keeps the highest shard index's write.
-  ASSERT_NE(merged.find_gauge("last_index"), nullptr);
-  EXPECT_DOUBLE_EQ(merged.find_gauge("last_index")->value(), 4.0);
-  // Histogram counts add: sum of (i+1) observations.
-  ASSERT_NE(merged.find_histogram("hops"), nullptr);
-  EXPECT_EQ(merged.find_histogram("hops")->count(), 15u);
 }
 
 TEST(MetricsRegistry, MergeCreatesMissingInstruments) {

@@ -118,6 +118,17 @@ TEST(Cli, SemanticValidation) {
   EXPECT_FALSE(parse({"--density", "0"}).ok);
 }
 
+TEST(Cli, ScenarioValidationErrorsNameTheFlag) {
+  // ScenarioConfig::validate() owns the rules; the CLI maps each field to
+  // its flag.
+  EXPECT_EQ(parse({"--n", "1"}).error, "--n must be >= 2");
+  EXPECT_EQ(parse({"--tick", "0"}).error, "--tick must be > 0");
+  EXPECT_EQ(parse({"--warmup", "-1"}).error, "--warmup must be >= 0");
+  EXPECT_EQ(parse({"--duration", "-2"}).error, "--duration must be >= 0");
+  EXPECT_EQ(parse({"--density", "0"}).error, "--density must be > 0");
+  EXPECT_EQ(parse({"--handover-backoff", "0.5"}).error, "--handover-backoff must be >= 1");
+}
+
 TEST(Cli, InlineEqualsValuesParse) {
   const auto result = parse({"--n=512", "--mu=2.5", "--session-pps=8", "--threads=4"});
   ASSERT_TRUE(result.ok) << result.error;

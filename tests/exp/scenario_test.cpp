@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
 
 #include "net/radio.hpp"
 
@@ -27,6 +30,31 @@ TEST(ScenarioConfig, DescribeMentionsKeyParameters) {
   const auto text = cfg.describe();
   EXPECT_NE(text.find("n=123"), std::string::npos);
   EXPECT_NE(text.find("seed="), std::string::npos);
+}
+
+TEST(ScenarioConfig, ValidateReturnsEveryError) {
+  ScenarioConfig cfg;
+  EXPECT_TRUE(cfg.validate().empty()) << "defaults must be valid";
+  cfg.n = 1;
+  cfg.tick = 0.0;
+  cfg.warmup = -1.0;
+  cfg.duration = -1.0;
+  cfg.density = 0.0;
+  cfg.handover.backoff = 0.5;
+  const auto errors = cfg.validate();
+  std::vector<std::string> fields;
+  for (const auto& e : errors) fields.push_back(e.field);
+  EXPECT_EQ(fields, (std::vector<std::string>{"n", "tick", "warmup", "duration", "density",
+                                              "handover.backoff"}));
+  EXPECT_EQ(errors[1].rule, "must be > 0");
+}
+
+TEST(ScenarioConfig, ValidateRejectsNan) {
+  ScenarioConfig cfg;
+  cfg.tick = std::nan("");
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].field, "tick");
 }
 
 TEST(Scenario, MaterializeCreatesRequestedMobility) {

@@ -225,5 +225,20 @@ TEST(RunSimulation, FasterNodesMoreHandoff) {
   EXPECT_GT(mf.get("total_rate"), ms.get("total_rate"));
 }
 
+TEST(RunSimulationDeath, RejectsZeroTick) {
+  // The library refuses what the CLI refuses: tick = 0 would otherwise
+  // divide the warmup by zero before the first tick.
+  auto cfg = quick_config();
+  cfg.tick = 0.0;
+  EXPECT_DEATH(run_simulation(cfg), "tick must be > 0");
+}
+
+TEST(RunSimulationDeath, NamesEveryInvalidField) {
+  auto cfg = quick_config();
+  cfg.n = 1;
+  cfg.density = -1.0;
+  EXPECT_DEATH(run_simulation(cfg), "n must be >= 2; density must be > 0");
+}
+
 }  // namespace
 }  // namespace manet::exp

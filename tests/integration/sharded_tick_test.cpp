@@ -1,31 +1,33 @@
-/// Bit-identity of the sharded parallel tick (RunOptions::threads,
-/// RunOptions::shards) against the sequential legacy path.
+/// Bit-identity of the sharded tick (RunOptions::threads, RunOptions::shards).
 ///
-/// The contract (sim/shard.hpp): the shard topology is chosen at run start
-/// (resolve_shard_count; --shards, 0 = auto from the worker count), every
-/// per-shard output is merged in shard index order, and boundary work is
-/// owned by exactly one shard — so every run product (flattened RunMetrics,
-/// trace stream, metrics registry) must be byte-identical at *any* shard
-/// count x *any* thread count. The suite pins shards {1, 4, 16, 64} x
-/// threads {1, 2, 8} for the faulted-sessions and query-serving regimes.
-/// Like the golden fixtures, the config uses a dyadic tick (0.5) so float
-/// accumulation is order-exact and byte-identity is a meaningful contract.
-///
-/// The only permitted difference: parallel runs additionally publish par.*
-/// telemetry counters (sharded-work accounting) that a sequential run never
-/// creates. Those are excluded when comparing sequential vs parallel and
-/// compared in full between parallel runs: every par.* counter is a sum of
-/// per-item work over shards, so the totals are invariant to BOTH the
-/// thread count and the shard count.
+/// The contract (sim/shard.hpp): the tick always runs over one ShardExecutor
+/// whose topology is chosen at run start (resolve_shard_count; --shards,
+/// 0 = auto from the worker count), every per-shard output is merged in
+/// shard index order, and boundary work is owned by exactly one shard — so
+/// every run product (flattened RunMetrics, trace stream, metrics registry)
+/// must be byte-identical at *any* shard count x *any* thread count. The
+/// suite pins shards {1, 4, 16, 64} x threads {1, 2, 8} for the
+/// faulted-sessions and query-serving regimes, each cell against the
+/// threads = 1 run (one inline shard), and checks one cell against the
+/// full-tick oracle (incremental_tick = false: stateless unit-disk rebuild
+/// and builder hierarchies every tick). Like the golden fixtures, the config
+/// uses a dyadic tick (0.5) so float accumulation is order-exact and
+/// byte-identity is a meaningful contract.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
+#include "cluster/hierarchy_builder.hpp"
 #include "common/metrics.hpp"
-#include "exp/montecarlo.hpp"
+#include "common/thread_pool.hpp"
 #include "exp/simulation.hpp"
+#include "lm/handoff.hpp"
+#include "net/link_tracker.hpp"
+#include "net/unit_disk.hpp"
+#include "sim/shard.hpp"
 #include "sim/trace.hpp"
 
 using namespace manet;
@@ -88,13 +90,11 @@ std::string serialize(const sim::TraceSink& sink) {
   return out;
 }
 
-/// alloc.* exists only under MANET_PROFILE_ALLOC; par.* exists only when an
-/// executor is attached (skip_par excludes it for seq-vs-par comparisons).
-std::string serialize(const common::MetricsRegistry& registry, bool skip_par) {
+/// alloc.* exists only under MANET_PROFILE_ALLOC.
+std::string serialize(const common::MetricsRegistry& registry) {
   std::string out;
   for (const auto& entry : registry.entries()) {
     if (entry.name.rfind("alloc.", 0) == 0) continue;
-    if (skip_par && entry.name.rfind("par.", 0) == 0) continue;
     switch (entry.kind) {
       case common::MetricsRegistry::Entry::Kind::kCounter:
         out += "C " + entry.name + " " + std::to_string(entry.counter->value());
@@ -118,12 +118,12 @@ std::string serialize(const common::MetricsRegistry& registry, bool skip_par) {
 struct Products {
   std::string metrics;
   std::string trace;
-  std::string registry;       ///< par.* excluded (comparable to sequential)
-  std::string registry_full;  ///< par.* included (parallel-vs-parallel)
+  std::string registry;
 };
 
 Products run_with_threads(const exp::ScenarioConfig& cfg, Size threads,
-                          Size query_load = 0, Size shards = 0) {
+                          Size query_load = 0, Size shards = 0,
+                          bool incremental_tick = true) {
   exp::RunOptions opts;
   opts.run_gls = true;
   opts.track_registration = true;
@@ -131,62 +131,45 @@ Products run_with_threads(const exp::ScenarioConfig& cfg, Size threads,
   opts.threads = threads;
   opts.shards = shards;
   opts.query_load = query_load;
+  opts.incremental_tick = incremental_tick;
   common::MetricsRegistry registry;
   sim::TraceSink trace;
   opts.metrics = &registry;
   opts.trace = &trace;
   const auto metrics = exp::run_simulation(cfg, opts);
-  return Products{serialize(metrics), serialize(trace),
-                  serialize(registry, /*skip_par=*/true),
-                  serialize(registry, /*skip_par=*/false)};
+  return Products{serialize(metrics), serialize(trace), serialize(registry)};
 }
 
-/// The full ISSUE-pinned topology sweep: shards {1, 4, 16, 64} x threads
-/// {1, 2, 8}, every cell compared against the pure sequential legacy path
-/// (threads=1, shards=0: no executor at all). par.* is excluded against
-/// sequential; between parallel cells even par.* must agree (workload sums).
+void expect_same_products(const Products& want, const Products& got, const std::string& cell) {
+  EXPECT_EQ(want.metrics, got.metrics) << "RunMetrics diverged" << cell;
+  EXPECT_EQ(want.trace, got.trace) << "trace stream diverged" << cell;
+  EXPECT_EQ(want.registry, got.registry) << "registry diverged" << cell;
+}
+
+/// The full topology sweep: shards {1, 4, 16, 64} x threads {1, 2, 8}, every
+/// cell compared against the threads = 1 run (auto topology: one inline
+/// shard). One cell is also rerun on the full-tick oracle, which must match
+/// too.
 void expect_shard_count_identity(const exp::ScenarioConfig& cfg,
                                  Size query_load = 0) {
-  const auto seq = run_with_threads(cfg, 1, query_load, 0);
-  std::string par_registry_full;  // from the first parallel cell
+  const auto reference = run_with_threads(cfg, 1, query_load, 0);
   for (const Size shards : {Size{1}, Size{4}, Size{16}, Size{64}}) {
     for (const Size threads : {Size{1}, Size{2}, Size{8}}) {
-      const auto par = run_with_threads(cfg, threads, query_load, shards);
-      const std::string cell = " at shards=" + std::to_string(shards) +
-                               " threads=" + std::to_string(threads);
-      EXPECT_EQ(seq.metrics, par.metrics) << "RunMetrics diverged" << cell;
-      EXPECT_EQ(seq.trace, par.trace) << "trace stream diverged" << cell;
-      EXPECT_EQ(seq.registry, par.registry) << "registry diverged" << cell;
-      EXPECT_NE(par.registry_full, par.registry)
-          << "no par.* telemetry" << cell << " — executor not attached?";
-      if (par_registry_full.empty()) {
-        par_registry_full = par.registry_full;
-      } else {
-        EXPECT_EQ(par_registry_full, par.registry_full)
-            << "par.* telemetry depends on the topology" << cell;
-      }
+      const auto cell = run_with_threads(cfg, threads, query_load, shards);
+      expect_same_products(reference, cell,
+                           " at shards=" + std::to_string(shards) +
+                               " threads=" + std::to_string(threads));
     }
   }
+  expect_same_products(reference,
+                       run_with_threads(cfg, 2, query_load, 4, /*incremental_tick=*/false),
+                       " from the full-tick oracle at shards=4 threads=2");
 }
 
 void expect_thread_identity(const exp::ScenarioConfig& cfg) {
-  const auto seq = run_with_threads(cfg, 1);
-  const auto par2 = run_with_threads(cfg, 2);
-  const auto par8 = run_with_threads(cfg, 8);
-
-  EXPECT_EQ(seq.metrics, par2.metrics) << "RunMetrics diverged at threads=2";
-  EXPECT_EQ(seq.metrics, par8.metrics) << "RunMetrics diverged at threads=8";
-  EXPECT_EQ(seq.trace, par2.trace) << "trace stream diverged at threads=2";
-  EXPECT_EQ(seq.trace, par8.trace) << "trace stream diverged at threads=8";
-  EXPECT_EQ(seq.registry, par2.registry) << "registry diverged at threads=2";
-  EXPECT_EQ(seq.registry, par8.registry) << "registry diverged at threads=8";
-  // Between two parallel runs even the par.* telemetry must agree: the
-  // sharded workload accounting is a pure function of the (fixed) shard
-  // decomposition, never of the worker count.
-  EXPECT_EQ(par2.registry_full, par8.registry_full)
-      << "par.* telemetry depends on the thread count";
-  EXPECT_NE(par2.registry_full, par2.registry)
-      << "parallel run published no par.* telemetry — executor not attached?";
+  const auto reference = run_with_threads(cfg, 1);
+  expect_same_products(reference, run_with_threads(cfg, 2), " at threads=2");
+  expect_same_products(reference, run_with_threads(cfg, 8), " at threads=8");
 }
 
 TEST(ShardedTick, FaultFreeRunIsThreadCountInvariant) {
@@ -199,24 +182,20 @@ TEST(ShardedTick, FaultedSessionsRunIsThreadCountInvariant) {
 
 TEST(ShardedTick, QueryServingRunIsThreadCountInvariant) {
   // The query plane (RunOptions::query_load, lm::QueryEngine) serves its
-  // deterministic lookup stream over the same canonical shard slices in the
-  // sequential and parallel paths, so query_lookups / query_hits /
-  // query_digest must be byte-identical at every thread count.
+  // deterministic lookup stream over the run's shard slices and folds them
+  // commutatively, so query_lookups / query_hits / query_digest must be
+  // byte-identical at every thread count.
   const auto cfg = base_config();
-  const auto seq = run_with_threads(cfg, 1, /*query_load=*/512);
-  const auto par2 = run_with_threads(cfg, 2, /*query_load=*/512);
-  const auto par8 = run_with_threads(cfg, 8, /*query_load=*/512);
-  EXPECT_NE(seq.metrics.find("query_digest"), std::string::npos)
+  const auto reference = run_with_threads(cfg, 1, /*query_load=*/512);
+  EXPECT_NE(reference.metrics.find("query_digest"), std::string::npos)
       << "query plane was not enabled";
-  EXPECT_EQ(seq.metrics, par2.metrics) << "query metrics diverged at threads=2";
-  EXPECT_EQ(seq.metrics, par8.metrics) << "query metrics diverged at threads=8";
-  EXPECT_EQ(seq.trace, par2.trace);
-  EXPECT_EQ(seq.registry, par2.registry);
+  expect_same_products(reference, run_with_threads(cfg, 2, 512), " at threads=2");
+  expect_same_products(reference, run_with_threads(cfg, 8, 512), " at threads=8");
 }
 
 TEST(ShardedTick, FaultedSessionsRunIsShardCountInvariant) {
-  // Tentpole acceptance sweep (runtime-tunable topology): the ARQ-attached
-  // faulted + sessions regime across the full shards x threads grid.
+  // The ARQ-attached faulted + sessions regime across the full
+  // shards x threads grid.
   expect_shard_count_identity(faulted_sessions_config());
 }
 
@@ -228,25 +207,96 @@ TEST(ShardedTick, QueryServingRunIsShardCountInvariant) {
 }
 
 TEST(ShardedTick, ExplicitShardsOnOneWorkerMatchesSequential) {
-  // threads=1 + shards>0 runs the sharded path on a one-worker pool; it
-  // must still match the executor-free sequential run bit-for-bit.
+  // threads=1 + shards>0 runs four shards inline on the calling thread; it
+  // must match the one-shard run bit-for-bit.
   const auto cfg = base_config();
-  const auto seq = run_with_threads(cfg, 1);
-  const auto par = run_with_threads(cfg, 1, 0, /*shards=*/4);
-  EXPECT_EQ(seq.metrics, par.metrics);
-  EXPECT_EQ(seq.trace, par.trace);
-  EXPECT_EQ(seq.registry, par.registry);
-  EXPECT_NE(par.registry_full, par.registry)
-      << "shards>0 on one worker should still attach the executor";
+  expect_same_products(run_with_threads(cfg, 1), run_with_threads(cfg, 1, 0, /*shards=*/4),
+                       " at shards=4 threads=1");
 }
 
 TEST(ShardedTick, HardwareConcurrencyMatchesSequential) {
   const auto cfg = base_config();
-  const auto seq = run_with_threads(cfg, 1);
-  const auto par = run_with_threads(cfg, 0);  // 0 = hardware concurrency
-  EXPECT_EQ(seq.metrics, par.metrics);
-  EXPECT_EQ(seq.trace, par.trace);
-  EXPECT_EQ(seq.registry, par.registry);
+  expect_same_products(run_with_threads(cfg, 1), run_with_threads(cfg, 0),
+                       " at threads=0 (hardware concurrency)");
+}
+
+/// One tick pipeline driven component by component (the way a caller that
+/// never touches the executor drives it): unit-disk delta, link diff,
+/// hierarchy build, priced entry moves.
+struct TickArm {
+  net::UnitDiskBuilder disk;
+  cluster::HierarchyBuilder builder;
+  lm::HandoffEngine handoff;
+  std::unique_ptr<net::LinkTracker> links;
+  common::MetricsRegistry registry;
+  std::string log;
+  Size entries_moved = 0;
+
+  explicit TickArm(double tx_radius) : disk(tx_radius, /*ensure_connected=*/true) {
+    handoff.set_metrics(&registry);
+    handoff.set_fast_pricing(true);
+  }
+
+  void attach(sim::ShardExecutor* executor) {
+    disk.set_parallel(executor);
+    handoff.set_parallel(executor);
+    if (links) links->set_parallel(executor);
+  }
+
+  void prime(const exp::Scenario& scenario) {
+    const auto& g = disk.update(scenario.mobility->positions());
+    handoff.prime(builder.build(g, scenario.ids, scenario.mobility->positions()), 0.0);
+    links = std::make_unique<net::LinkTracker>(g, 0.0);
+    links->set_metrics(&registry);
+  }
+
+  void tick(const exp::Scenario& scenario, Time t) {
+    const auto& g = disk.update(scenario.mobility->positions());
+    net::LinkDelta delta;
+    links->update_into(g, t, delta);
+    const auto h = builder.build(g, scenario.ids, scenario.mobility->positions());
+    const auto moved = handoff.update(h, g, t);
+    entries_moved += moved.entries_moved;
+    log += "t=" + fmt(t) + " edges=" + std::to_string(g.edge_count());
+    for (const auto& e : disk.links_up()) log += " +" + std::to_string(e.first) + "-" +
+                                                 std::to_string(e.second);
+    for (const auto& e : disk.links_down()) log += " -" + std::to_string(e.first) + "-" +
+                                                   std::to_string(e.second);
+    log += " up=" + std::to_string(delta.up.size()) +
+           " down=" + std::to_string(delta.down.size()) +
+           " phi=" + std::to_string(moved.phi_packets) +
+           " gamma=" + std::to_string(moved.gamma_packets) +
+           " moved=" + std::to_string(moved.entries_moved) + '\n';
+  }
+};
+
+TEST(ShardedTick, UnattachedComponentsMatchPoolExecutor) {
+  // Components never given set_parallel run on sim::kInlineExecutor; they
+  // must match a 16-shard pool executor byte for byte, and set_parallel
+  // (nullptr) must restore that default.
+  auto cfg = base_config();
+  cfg.n = 160;
+  auto scenario = exp::Scenario::materialize(cfg);
+  common::ThreadPool pool(4);
+  sim::ShardExecutor exec(pool, sim::kDefaultShardCount);
+
+  TickArm plain(cfg.tx_radius()), pooled(cfg.tx_radius()), restored(cfg.tx_radius());
+  pooled.attach(&exec);
+  restored.attach(&exec);
+  for (TickArm* arm : {&plain, &pooled, &restored}) arm->prime(scenario);
+  pooled.attach(&exec);  // now reaches the link tracker too
+  restored.attach(&exec);
+  restored.attach(nullptr);
+  for (Size i = 1; i <= 12; ++i) {
+    const Time t = 0.5 * static_cast<Time>(i);
+    scenario.mobility->advance_to(t);
+    for (TickArm* arm : {&plain, &pooled, &restored}) arm->tick(scenario, t);
+  }
+  EXPECT_GT(plain.entries_moved, 0u) << "no entry moved: the pricing path went untested";
+  EXPECT_EQ(plain.log, pooled.log);
+  EXPECT_EQ(plain.log, restored.log);
+  EXPECT_EQ(serialize(plain.registry), serialize(pooled.registry));
+  EXPECT_EQ(serialize(plain.registry), serialize(restored.registry));
 }
 
 }  // namespace

@@ -137,8 +137,9 @@ TEST(ShardedEdgeDiff, MatchesSetDifferenceOnRandomLists) {
 }
 
 TEST(LinkTracker, ParallelDeltaMatchesSequential) {
-  // Same snapshots through a sequential and an executor-attached tracker:
-  // deltas and running counters must agree exactly.
+  // Same snapshots through the default tracker (one inline shard) and a
+  // pool-attached one: both deltas must equal the edge_difference reference
+  // over consecutive snapshots, and the running counters must agree.
   common::ThreadPool pool(2);
   sim::ShardExecutor exec(pool, sim::kDefaultShardCount);
 
@@ -149,20 +150,30 @@ TEST(LinkTracker, ParallelDeltaMatchesSequential) {
   UnitDiskBuilder disk(1.5);
 
   const auto& g0 = disk.update(walk.positions());
-  LinkTracker sequential(g0, 0.0);
+  std::vector<Edge> prev(g0.edges().begin(), g0.edges().end());
+  LinkTracker inline_tracker(g0, 0.0);
   LinkTracker parallel(g0, 0.0);
   parallel.set_parallel(&exec);
 
-  LinkDelta ds, dp;
+  LinkDelta di, dp;
+  Size reference_events = 0;
   for (int step = 1; step <= 12; ++step) {
     walk.advance_to(static_cast<Time>(step));
     const auto& g = disk.update(walk.positions());
-    sequential.update_into(g, static_cast<Time>(step), ds);
+    const auto want_up = edge_difference(g.edges(), prev);
+    const auto want_down = edge_difference(prev, g.edges());
+    reference_events += want_up.size() + want_down.size();
+    prev.assign(g.edges().begin(), g.edges().end());
+    inline_tracker.update_into(g, static_cast<Time>(step), di);
     parallel.update_into(g, static_cast<Time>(step), dp);
-    ASSERT_EQ(ds.up, dp.up) << "step " << step;
-    ASSERT_EQ(ds.down, dp.down) << "step " << step;
+    ASSERT_EQ(want_up, di.up) << "step " << step;
+    ASSERT_EQ(want_down, di.down) << "step " << step;
+    ASSERT_EQ(want_up, dp.up) << "step " << step;
+    ASSERT_EQ(want_down, dp.down) << "step " << step;
   }
-  EXPECT_EQ(sequential.total_events(), parallel.total_events());
+  EXPECT_GT(reference_events, 0u) << "walk produced no link events";
+  EXPECT_EQ(inline_tracker.total_events(), reference_events);
+  EXPECT_EQ(parallel.total_events(), reference_events);
 }
 
 }  // namespace

@@ -282,11 +282,10 @@ TEST(UnitDiskIncremental, RescanThresholdSmallOddCounts) {
 }
 
 TEST(UnitDiskIncremental, ParallelUpdateMatchesSequential) {
-  // The sharded update paths (full-reset pair enumeration, phase-2 moved
-  // recomputation, sharded edge diffs) must yield byte-identical graphs and
-  // deltas to the sequential builder under every motion regime: jiggles
-  // (point-update path), frozen ticks (empty delta) and bulk drift (the
-  // full-rescan fallback).
+  // The 16-shard pool builder and the default builder (one inline shard)
+  // must yield byte-identical graphs and deltas under every motion regime —
+  // jiggles (point-update path), frozen ticks (empty delta) and bulk drift
+  // (the full-rescan fallback) — and both must equal the stateless build().
   common::ThreadPool pool(4);
   sim::ShardExecutor exec(pool, sim::kDefaultShardCount);
 
@@ -296,9 +295,10 @@ TEST(UnitDiskIncremental, ParallelUpdateMatchesSequential) {
   std::vector<geom::Vec2> pts(150);
   for (auto& p : pts) p = region.sample(rng);
 
-  UnitDiskBuilder sequential(radius);
+  UnitDiskBuilder inline_builder(radius);
   UnitDiskBuilder parallel(radius);
   parallel.set_parallel(&exec);
+  UnitDiskBuilder stateless(radius);
 
   for (int step = 0; step < 30; ++step) {
     if (step > 0) {
@@ -309,15 +309,19 @@ TEST(UnitDiskIncremental, ParallelUpdateMatchesSequential) {
         p.y += common::uniform(rng, -0.5, 0.5);
       }
     }
-    const auto& want = sequential.update(pts);
+    const auto want = stateless.build(pts);
+    const auto& got_inline = inline_builder.update(pts);
     const auto& got = parallel.update(pts);
-    ASSERT_EQ(sequential.last_full_rescan(), parallel.last_full_rescan())
-        << "step " << step;
+    ASSERT_TRUE(std::equal(want.edges().begin(), want.edges().end(),
+                           got_inline.edges().begin(), got_inline.edges().end()))
+        << "inline builder diverged from build() at step " << step;
     ASSERT_TRUE(std::equal(want.edges().begin(), want.edges().end(),
                            got.edges().begin(), got.edges().end()))
-        << "edge set diverged at step " << step;
-    ASSERT_EQ(sequential.links_up(), parallel.links_up()) << "step " << step;
-    ASSERT_EQ(sequential.links_down(), parallel.links_down()) << "step " << step;
+        << "sharded builder diverged from build() at step " << step;
+    ASSERT_EQ(inline_builder.last_full_rescan(), parallel.last_full_rescan())
+        << "step " << step;
+    ASSERT_EQ(inline_builder.links_up(), parallel.links_up()) << "step " << step;
+    ASSERT_EQ(inline_builder.links_down(), parallel.links_down()) << "step " << step;
   }
 }
 

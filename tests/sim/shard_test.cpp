@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -103,11 +104,18 @@ TEST(ResolveShardCount, ClampsToMaxShardCount) {
             sim::kMaxShardCount);
 }
 
+TEST(ResolveShardCount, AutoUsesOneShardForOneWorker) {
+  // One worker has nothing to rebalance, and every shard holds its own
+  // scratch: the auto topology is a single shard.
+  EXPECT_EQ(sim::resolve_shard_count(0, 1), 1u);
+  EXPECT_EQ(sim::resolve_shard_count(0, 0), 1u);
+}
+
 TEST(ResolveShardCount, AutoOversubscribesWorkersWithDefaultFloor) {
-  // 0 = auto: max(kDefaultShardCount, 4 * workers), then power-of-two
-  // rounding (a no-op here since both operands already are).
-  EXPECT_EQ(sim::resolve_shard_count(0, 1), sim::kDefaultShardCount);
+  // 0 = auto with >= 2 workers: max(kDefaultShardCount, 4 * workers), then
+  // power-of-two rounding (a no-op here since both operands already are).
   EXPECT_EQ(sim::resolve_shard_count(0, 2), sim::kDefaultShardCount);
+  EXPECT_EQ(sim::resolve_shard_count(0, 3), sim::kDefaultShardCount);
   EXPECT_EQ(sim::resolve_shard_count(0, 4), sim::kDefaultShardCount);
   EXPECT_EQ(sim::resolve_shard_count(0, 8), 32u);
   EXPECT_EQ(sim::resolve_shard_count(0, 16), 64u);
@@ -124,6 +132,21 @@ TEST(ShardExecutor, RuntimeShardCountDrivesForEachShard) {
   for (Size shard = 0; shard < exec.shard_count(); ++shard) {
     EXPECT_EQ(fired[shard], 1) << "shard " << shard;
   }
+}
+
+TEST(ShardExecutor, InlineRunsEveryShardOnceInOrderOnCallingThread) {
+  const sim::ShardExecutor exec(5);
+  EXPECT_EQ(exec.shard_count(), 5u);
+  std::vector<Size> order;
+  std::vector<std::thread::id> runners;
+  exec.for_each_shard([&](Size shard) {
+    order.push_back(shard);
+    runners.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<Size>{0, 1, 2, 3, 4}));
+  for (const auto id : runners) EXPECT_EQ(id, std::this_thread::get_id());
+  // The components' default executor is the one-shard instance of this mode.
+  EXPECT_EQ(sim::kInlineExecutor.shard_count(), 1u);
 }
 
 }  // namespace

@@ -166,7 +166,12 @@ done
 # 8c. The sharded parallel tick is documented and its gates cannot silently
 #     rot: the architecture chapter exists and names the load-bearing
 #     pieces, EXPERIMENTS.md keeps E30, and the bench_capacity baseline
-#     keeps its acceptance scalar.
+#     keeps its acceptance scalar. There is one tick path: an executor is
+#     always attached, so no sequential twin (a branch on a missing
+#     executor) may grow back under src/.
+twins=$(grep -rnE 'par_ [!=]= nullptr|if \(tick_shards' "$root/src" || true)
+[ -z "$twins" ] ||
+    fail "sequential tick twin under src/ (the executor is always attached): $twins"
 grep -q '^## Sharded parallel tick' "$arch" ||
     fail "docs/ARCHITECTURE.md lost its 'Sharded parallel tick' chapter"
 for sym in ShardExecutor kDefaultShardCount ShardedEdgeDiff \
