@@ -2,9 +2,10 @@
 ///
 /// The incremental path (RunOptions::incremental_tick, the default) keeps the
 /// unit-disk graph as a per-moved-node delta, gates the hierarchy rebuild on
-/// actual change and memoizes per-level elections. This bench measures the
-/// resulting ticks/sec against the historical rebuild-everything tick at
-/// n in {256, 1024, 4096} under three mobility regimes:
+/// actual change and repairs changed ALCA hierarchies in place. This bench
+/// measures the resulting ticks/sec against the historical
+/// rebuild-everything tick at n in {256, 1024, 4096} under three mobility
+/// regimes:
 ///   low  — static nodes, every measured tick gated (the steady-state win);
 ///   high — random waypoint at vehicular speed (mu = 0.2, about 0.1 radio
 ///          radii per tick), the paper's operating regime: links churn every

@@ -76,7 +76,6 @@ class Hierarchy {
 
  private:
   friend class HierarchyBuilder;
-  friend class HierarchyRepairer;
 
   std::vector<LevelView> levels_;
   /// ancestor_[k][v] for level-0 node v; ancestor_[0] is identity.

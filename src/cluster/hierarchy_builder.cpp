@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/check.hpp"
@@ -17,83 +18,103 @@ HierarchyBuilder::HierarchyBuilder(std::shared_ptr<const ElectionAlgorithm> algo
   MANET_CHECK(algorithm_ != nullptr);
 }
 
+Hierarchy HierarchyBuilder::build(const graph::Graph& g, std::span<const NodeId> ids,
+                                  std::span<const geom::Vec2> positions) const {
+  if (!ids.empty()) {
+    std::vector<NodeId> sorted(ids.begin(), ids.end());
+    std::sort(sorted.begin(), sorted.end());
+    MANET_CHECK_MSG(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+                    "node ids must be unique");
+  }
+  Hierarchy h;
+  grow(g, ids, positions, options_,
+       [this](Level, const LevelView& level, ElectionResult& out) {
+         out = algorithm_->elect(level.topo, level.ids);
+       },
+       h);
+  return h;
+}
+
 namespace {
 
-/// Whether level \p k of \p prev consumed exactly the inputs (topology, ids)
-/// now present in \p cur — the precondition for reusing its election.
-bool level_inputs_match(const LevelView& cur, const Hierarchy* prev, Level k) {
-  if (prev == nullptr || k >= prev->level_count()) return false;
-  const LevelView& old = prev->level(k);
-  if (old.ids != cur.ids) return false;
-  const auto a = old.topo.edges();
-  const auto b = cur.topo.edges();
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+/// Level-(k+1) links between the heads promoted out of \p cur (\p next
+/// already carries their ids and node0).
+graph::Graph link_next_level(const LevelView& cur, const LevelView& next, Size n,
+                             const HierarchyOptions& options,
+                             std::span<const geom::Vec2> positions) {
+  const Size n_next = next.ids.size();
+  std::vector<graph::Edge> next_edges;
+  if (options.geometric_links) {
+    // Geometric hysteresis (paper eq. (7)): heads within
+    // beta * R_TX * sqrt(mean aggregation) of one another are neighbors.
+    const double mean_ck = static_cast<double>(n) / static_cast<double>(n_next);
+    const double range = options.beta * options.tx_radius * std::sqrt(mean_ck);
+    const double range2 = range * range;
+    for (NodeId a = 0; a < n_next; ++a) {
+      const geom::Vec2 pa = positions[next.node0[a]];
+      for (NodeId b = a + 1; b < n_next; ++b) {
+        if (geom::distance2(pa, positions[next.node0[b]]) <= range2) {
+          next_edges.emplace_back(a, b);
+        }
+      }
+    }
+  } else {
+    // Graph contraction: clusters adjacent in the level-k topology.
+    for (const auto& [a, b] : cur.topo.edges()) {
+      NodeId pa = cur.parent[a];
+      NodeId pb = cur.parent[b];
+      if (pa == pb) continue;
+      if (pa > pb) std::swap(pa, pb);
+      next_edges.emplace_back(pa, pb);
+    }
+    std::sort(next_edges.begin(), next_edges.end());
+    next_edges.erase(std::unique(next_edges.begin(), next_edges.end()), next_edges.end());
+  }
+  return graph::Graph(n_next, next_edges);
 }
 
 }  // namespace
 
-Hierarchy HierarchyBuilder::build(const graph::Graph& g, std::span<const NodeId> ids,
-                                  std::span<const geom::Vec2> positions,
-                                  const Hierarchy* reuse) const {
+void HierarchyBuilder::grow(const graph::Graph& g, std::span<const NodeId> ids,
+                            std::span<const geom::Vec2> positions, const Options& options,
+                            const LevelElection& elect, Hierarchy& out) {
   const Size n = g.vertex_count();
   MANET_CHECK(n > 0);
-  if (options_.geometric_links) {
+  MANET_CHECK_MSG(ids.empty() || ids.size() == n, "id assignment size mismatch");
+  if (options.geometric_links) {
     MANET_CHECK_MSG(positions.size() == n,
                     "geometric level-k links need level-0 node positions");
   }
-  if (reuse != nullptr && reuse->level(0).vertex_count() != n) reuse = nullptr;
-
-  Hierarchy h;
+  Hierarchy& h = out;
+  h.levels_.clear();
+  h.ancestor_.clear();
+  h.children_.clear();
+  h.members0_.clear();
 
   // Level 0: the physical topology.
   LevelView base;
   base.topo = g;
   if (ids.empty()) {
     base.ids.resize(n);
-    for (NodeId v = 0; v < n; ++v) base.ids[v] = v;
+    std::iota(base.ids.begin(), base.ids.end(), NodeId{0});
   } else {
-    MANET_CHECK_MSG(ids.size() == n, "id assignment size mismatch");
     base.ids.assign(ids.begin(), ids.end());
-    auto sorted = base.ids;
-    std::sort(sorted.begin(), sorted.end());
-    MANET_CHECK_MSG(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-                    "node ids must be unique");
   }
   base.node0.resize(n);
-  for (NodeId v = 0; v < n; ++v) base.node0[v] = v;
+  std::iota(base.node0.begin(), base.node0.end(), NodeId{0});
   h.levels_.push_back(std::move(base));
-  h.children_.emplace_back();   // children_[0] unused
-  h.members0_.emplace_back();   // singleton sets
-
-  auto& level0_members = h.members0_.back();
-  level0_members.resize(n);
+  h.children_.emplace_back();  // children_[0] unused
+  auto& level0_members = h.members0_.emplace_back(n);  // singleton sets
   for (NodeId v = 0; v < n; ++v) level0_members[v] = {v};
-
-  h.ancestor_.emplace_back(n);
-  for (NodeId v = 0; v < n; ++v) h.ancestor_[0][v] = v;
-
-  // True while every election so far was reused — then the parent chain, and
-  // with it the member/ancestor rollups, are provably identical to reuse's.
-  bool prefix_reused = reuse != nullptr;
+  auto& level0_ancestor = h.ancestor_.emplace_back(n);
+  std::iota(level0_ancestor.begin(), level0_ancestor.end(), NodeId{0});
 
   // Recursive promotion.
-  for (Level k = 0; k < options_.max_levels; ++k) {
+  for (Level k = 0; k < options.max_levels; ++k) {
     LevelView& cur = h.levels_[k];
     if (cur.vertex_count() <= 1) break;
 
-    const bool inputs_match = level_inputs_match(cur, reuse, k);
-    if (!inputs_match) prefix_reused = false;
-    if (inputs_match && k + 1 >= reuse->level_count()) {
-      // The prior build terminated here on identical inputs (the no-
-      // aggregation case, recorded as a cleared election). Same decision.
-      cur.election = ElectionResult{};
-      break;
-    }
-    if (inputs_match) {
-      cur.election = reuse->level(k).election;
-    } else {
-      cur.election = algorithm_->elect(cur.topo, cur.ids);
-    }
+    elect(k, cur, cur.election);
     const auto& heads = cur.election.clusterheads;
     const Size n_next = heads.size();
     if (n_next == cur.vertex_count()) {
@@ -103,18 +124,13 @@ Hierarchy HierarchyBuilder::build(const graph::Graph& g, std::span<const NodeId>
       break;
     }
 
-    if (inputs_match) {
-      cur.parent = reuse->level(k).parent;
-    } else {
-      // Dense reindex: level-k head vertex -> level-(k+1) vertex.
-      std::vector<NodeId> promote(cur.vertex_count(), kInvalidNode);
-      for (Size i = 0; i < n_next; ++i) promote[heads[i]] = static_cast<NodeId>(i);
-
-      cur.parent.resize(cur.vertex_count());
-      for (NodeId u = 0; u < cur.vertex_count(); ++u) {
-        cur.parent[u] = promote[cur.election.head_of[u]];
-        MANET_CHECK(cur.parent[u] != kInvalidNode);
-      }
+    // Dense reindex: level-k head vertex -> level-(k+1) vertex.
+    std::vector<NodeId> promote(cur.vertex_count(), kInvalidNode);
+    for (Size i = 0; i < n_next; ++i) promote[heads[i]] = static_cast<NodeId>(i);
+    cur.parent.resize(cur.vertex_count());
+    for (NodeId u = 0; u < cur.vertex_count(); ++u) {
+      cur.parent[u] = promote[cur.election.head_of[u]];
+      MANET_CHECK(cur.parent[u] != kInvalidNode);
     }
 
     LevelView next;
@@ -124,81 +140,26 @@ Hierarchy HierarchyBuilder::build(const graph::Graph& g, std::span<const NodeId>
       next.ids[i] = cur.ids[heads[i]];
       next.node0[i] = cur.node0[heads[i]];
     }
+    next.topo = link_next_level(cur, next, n, options, positions);
 
-    // Level-(k+1) links.
-    if (options_.geometric_links) {
-      // Geometric hysteresis (paper eq. (7)): heads within
-      // beta * R_TX * sqrt(mean aggregation) of one another are neighbors.
-      // Positions drift every tick, so this is recomputed even when the
-      // election was reused.
-      std::vector<graph::Edge> next_edges;
-      const double mean_ck = static_cast<double>(n) / static_cast<double>(n_next);
-      const double range = options_.beta * options_.tx_radius * std::sqrt(mean_ck);
-      const double range2 = range * range;
-      for (NodeId a = 0; a < n_next; ++a) {
-        const geom::Vec2 pa = positions[next.node0[a]];
-        for (NodeId b = a + 1; b < n_next; ++b) {
-          if (geom::distance2(pa, positions[next.node0[b]]) <= range2) {
-            next_edges.emplace_back(a, b);
-          }
-        }
-      }
-      next.topo = graph::Graph(n_next, next_edges);
-    } else if (inputs_match && k + 1 < reuse->level_count()) {
-      // Graph contraction depends only on (cur.topo, cur.parent) — both
-      // matched, so the contracted topology is the cached one.
-      next.topo = reuse->level(k + 1).topo;
-    } else {
-      // Graph contraction: clusters adjacent in the level-k topology.
-      std::vector<graph::Edge> next_edges;
-      for (const auto& [a, b] : cur.topo.edges()) {
-        NodeId pa = cur.parent[a];
-        NodeId pb = cur.parent[b];
-        if (pa == pb) continue;
-        if (pa > pb) std::swap(pa, pb);
-        next_edges.emplace_back(pa, pb);
-      }
-      std::sort(next_edges.begin(), next_edges.end());
-      next_edges.erase(std::unique(next_edges.begin(), next_edges.end()), next_edges.end());
-      next.topo = graph::Graph(n_next, next_edges);
-    }
+    // Rollups by linear bucket placement: ascending scans land every
+    // bucket's entries already sorted.
+    std::vector<std::vector<NodeId>> children(n_next);
+    for (NodeId u = 0; u < cur.vertex_count(); ++u) children[cur.parent[u]].push_back(u);
+    std::vector<NodeId> anc(n);
+    for (NodeId v = 0; v < n; ++v) anc[v] = cur.parent[h.ancestor_[k][v]];
+    std::vector<std::vector<NodeId>> members(n_next);
+    for (NodeId v = 0; v < n; ++v) members[anc[v]].push_back(v);
 
-    if (prefix_reused && k + 1 < reuse->level_count()) {
-      // Every parent chain below is unchanged: the rollups are the cached
-      // ones (a straight copy skips the per-cluster merges and sorts).
-      h.children_.push_back(reuse->children_[k + 1]);
-      h.members0_.push_back(reuse->members0_[k + 1]);
-      h.ancestor_.push_back(reuse->ancestor_[k + 1]);
-    } else {
-      // Children and level-0 member rollup.
-      std::vector<std::vector<NodeId>> children(n_next);
-      for (NodeId u = 0; u < cur.vertex_count(); ++u) children[cur.parent[u]].push_back(u);
-
-      std::vector<std::vector<NodeId>> members(n_next);
-      for (Size c = 0; c < n_next; ++c) {
-        for (const NodeId child : children[c]) {
-          const auto& sub = h.members0_[k][child];
-          members[c].insert(members[c].end(), sub.begin(), sub.end());
-        }
-        std::sort(members[c].begin(), members[c].end());
-      }
-
-      // Ancestor table for level k+1.
-      std::vector<NodeId> anc(n);
-      for (NodeId v = 0; v < n; ++v) anc[v] = cur.parent[h.ancestor_[k][v]];
-
-      h.children_.push_back(std::move(children));
-      h.members0_.push_back(std::move(members));
-      h.ancestor_.push_back(std::move(anc));
-    }
-
+    h.children_.push_back(std::move(children));
+    h.members0_.push_back(std::move(members));
+    h.ancestor_.push_back(std::move(anc));
     h.levels_.push_back(std::move(next));
   }
 
   // Terminal level has no election/parent data.
   LevelView& top = h.levels_.back();
   top.parent.assign(top.vertex_count(), kInvalidNode);
-  return h;
 }
 
 }  // namespace manet::cluster

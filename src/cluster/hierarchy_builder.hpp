@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "cluster/alca.hpp"
@@ -37,6 +38,11 @@ struct HierarchyOptions {
   double tx_radius = 1.0;  ///< R_TX used by the geometric threshold
 };
 
+/// The per-level step of HierarchyBuilder::grow(): write into \p out the
+/// election of level \p k (\p level.topo over \p level.ids).
+using LevelElection =
+    std::function<void(Level k, const LevelView& level, ElectionResult& out)>;
+
 class HierarchyBuilder {
  public:
   using Options = HierarchyOptions;
@@ -47,26 +53,28 @@ class HierarchyBuilder {
   explicit HierarchyBuilder(std::shared_ptr<const ElectionAlgorithm> algorithm,
                             Options options = {});
 
-  /// Build the full hierarchy over \p g. \p ids assigns the (unique) node
+  /// Build the full hierarchy over \p g from scratch: grow() with this
+  /// builder's election algorithm. \p ids assigns the (unique) node
   /// identifiers that drive elections; pass an empty span to use the
   /// identity assignment id(v) = v. \p positions (level-0 node coordinates)
   /// are required when Options::geometric_links is set and ignored
   /// otherwise.
-  ///
-  /// \p reuse (optional): the hierarchy produced by the *previous* build
-  /// over the same node population. Elections are pure functions of a
-  /// level's (topology, ids), so whenever a level's inputs are unchanged
-  /// from the prior snapshot the cached ElectionResult is copied instead of
-  /// re-run, and — while the whole prefix of levels below is unchanged —
-  /// the children/member/ancestor rollups are copied rather than resorted.
-  /// The output is bit-identical to a from-scratch build; \p reuse only
-  /// short-circuits work. This is the incremental tick pipeline's seeding
-  /// path: a tick whose level-0 edge delta is empty but whose positions
-  /// drifted re-runs, at most, the cheap upper-level elections whose
-  /// geometric links actually flipped.
   Hierarchy build(const graph::Graph& g, std::span<const NodeId> ids = {},
-                  std::span<const geom::Vec2> positions = {},
-                  const Hierarchy* reuse = nullptr) const;
+                  std::span<const geom::Vec2> positions = {}) const;
+
+  /// The recursion of paper Section 2.1, shared by build() and
+  /// HierarchyRepairer::repair(), which differ only in \p elect. Resets
+  /// \p out to level 0 over (\p g, \p ids); then, per level k, runs
+  /// \p elect and promotes its heads to level k+1: the dense parent map,
+  /// the next level's ids/node0, its geometric or contraction links, and the
+  /// children/members/ancestor rollups. Stops at a single vertex, at an
+  /// election that does not aggregate (its result is cleared), or at
+  /// Options::max_levels. Every output table is a pure function of (g, ids,
+  /// positions, options) and the elections. \p ids must be unique; grow()
+  /// does not check it.
+  static void grow(const graph::Graph& g, std::span<const NodeId> ids,
+                   std::span<const geom::Vec2> positions, const Options& options,
+                   const LevelElection& elect, Hierarchy& out);
 
   const ElectionAlgorithm& algorithm() const { return *algorithm_; }
 

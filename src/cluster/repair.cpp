@@ -1,7 +1,6 @@
 #include "cluster/repair.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 
 #include "common/check.hpp"
@@ -111,67 +110,29 @@ void HierarchyRepairer::repair(const graph::Graph& g,
                                std::span<const geom::Vec2> positions,
                                const Hierarchy& prev, Hierarchy& out,
                                bool level0_delta_exact) {
-  const Size n = g.vertex_count();
-  MANET_CHECK(n > 0);
-  if (options_.geometric_links) {
-    MANET_CHECK_MSG(positions.size() == n,
-                    "geometric level-k links need level-0 node positions");
-  }
   // `usable` covers the induction that makes per-level splicing sound: prev
   // is the snapshot this repairer produced last call, so for every prev
   // level with >1 vertices, alca_[k] holds exactly the raw-election state of
   // (prev.level(k).topo, prev.level(k).ids). A builder-produced or
   // differently-sized prev (the sim's fallback ticks) arrives with valid_
   // cleared and re-seeds every level.
-  const bool usable =
-      valid_ && prev.level_count() > 0 && prev.level(0).vertex_count() == n;
+  const bool usable = valid_ && prev.level_count() > 0 &&
+                      prev.level(0).vertex_count() == g.vertex_count();
 
   ++stats_.repairs;
   stats_.levels.clear();
 
-  Hierarchy& h = out;
-  h.levels_.clear();
-  h.ancestor_.clear();
-  h.children_.clear();
-  h.members0_.clear();
-
-  // Level 0: the physical topology. Mirrors HierarchyBuilder::build, minus
-  // the per-call ids-uniqueness audit (ids are fixed per scenario; the
-  // builder validates them on every fallback tick).
-  LevelView base;
-  base.topo = g;
-  if (ids.empty()) {
-    base.ids.resize(n);
-    for (NodeId v = 0; v < n; ++v) base.ids[v] = v;
-  } else {
-    MANET_CHECK_MSG(ids.size() == n, "id assignment size mismatch");
-    base.ids.assign(ids.begin(), ids.end());
-  }
-  base.node0.resize(n);
-  for (NodeId v = 0; v < n; ++v) base.node0[v] = v;
-  h.levels_.push_back(std::move(base));
-  h.children_.emplace_back();
-  h.members0_.emplace_back();
-
-  auto& level0_members = h.members0_.back();
-  level0_members.resize(n);
-  for (NodeId v = 0; v < n; ++v) level0_members[v] = {v};
-
-  h.ancestor_.emplace_back(n);
-  for (NodeId v = 0; v < n; ++v) h.ancestor_[0][v] = v;
-
-  for (Level k = 0; k < options_.max_levels; ++k) {
-    LevelView& cur = h.levels_[k];
-    if (cur.vertex_count() <= 1) break;
-
+  // The builder's recursion with the election replaced by splice / repair /
+  // re-seed. No ids-uniqueness audit here: ids are fixed per scenario, and
+  // the builder validates them when the scenario's first hierarchy is built.
+  auto elect = [&](Level k, const LevelView& cur, ElectionResult& election) {
     if (alca_.size() <= k) alca_.resize(k + 1);
     IncrementalAlca& alca = alca_[k];
-    stats_.levels.emplace_back();
-    LevelRepairStats& ls = stats_.levels.back();
+    LevelRepairStats& ls = stats_.levels.emplace_back();
 
-    // Splice / repair / re-seed decision. Matching ids mean prev level k had
-    // the same dense vertex set, so alca's state is a valid baseline and the
-    // edge diff against prev's level-k topology is the exact flip set.
+    // Matching ids mean prev level k had the same dense vertex set, so
+    // alca's state is a valid baseline and the edge diff against prev's
+    // level-k topology is the exact flip set.
     const bool have_prev =
         usable && k < prev.level_count() && prev.level(k).ids == cur.ids;
     if (!have_prev) {
@@ -217,84 +178,9 @@ void HierarchyRepairer::repair(const graph::Graph& g,
         ls.heads_lost = alca.last_heads_lost();
       }
     }
-    alca.emit(cur.election);
-
-    const auto& heads = cur.election.clusterheads;
-    const Size n_next = heads.size();
-    if (n_next == cur.vertex_count()) {
-      // No aggregation — same termination (and cleared election) as the
-      // builder, whether it decided by electing or by its terminated-reuse
-      // memo (both are the same pure function of this level's inputs).
-      cur.election = ElectionResult{};
-      break;
-    }
-
-    std::vector<NodeId> promote(cur.vertex_count(), kInvalidNode);
-    for (Size i = 0; i < n_next; ++i) promote[heads[i]] = static_cast<NodeId>(i);
-    cur.parent.resize(cur.vertex_count());
-    for (NodeId u = 0; u < cur.vertex_count(); ++u) {
-      cur.parent[u] = promote[cur.election.head_of[u]];
-      MANET_CHECK(cur.parent[u] != kInvalidNode);
-    }
-
-    LevelView next;
-    next.ids.resize(n_next);
-    next.node0.resize(n_next);
-    for (Size i = 0; i < n_next; ++i) {
-      next.ids[i] = cur.ids[heads[i]];
-      next.node0[i] = cur.node0[heads[i]];
-    }
-
-    if (options_.geometric_links) {
-      // Same loop (and the same floating-point expression order) as the
-      // builder — positions drift every tick, so this is always recomputed.
-      std::vector<graph::Edge> next_edges;
-      const double mean_ck = static_cast<double>(n) / static_cast<double>(n_next);
-      const double range = options_.beta * options_.tx_radius * std::sqrt(mean_ck);
-      const double range2 = range * range;
-      for (NodeId a = 0; a < n_next; ++a) {
-        const geom::Vec2 pa = positions[next.node0[a]];
-        for (NodeId b = a + 1; b < n_next; ++b) {
-          if (geom::distance2(pa, positions[next.node0[b]]) <= range2) {
-            next_edges.emplace_back(a, b);
-          }
-        }
-      }
-      next.topo = graph::Graph(n_next, next_edges);
-    } else {
-      std::vector<graph::Edge> next_edges;
-      for (const auto& [a, b] : cur.topo.edges()) {
-        NodeId pa = cur.parent[a];
-        NodeId pb = cur.parent[b];
-        if (pa == pb) continue;
-        if (pa > pb) std::swap(pa, pb);
-        next_edges.emplace_back(pa, pb);
-      }
-      std::sort(next_edges.begin(), next_edges.end());
-      next_edges.erase(std::unique(next_edges.begin(), next_edges.end()),
-                       next_edges.end());
-      next.topo = graph::Graph(n_next, next_edges);
-    }
-
-    // Rollups by linear bucket placement. Ascending scans land each bucket's
-    // entries pre-sorted, matching the builder's per-cluster merge + sort.
-    std::vector<std::vector<NodeId>> children(n_next);
-    for (NodeId u = 0; u < cur.vertex_count(); ++u) {
-      children[cur.parent[u]].push_back(u);
-    }
-    std::vector<NodeId> anc(n);
-    for (NodeId v = 0; v < n; ++v) anc[v] = cur.parent[h.ancestor_[k][v]];
-    std::vector<std::vector<NodeId>> members(n_next);
-    for (NodeId v = 0; v < n; ++v) members[anc[v]].push_back(v);
-
-    h.children_.push_back(std::move(children));
-    h.members0_.push_back(std::move(members));
-    h.ancestor_.push_back(std::move(anc));
-    h.levels_.push_back(std::move(next));
-  }
-
-  LevelView& top = h.levels_.back();
-  top.parent.assign(top.vertex_count(), kInvalidNode);
+    alca.emit(election);
+  };
+  HierarchyBuilder::grow(g, ids, positions, options_, elect, out);
   valid_ = true;
 }
 

@@ -31,10 +31,10 @@
 ///
 /// Bit-identity contract: HierarchyRepairer::repair() produces a Hierarchy
 /// equal member-for-member to `HierarchyBuilder(Alca, options).build(g, ids,
-/// positions, &prev)`. Every output table is a canonical pure function of
-/// (g, ids, positions, options) — elections break ties by unique ids, head
-/// lists and rollups are emitted in ascending dense order, level-k edge
-/// lists are produced by the same loops as the builder — so producing them
+/// positions)`. Both run the one recursion, HierarchyBuilder::grow(), and
+/// differ only in how a level's election is produced. That election is a
+/// canonical pure function of the level's (topology, ids) — ties break by
+/// unique ids, heads are emitted in ascending dense order — so producing it
 /// from incremental state instead of a full scan cannot change a single
 /// byte. tests/cluster/repair_test.cpp re-verifies this against the builder
 /// on randomized dynamic topologies; the golden-artifact suite enforces it
@@ -130,7 +130,7 @@ class HierarchyRepairer {
 
   /// Produce into \p out the hierarchy for (\p g, \p ids, \p positions) —
   /// bit-identical to HierarchyBuilder(Alca, options).build(g, ids,
-  /// positions, &prev). \p links_up / \p links_down are the exact edge delta
+  /// positions). \p links_up / \p links_down are the exact edge delta
   /// from prev.level(0).topo to g; they are ignored on re-seeding calls.
   /// Pass \p level0_delta_exact = false when no trustworthy raw delta exists
   /// (augmentation bridges entered or left the graph, the fault down-mask

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <sstream>
 
 namespace manet::exp {
@@ -475,11 +476,25 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
   }
 
   // Scenario constraints live in ScenarioConfig::validate(); each field maps
-  // to its flag ("handover.backoff" -> "--handover-backoff").
+  // to its flag ("handover.backoff" -> "--handover-backoff"). Fault fields
+  // have their own flag names; one without a flag keeps its field name.
   const auto errors = opt.scenario.validate();
   if (!errors.empty()) {
-    std::string flag = "--" + errors.front().field;
-    std::replace(flag.begin(), flag.end(), '.', '-');
+    static const std::map<std::string, std::string> kFaultFlags = {
+        {"fault.loss", "--loss"},
+        {"fault.burst_loss", "--burst-loss"},
+        {"fault.burst_on", "--burst-on"},
+        {"fault.arq_timeout", "--arq-timeout"},
+        {"fault.audit_period", "--audit"}};
+    const std::string& field = errors.front().field;
+    std::string flag;
+    if (field.rfind("fault.", 0) == 0) {
+      const auto it = kFaultFlags.find(field);
+      flag = it != kFaultFlags.end() ? it->second : field;
+    } else {
+      flag = "--" + field;
+      std::replace(flag.begin(), flag.end(), '.', '-');
+    }
     return fail(flag + " " + errors.front().rule);
   }
   if (opt.replications < 1) return fail("--reps must be >= 1");

@@ -31,6 +31,15 @@ std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
   if (!(warmup >= 0.0)) errors.push_back({"warmup", "must be >= 0"});
   if (!(duration >= 0.0)) errors.push_back({"duration", "must be >= 0"});
   if (!(density > 0.0)) errors.push_back({"density", "must be > 0"});
+  const auto probability = [&](const char* field, double p) {
+    if (!(p >= 0.0 && p <= 1.0)) errors.push_back({field, "must be in [0, 1]"});
+  };
+  probability("fault.loss", fault.loss);
+  probability("fault.burst_loss", fault.burst_loss);
+  probability("fault.burst_on", fault.burst_on);
+  if (!(fault.arq_timeout >= 0.0)) errors.push_back({"fault.arq_timeout", "must be >= 0"});
+  if (!(fault.arq_backoff >= 1.0)) errors.push_back({"fault.arq_backoff", "must be >= 1"});
+  if (!(fault.audit_period >= 0.0)) errors.push_back({"fault.audit_period", "must be >= 0"});
   if (!(handover.backoff >= 1.0)) errors.push_back({"handover.backoff", "must be >= 1"});
   return errors;
 }

@@ -102,9 +102,11 @@ struct ScenarioConfig {
     std::string rule;
   };
   /// Every violated constraint, in declaration order (empty = valid):
-  /// n >= 2, tick > 0, warmup >= 0, duration >= 0, density > 0 and
-  /// handover.backoff >= 1. run_simulation() refuses an invalid config; the
-  /// CLI maps each field to its flag.
+  /// n >= 2, tick > 0, warmup >= 0, duration >= 0, density > 0,
+  /// fault.loss / fault.burst_loss / fault.burst_on in [0, 1],
+  /// fault.arq_timeout >= 0, fault.arq_backoff >= 1, fault.audit_period >= 0
+  /// and handover.backoff >= 1; NaN fails every rule. run_simulation()
+  /// refuses an invalid config; the CLI maps each field to its flag.
   std::vector<Error> validate() const;
 };
 

@@ -434,8 +434,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
         repairer.repair(*g, disk.links_up(), disk.links_down(), scenario.ids,
                         scenario.mobility->positions(), hier, next, delta_exact);
       } else {
-        next = builder.build(*g, scenario.ids, scenario.mobility->positions(),
-                             inc ? &hier : nullptr);
+        next = builder.build(*g, scenario.ids, scenario.mobility->positions());
       }
     }
     prev_bridged = bridged;

@@ -87,22 +87,24 @@ struct RunOptions {
 
   /// Incremental tick pipeline (default). The unit-disk graph is maintained
   /// as a delta over moved nodes, the hierarchy rebuild is skipped entirely
-  /// on ticks where nothing it depends on changed, and elections are reused
-  /// per level when a level's inputs are unchanged. Bit-identical to the
-  /// full-rebuild path (enforced by tests/integration/tick_pipeline_test);
-  /// set false to force the historical rebuild-everything tick, which is
-  /// what bench_tick_pipeline compares against.
+  /// on ticks where nothing it depends on changed, and changed ticks of ALCA
+  /// scenarios repair the hierarchy in place (localized_repair).
+  /// Bit-identical to the full-rebuild path (enforced by
+  /// tests/integration/tick_pipeline_test); set false to force the
+  /// historical rebuild-everything tick, which is what bench_tick_pipeline
+  /// compares against.
   bool incremental_tick = true;
 
   /// Localized hierarchy repair (incremental path only). Changed ticks feed
   /// the unit-disk link delta to cluster::HierarchyRepairer, which re-runs
-  /// ALCA election only in the dirty neighborhoods of each level and splices
-  /// unaffected levels through, instead of rebuilding every level from
-  /// scratch. Bit-identical to the builder (same golden artifacts, enforced
-  /// by tests/integration/tick_pipeline_test and tests/cluster/repair_test);
-  /// set false to keep the full HierarchyBuilder::build() call as the
-  /// reference implementation on changed ticks. ALCA scenarios only — other
-  /// election algorithms always take the builder path.
+  /// ALCA election only in the dirty neighborhoods of each level and keeps
+  /// the election state of unaffected levels, instead of re-electing every
+  /// level from scratch. Both share the builder's level promotion, so the
+  /// output is bit-identical (same golden artifacts, enforced by
+  /// tests/integration/tick_pipeline_test and tests/cluster/repair_test).
+  /// Set false to call the plain HierarchyBuilder::build() on changed ticks
+  /// instead. ALCA scenarios only: other election algorithms always take the
+  /// builder path.
   bool localized_repair = true;
 
   /// Intra-run worker threads for the sharded tick (docs/ARCHITECTURE.md

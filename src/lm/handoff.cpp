@@ -110,11 +110,12 @@ std::uint32_t HandoffEngine::hops_between(const graph::Graph& g0, NodeId from, N
 }
 
 void HandoffEngine::batch_price_pairs(const graph::Graph& g0, const Snapshot& next) {
-  // Read-only pre-scan of the snapshot diff, replicating exactly the branch
+  // Read-only pre-scan of the snapshot diff, replicating the branch
   // structure of update()'s entry-move loop so the collected pair set is
-  // precisely the set of hops_between() queries that loop will issue (price()
-  // never queries equal endpoints). Runs before any mutation, so the scan
-  // and the loop see identical prev_/next state.
+  // the set of hops_between() queries that loop issues without ARQ (price()
+  // never queries equal endpoints), and a superset of them with ARQ. Runs
+  // before any mutation, so the scan and the loop see identical prev_/next
+  // state.
   price_keys_.clear();
   price_vals_.clear();
   const Level max_top = std::max(prev_.top, next.top);
@@ -146,10 +147,11 @@ void HandoffEngine::batch_price_pairs(const graph::Graph& g0, const Snapshot& ne
 
   price_vals_.resize(price_keys_.size());
   const Size shards = par_->shard_count();
-  if (par_scratch_.size() < shards) par_scratch_.resize(shards);
   par_->for_each_shard([&](Size s) {
+    // One scratch per executing thread, not per shard: a thread runs its
+    // shards one at a time, so scratch memory follows the worker count.
+    thread_local net::HopOracle::Scratch scratch;
     const auto [begin, end] = sim::ShardExecutor::slice(price_keys_.size(), s, shards);
-    auto& scratch = par_scratch_[s];
     for (Size i = begin; i < end; ++i) {
       const auto a = static_cast<NodeId>(price_keys_[i] >> 32);
       const auto b = static_cast<NodeId>(price_keys_[i] & 0xFFFFFFFF);
@@ -161,7 +163,6 @@ void HandoffEngine::batch_price_pairs(const graph::Graph& g0, const Snapshot& ne
 
 PacketCount HandoffEngine::price(const graph::Graph& g0, NodeId from, NodeId to) {
   if (from == to) return 0;
-  if (config_.metric == HopMetric::kUnit) return 1;
   const std::uint32_t hops = hops_between(g0, from, to);
   if (hops == graph::kUnreachable) {
     ++unreachable_;
@@ -330,13 +331,11 @@ HandoffEngine::TickResult HandoffEngine::update(const cluster::Hierarchy& h,
   const Snapshot& next = next_scratch_;
   TickResult tick;
 
-  // Sharded pricing: compute every hop distance the loop below will ask for
-  // up front, over the executor's shards. Gated off the ARQ path (lossy
-  // transfers consume RNG in loop order) and the unit metric (which never
-  // prices hops).
-  if (arq_ == nullptr && config_.metric == HopMetric::kBfsExact) {
-    batch_price_pairs(g0, next);
-  }
+  // Sharded pricing: compute every hop distance the loop below may ask for
+  // up front, over the executor's shards. Under ARQ the loop skips stale
+  // entries and down endpoints, so the cache is a superset of its queries;
+  // the lossy channel's RNG is still drawn by the loop, in loop order.
+  batch_price_pairs(g0, next);
 
   // Count per-level cluster membership changes (f_k numerators).
   const Level common_top = std::min(prev_.top, next.top);

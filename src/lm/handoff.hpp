@@ -33,15 +33,10 @@
 
 namespace manet::lm {
 
-/// How to price one entry transfer.
-enum class HopMetric {
-  kBfsExact,  ///< exact shortest-path hops on the level-0 graph (default)
-  kUnit,      ///< 1 per moved entry (message count, not packet count)
-};
-
+/// Entry transfers are priced at exact shortest-path hops on the level-0
+/// graph.
 struct HandoffConfig {
   ServerSelectConfig select;
-  HopMetric metric = HopMetric::kBfsExact;
 };
 
 /// Consumer of the engine's committed entry events — the handover FSM plane
@@ -187,15 +182,15 @@ class HandoffEngine {
   /// Shard the per-tick pricing work over \p executor. Until this is
   /// called, and again after set_parallel(nullptr), the engine uses
   /// sim::kInlineExecutor (one shard on the calling thread). update()
-  /// pre-scans the snapshot diff for the exact set of (from, to) endpoint
-  /// pairs its entry-move loop will price, computes their hop distances
-  /// over the shards (each with a private net::HopOracle::Scratch), and the
-  /// serial loop reads the answers from the cache. Hop queries are exact and
-  /// symmetric, so the cache can never change a priced value — ledgers,
-  /// traces, database versions and observer callbacks are emitted by the
-  /// unchanged serial loop in the unchanged order. Pricing stays per-query
-  /// while an ARQ layer is attached (the lossy path consumes per-transfer
-  /// RNG in loop order) or under the unit metric (which never prices hops).
+  /// pre-scans the snapshot diff for the (from, to) endpoint pairs its
+  /// entry-move loop may price, computes their hop distances over the
+  /// shards (each executing thread with a private net::HopOracle::Scratch),
+  /// and the serial loop reads the answers from the cache. Hop queries are
+  /// exact and symmetric, so the cache can never change a priced value —
+  /// ledgers, traces, database versions and observer callbacks are emitted
+  /// by the unchanged serial loop in the unchanged order. That holds with
+  /// an ARQ layer attached too: the cache covers a superset of the lossy
+  /// loop's queries, and the channel RNG is still drawn in loop order.
   void set_parallel(sim::ShardExecutor* executor) noexcept {
     par_ = executor != nullptr ? executor : &sim::kInlineExecutor;
   }
@@ -337,16 +332,14 @@ class HandoffEngine {
 
   /// Pre-computed hop distances for this update()'s pricing queries, keyed
   /// by canonical packed pair (min << 32 | max), sorted for binary search.
-  /// Filled by batch_price_pairs() on exact-metric, ARQ-free updates;
-  /// cleared at the end of every update() so between-tick callers
-  /// (audit_repair, on_node_up) never read answers computed on an older
-  /// graph.
+  /// Filled by batch_price_pairs() at the start of every update(); cleared
+  /// at its end so between-tick callers (audit_repair, on_node_up) never
+  /// read answers computed on an older graph.
   void batch_price_pairs(const graph::Graph& g0, const Snapshot& next);
   static std::uint64_t pack_pair(NodeId a, NodeId b) {
     return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
   }
   const sim::ShardExecutor* par_ = &sim::kInlineExecutor;
-  std::vector<net::HopOracle::Scratch> par_scratch_;  ///< one per shard
   std::vector<std::uint64_t> price_keys_;
   std::vector<std::uint32_t> price_vals_;
 

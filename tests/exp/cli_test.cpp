@@ -129,6 +129,15 @@ TEST(Cli, ScenarioValidationErrorsNameTheFlag) {
   EXPECT_EQ(parse({"--handover-backoff", "0.5"}).error, "--handover-backoff must be >= 1");
 }
 
+TEST(Cli, FaultProbabilitiesAboveOneNameTheFlag) {
+  // Negative values fail at parse time; values above 1 parse and are then
+  // refused by ScenarioConfig::validate() under the flag's own name.
+  EXPECT_EQ(parse({"--loss", "1.5"}).error, "--loss must be in [0, 1]");
+  EXPECT_EQ(parse({"--burst-loss", "1.5"}).error, "--burst-loss must be in [0, 1]");
+  EXPECT_EQ(parse({"--burst-on", "2"}).error, "--burst-on must be in [0, 1]");
+  EXPECT_TRUE(parse({"--loss", "1"}).ok);
+}
+
 TEST(Cli, InlineEqualsValuesParse) {
   const auto result = parse({"--n=512", "--mu=2.5", "--session-pps=8", "--threads=4"});
   ASSERT_TRUE(result.ok) << result.error;

@@ -57,6 +57,59 @@ TEST(ScenarioConfig, ValidateRejectsNan) {
   EXPECT_EQ(errors[0].field, "tick");
 }
 
+/// validate() on a default config with one field set through \p set: each
+/// of \p bad and NaN is the only error, named \p field breaking \p rule,
+/// and the boundary value \p edge passes.
+template <typename Set>
+void expect_rule(Set set, const std::string& field, const std::string& rule,
+                 std::vector<double> bad, double edge) {
+  bad.push_back(std::nan(""));
+  for (const double v : bad) {
+    ScenarioConfig cfg;
+    set(cfg, v);
+    const auto errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 1u) << field << " = " << v;
+    EXPECT_EQ(errors[0].field, field);
+    EXPECT_EQ(errors[0].rule, rule);
+  }
+  ScenarioConfig cfg;
+  set(cfg, edge);
+  EXPECT_TRUE(cfg.validate().empty()) << field << " = " << edge;
+}
+
+TEST(ScenarioConfig, ValidateFaultLossIsAProbability) {
+  expect_rule([](ScenarioConfig& c, double v) { c.fault.loss = v; }, "fault.loss",
+              "must be in [0, 1]", {-0.1, 1.5}, 1.0);
+}
+
+TEST(ScenarioConfig, ValidateFaultBurstLossIsAProbability) {
+  expect_rule([](ScenarioConfig& c, double v) { c.fault.burst_loss = v; },
+              "fault.burst_loss", "must be in [0, 1]", {-0.1, 1.01}, 1.0);
+}
+
+TEST(ScenarioConfig, ValidateFaultBurstOnIsAProbability) {
+  expect_rule([](ScenarioConfig& c, double v) { c.fault.burst_on = v; }, "fault.burst_on",
+              "must be in [0, 1]", {-1.0, 2.0}, 0.0);
+}
+
+TEST(ScenarioConfig, ValidateFaultArqBackoffAtLeastOne) {
+  // ReliableTransfer's constructor would otherwise abort on an unnamed check.
+  expect_rule([](ScenarioConfig& c, double v) { c.fault.arq_backoff = v; },
+              "fault.arq_backoff", "must be >= 1", {0.5, 0.0}, 1.0);
+}
+
+TEST(ScenarioConfig, ValidateFaultArqTimeoutNonNegative) {
+  expect_rule([](ScenarioConfig& c, double v) { c.fault.arq_timeout = v; },
+              "fault.arq_timeout", "must be >= 0", {-0.01}, 0.0);
+}
+
+TEST(ScenarioConfig, ValidateFaultAuditPeriodNonNegative) {
+  // A negative period would wrap the audit interval to a huge tick count, so
+  // periodic audits would silently never run.
+  expect_rule([](ScenarioConfig& c, double v) { c.fault.audit_period = v; },
+              "fault.audit_period", "must be >= 0", {-5.0}, 0.0);
+}
+
 TEST(Scenario, MaterializeCreatesRequestedMobility) {
   ScenarioConfig cfg;
   cfg.n = 50;

@@ -240,5 +240,13 @@ TEST(RunSimulationDeath, NamesEveryInvalidField) {
   EXPECT_DEATH(run_simulation(cfg), "n must be >= 2; density must be > 0");
 }
 
+TEST(RunSimulationDeath, NamesInvalidFaultField) {
+  // Without the rule the ARQ layer's constructor aborts on an unnamed check.
+  auto cfg = quick_config();
+  cfg.fault.loss = 0.1;
+  cfg.fault.arq_backoff = 0.5;
+  EXPECT_DEATH(run_simulation(cfg), "fault\\.arq_backoff must be >= 1");
+}
+
 }  // namespace
 }  // namespace manet::exp

@@ -54,9 +54,9 @@ exp::ScenarioConfig base_config() {
   return cfg;
 }
 
-/// Faults + long-lived sessions: covers the ARQ-attached regime where batch
-/// pricing must stay inert (the per-transfer RNG stream is order-sensitive)
-/// while unit-disk and link diffing still shard.
+/// Faults + long-lived sessions: covers the ARQ-attached regime, where batch
+/// pricing shards over the executor while the per-transfer RNG stream must
+/// still be consumed in loop order.
 exp::ScenarioConfig faulted_sessions_config() {
   auto cfg = base_config();
   cfg.fault.loss = 0.05;

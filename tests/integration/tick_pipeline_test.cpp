@@ -6,10 +6,12 @@
 
 /// Bit-identity contract of the incremental tick pipeline: with
 /// RunOptions::incremental_tick the unit-disk graph is maintained as a delta,
-/// the hierarchy rebuild is change-gated and election-memoized — and every
-/// produced metric (phi/gamma rates, the full (i)-(vii) event taxonomy,
-/// per-level shapes, fault accounting) must equal the full-rebuild path's
-/// exactly, value for value and in emission order.
+/// the hierarchy rebuild is change-gated, and changed ticks either repair
+/// the hierarchy (ALCA) or call the plain builder (MaxMin-d, or
+/// localized_repair off) — and every produced metric (phi/gamma rates, the
+/// full (i)-(vii) event taxonomy, per-level shapes, fault accounting) must
+/// equal the full-rebuild path's exactly, value for value and in emission
+/// order.
 
 namespace manet::exp {
 namespace {
@@ -106,6 +108,20 @@ TEST(TickPipeline, IncrementalMatchesFullUnderHeavyFaultChurn) {
   cfg.fault.outage_radius = 4.0;
   cfg.fault.outage_start = 3.0;
   cfg.fault.outage_duration = 5.0;
+  run_both_and_compare(cfg);
+}
+
+TEST(TickPipeline, IncrementalMatchesFullMaxMin1) {
+  // MaxMin-d has no incremental election: every changed tick of the
+  // incremental path rebuilds with the builder.
+  auto cfg = base_config(160, 20);
+  cfg.cluster_algo = ClusterAlgo::kMaxMin1;
+  run_both_and_compare(cfg);
+}
+
+TEST(TickPipeline, IncrementalMatchesFullMaxMin2) {
+  auto cfg = base_config(160, 21);
+  cfg.cluster_algo = ClusterAlgo::kMaxMin2;
   run_both_and_compare(cfg);
 }
 

@@ -118,28 +118,6 @@ TEST(HandoffEngine, MovementProducesPhiAndGamma) {
   EXPECT_NEAR(gamma_sum, engine.gamma_rate(), 1e-9);
 }
 
-TEST(HandoffEngine, UnitMetricCountsEntriesNotHops) {
-  World w(300, 8);
-  HandoffConfig config;
-  config.metric = HopMetric::kUnit;
-  HandoffEngine engine(config);
-  engine.prime(w.h, 0.0);
-  common::Xoshiro256 rng(9);
-  Size moved_total = 0;
-  PacketCount packets_total = 0;
-  for (int step = 1; step <= 5; ++step) {
-    for (Size v = 0; v < w.pts.size(); v += 10) {
-      w.pts[v] += {common::uniform(rng, -2.0, 2.0), common::uniform(rng, -2.0, 2.0)};
-      w.pts[v] = w.disk.clamp(w.pts[v]);
-    }
-    w.refresh();
-    const auto tick = engine.update(w.h, w.g, static_cast<Time>(step));
-    moved_total += tick.entries_moved;
-    packets_total += tick.phi_packets + tick.gamma_packets;
-  }
-  EXPECT_EQ(packets_total, moved_total);  // every move costs exactly 1
-}
-
 TEST(HandoffEngine, MigrationCountsTrackAncestorChanges) {
   World w(250, 10);
   HandoffEngine engine;

@@ -261,6 +261,18 @@ done
 grep -q 'min_parallel_speedup' "$experiments" ||
     fail "EXPERIMENTS.md E30 must describe the min_parallel_speedup gate"
 
+# 8f. One hierarchy recursion: HierarchyBuilder::grow() is the only place
+#     under src/cluster/ that promotes a level, so the eq. (7) link-range
+#     expression appears there once, and the builder's deleted reuse memo
+#     (level_inputs_match) may not grow back under src/.
+link_ranges=$(grep -rFo 'std::sqrt(mean_ck)' "$root/src/cluster" | wc -l)
+[ "$link_ranges" -le 1 ] ||
+    fail "eq. (7) link range std::sqrt(mean_ck) appears $link_ranges times under \
+src/cluster/ (level promotion lives once, in HierarchyBuilder::grow)"
+memo=$(grep -rn 'level_inputs_match' "$root/src" || true)
+[ -z "$memo" ] ||
+    fail "the builder's reuse memo is back under src/ (one hierarchy recursion): $memo"
+
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
 #    (GitHub-style: lowercase, punctuation stripped, spaces to dashes).
