@@ -247,6 +247,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   std::unique_ptr<lm::QueryEngine> query_engine;
   if (options.query_load > 0) {
     query_engine = std::make_unique<lm::QueryEngine>(cfg.handoff.select);
+    query_engine->set_parallel(&tick_shards);
   }
   const Size query_shards = tick_shards.shard_count();
   std::vector<Size> query_shard_hits(query_shards, 0);
@@ -530,6 +531,8 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     // Query-serving plane: the tick's write phase is done — publish the new
     // epoch and serve this tick's lookup load against it, sharded over the
     // tick executor (the commutative fold makes every partition identical).
+    // Each shard slice holds one Reader, so it pins the epoch once rather
+    // than once per lookup.
     if (query_engine) {
       query_engine->publish(hier, handoff.database(), now);
       const std::uint64_t tick_base =
@@ -537,6 +540,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       tick_shards.for_each_shard([&](Size shard) {
         const auto [begin, end] =
             sim::ShardExecutor::slice(options.query_load, shard, query_shards);
+        const lm::QueryEngine::Reader reader(*query_engine);
         Size hits = 0;
         std::uint64_t digest = 0;
         for (Size q = begin; q < end; ++q) {
@@ -546,7 +550,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
           const std::uint64_t gq = tick_base + q;
           const auto owner = static_cast<NodeId>((gq * 2654435761ULL) % cfg.n);
           const Level k = lm::kFirstServedLevel + static_cast<Level>(gq % 3);
-          const lm::QueryResult r = query_engine->lookup(owner, k);
+          const lm::QueryResult r = reader.lookup(owner, k);
           hits += r.found ? 1 : 0;
           // Per-lookup contribution folded with a wrapping sum. Unlike the
           // old chained-FNV-per-slice scheme, a sum of per-lookup mixes is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -141,28 +140,34 @@ Size select_all_servers_into(const cluster::Hierarchy& h, const ServerSelectConf
     return width;
   }
 
-  // Flat successor fast path: per cluster, sort members by original id once;
-  // owner i's server is the next member in cyclic id order. Matches
-  // flat_successor() exactly: the cyclic successor excluding the owner, or
-  // the owner itself for singleton clusters.
+  // Flat successor: one walk of the level-0 vertices in (id, vertex) order
+  // per level. Each vertex is chained as the server of the previous member
+  // of its level-k cluster met in the walk, and after the walk each
+  // cluster's last member wraps to its first. That is the cyclic id
+  // successor of flat_successor() — a singleton cluster's only member is
+  // both first and last, so it serves itself — with no per-cluster sort.
   const auto& ids0 = h.level(0).ids;
-  std::vector<std::pair<NodeId, NodeId>> by_id;  // (original id, dense vertex)
+  std::vector<std::uint64_t> order(n);  // (original id << 32) | dense vertex
+  for (NodeId v = 0; v < n; ++v) order[v] = (static_cast<std::uint64_t>(ids0[v]) << 32) | v;
+  std::sort(order.begin(), order.end());
+  std::vector<NodeId> first, last;
   for (Level k = kFirstServedLevel; k <= top; ++k) {
     const Size slot = k - kFirstServedLevel;
-    for (NodeId c = 0; c < h.cluster_count(k); ++c) {
-      const auto& members = h.members0(k, c);
-      if (members.size() == 1) {
-        out[members[0] * width + slot] = members[0];  // self-serve
-        continue;
+    first.assign(h.cluster_count(k), kInvalidNode);
+    last.assign(h.cluster_count(k), kInvalidNode);
+    for (const std::uint64_t key : order) {
+      const auto v = static_cast<NodeId>(key);
+      const NodeId c = h.ancestor(v, k);
+      if (last[c] == kInvalidNode) {
+        first[c] = v;
+      } else {
+        out[last[c] * width + slot] = v;
       }
-      by_id.clear();
-      by_id.reserve(members.size());
-      for (const NodeId v : members) by_id.emplace_back(ids0[v], v);
-      std::sort(by_id.begin(), by_id.end());
-      for (Size i = 0; i < by_id.size(); ++i) {
-        const Size next = (i + 1) % by_id.size();
-        out[by_id[i].second * width + slot] = by_id[next].second;
-      }
+      last[c] = v;
+    }
+    for (NodeId c = 0; c < first.size(); ++c) {
+      MANET_CHECK(last[c] != kInvalidNode);  // every cluster has a member
+      out[last[c] * width + slot] = first[c];
     }
   }
   return width;

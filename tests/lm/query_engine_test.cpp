@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "cluster/hierarchy_builder.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "geom/region.hpp"
 #include "lm/chlm.hpp"
 #include "net/unit_disk.hpp"
@@ -119,6 +121,110 @@ TEST(QueryEngine, BatchMatchesScalarLookups) {
   }
 }
 
+TEST(QueryEngine, ReaderAnswersEveryCellLikeLookup) {
+  const auto f = make(260, 10, 4.0);
+  QueryEngine qe;
+  qe.publish(f.h, f.service.database(), 4.0);
+  const QueryEngine::Reader reader(qe);
+  EXPECT_EQ(reader.epoch(), 1u);
+  const Level top = f.service.top_level();
+  std::vector<NodeId> owners;
+  // Every (owner, level) cell, plus out-of-range owners and levels.
+  for (NodeId owner = 0; owner < f.g.vertex_count() + 3; ++owner) owners.push_back(owner);
+  std::vector<QueryResult> batch(owners.size());
+  for (Level k = 0; k <= top + 1; ++k) {
+    const Size found = reader.lookup_batch(owners, k, batch);
+    Size expected_found = 0;
+    for (Size i = 0; i < owners.size(); ++i) {
+      const QueryResult r = qe.lookup(owners[i], k);
+      EXPECT_TRUE(same(reader.lookup(owners[i], k), r))
+          << "owner " << owners[i] << " level " << k;
+      EXPECT_TRUE(same(batch[i], r)) << "owner " << owners[i] << " level " << k;
+      expected_found += r.found ? 1 : 0;
+    }
+    EXPECT_EQ(found, expected_found);
+  }
+}
+
+TEST(QueryEngine, ParallelPublishMatchesInline) {
+  // publish() fills its rows over the executor's shards; the snapshot must
+  // be the same at any shard and thread count.
+  const auto f = make(300, 11, 3.0);
+  const Level top = f.service.top_level();
+  QueryEngine inline_qe;
+  inline_qe.publish(f.h, f.service.database(), 3.0);
+  const auto reference = capture(inline_qe, 300, top);
+  common::ThreadPool pool(3);
+  for (const Size shards : {Size{1}, Size{7}, Size{64}}) {
+    sim::ShardExecutor executor(pool, shards);
+    QueryEngine qe;
+    qe.set_parallel(&executor);
+    qe.publish(f.h, f.service.database(), 3.0);
+    const auto answers = capture(qe, 300, top);
+    ASSERT_EQ(answers.size(), reference.size());
+    for (Size i = 0; i < answers.size(); ++i) {
+      EXPECT_TRUE(same(answers[i], reference[i])) << "shards " << shards << " cell " << i;
+    }
+  }
+}
+
+TEST(QueryEngine, ReaderHeldAcrossPublishKeepsItsEpoch) {
+  const auto fa = make(220, 12, 1.0);
+  const auto fb = make(220, 13, 2.0);
+  const Level top = std::min(fa.service.top_level(), fb.service.top_level());
+  QueryEngine qe;
+  qe.publish(fa.h, fa.service.database(), 1.0);
+  const auto answers_a = capture(qe, 220, top);
+  {
+    const QueryEngine::Reader reader(qe);
+    // The next publish rebuilds the other slot, so it does not wait for
+    // the held Reader; the Reader keeps answering epoch 1 while lookup()
+    // answers epoch 2.
+    qe.publish(fb.h, fb.service.database(), 2.0);
+    EXPECT_EQ(qe.epoch(), 2u);
+    EXPECT_EQ(reader.epoch(), 1u);
+    const auto answers_b = capture(qe, 220, top);
+    const Size width = top - kFirstServedLevel + 1;
+    Size diffs = 0;
+    for (NodeId owner = 0; owner < 220; ++owner) {
+      for (Level k = kFirstServedLevel; k <= top; ++k) {
+        const Size idx = static_cast<Size>(owner) * width + (k - kFirstServedLevel);
+        EXPECT_TRUE(same(reader.lookup(owner, k), answers_a[idx]));
+        EXPECT_EQ(qe.lookup(owner, k).server, fb.service.server_of(owner, k));
+        if (!same(answers_a[idx], answers_b[idx])) ++diffs;
+      }
+    }
+    EXPECT_GT(diffs, 0u);
+  }
+}
+
+TEST(QueryEngine, PublishWaitsForReaderPinnedOnTheSlotItRebuilds) {
+  const auto fa = make(200, 14, 1.0);
+  const auto fb = make(200, 15, 2.0);
+  QueryEngine qe;
+  qe.publish(fa.h, fa.service.database(), 1.0);
+  std::atomic<bool> published{false};
+  std::thread writer;
+  {
+    const QueryEngine::Reader reader(qe);  // pins epoch 1's slot
+    qe.publish(fb.h, fb.service.database(), 2.0);  // other slot: no wait
+    // The third publish must rebuild the pinned slot, so it cannot return
+    // while the Reader lives.
+    writer = std::thread([&] {
+      qe.publish(fa.h, fa.service.database(), 3.0);
+      published.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(published.load());
+    EXPECT_EQ(reader.epoch(), 1u);
+    EXPECT_EQ(qe.epoch(), 2u);
+  }
+  writer.join();
+  EXPECT_TRUE(published.load());
+  EXPECT_EQ(qe.epoch(), 3u);
+  EXPECT_EQ(QueryEngine::Reader(qe).epoch(), 3u);
+}
+
 TEST(QueryEngine, RepublishFlipsEpochAndAnswers) {
   const auto fa = make(220, 4, 1.0);
   const auto fb = make(220, 5, 2.0);
@@ -148,8 +254,9 @@ TEST(QueryEngine, RepublishFlipsEpochAndAnswers) {
 
 /// The tentpole concurrency contract: while the writer flips epochs between
 /// two published states, every concurrent answer equals the pre- or the
-/// post-flip reference exactly — never a torn mix of the two. Run at 1, 2
-/// and 8 reader threads (and under TSan via MANET_SANITIZE=thread).
+/// post-flip reference exactly — never a torn mix of the two. Run at 1, 2,
+/// 8 and 24 reader threads — the last is more than kReaderStripes, so
+/// threads share stripes — and under TSan via MANET_SANITIZE=thread.
 void churn_torn_check(Size reader_threads) {
   const auto fa = make(200, 6, 1.0);
   const auto fb = make(200, 7, 2.0);
@@ -198,6 +305,10 @@ void churn_torn_check(Size reader_threads) {
 TEST(QueryEngine, EpochFlipNeverTearsOneReader) { churn_torn_check(1); }
 TEST(QueryEngine, EpochFlipNeverTearsTwoReaders) { churn_torn_check(2); }
 TEST(QueryEngine, EpochFlipNeverTearsEightReaders) { churn_torn_check(8); }
+TEST(QueryEngine, EpochFlipNeverTearsReadersSharingStripes) {
+  static_assert(24 > QueryEngine::kReaderStripes);
+  churn_torn_check(24);
+}
 
 TEST(QueryEngine, BatchAnswersAreMutuallyConsistentUnderChurn) {
   // A batch pins one epoch: all of its answers must come from the same

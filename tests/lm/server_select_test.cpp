@@ -18,13 +18,33 @@ struct Fixture {
   Size n = 0;
 };
 
-Fixture make(Size n, std::uint64_t seed) {
+/// How level-0 vertices are named: identity (id(v) = v), a shuffled
+/// permutation, or a shuffled run of ids that straddles the 2^32 wrap, so
+/// the cyclic successor of the largest ids lies among the smallest.
+enum class Ids { kIdentity, kShuffled, kWrapping };
+
+std::vector<NodeId> make_ids(Size n, Ids scheme, std::uint64_t seed) {
+  std::vector<NodeId> ids;
+  if (scheme == Ids::kIdentity) return ids;  // empty span = identity
+  ids.resize(n);
+  const NodeId base = scheme == Ids::kWrapping ? kInvalidNode - static_cast<NodeId>(n / 2) : 0;
+  // base + i wraps past 2^32 - 1 for the upper half; kInvalidNode is skipped.
+  for (Size i = 0; i < n; ++i) {
+    ids[i] = base + static_cast<NodeId>(i) + (scheme == Ids::kWrapping && i >= n / 2 ? 1 : 0);
+  }
+  common::Xoshiro256 rng(seed ^ 0x1D5);
+  common::shuffle(rng, ids.data(), ids.size());
+  return ids;
+}
+
+Fixture make(Size n, std::uint64_t seed, Ids scheme = Ids::kIdentity) {
   common::Xoshiro256 rng(seed);
   const auto disk = geom::DiskRegion::with_density(n, 1.0);
   std::vector<geom::Vec2> pts(n);
   for (auto& p : pts) p = disk.sample(rng);
   net::UnitDiskBuilder builder(2.2, true);
-  return Fixture{cluster::HierarchyBuilder().build(builder.build(pts)), n};
+  const auto ids = make_ids(n, scheme, seed);
+  return Fixture{cluster::HierarchyBuilder().build(builder.build(pts), ids), n};
 }
 
 class SelectStrategyTest : public ::testing::TestWithParam<SelectStrategy> {
@@ -92,41 +112,50 @@ INSTANTIATE_TEST_SUITE_P(Strategies, SelectStrategyTest,
 
 TEST(FlatSuccessor, StableUnderIrrelevantRelabeling) {
   // The flat rule must depend only on the member id set, not on which member
-  // happens to be clusterhead — verified by comparing two hierarchies over
-  // the same topology whose elections differ (shuffled ids), restricted to
-  // clusters with identical member sets... covered more directly: selection
-  // equals the id-successor of the owner within the member set.
-  const auto f = make(250, 4);
-  ServerSelectConfig cfg;  // default flat successor
-  for (NodeId owner = 0; owner < 60; ++owner) {
-    for (Level k = kFirstServedLevel; k <= f.h.top_level(); ++k) {
-      const NodeId server = select_server(f.h, owner, k, cfg);
-      const auto& members = f.h.members0(k, f.h.ancestor(owner, k));
-      // server id must be the cyclic successor of owner among members\{owner}.
-      const NodeId owner_id = owner;  // identity ids in this fixture
-      NodeId best = kInvalidNode;
-      std::uint32_t best_score = 0xFFFFFFFFu;
-      for (const NodeId z : members) {
-        if (z == owner_id) continue;
-        const std::uint32_t score = z - owner_id - 1;
-        if (best == kInvalidNode || score < best_score) {
-          best = z;
-          best_score = score;
+  // happens to be clusterhead: the selection equals the cyclic id successor
+  // of the owner within its level-k member set, whatever the id naming.
+  for (const Ids scheme : {Ids::kIdentity, Ids::kShuffled, Ids::kWrapping}) {
+    const auto f = make(250, 4, scheme);
+    const auto& ids0 = f.h.level(0).ids;
+    ServerSelectConfig cfg;  // default flat successor
+    for (NodeId owner = 0; owner < 60; ++owner) {
+      for (Level k = kFirstServedLevel; k <= f.h.top_level(); ++k) {
+        const NodeId server = select_server(f.h, owner, k, cfg);
+        const auto& members = f.h.members0(k, f.h.ancestor(owner, k));
+        // server id must be the cyclic successor of owner among members\{owner}.
+        NodeId best = kInvalidNode;
+        std::uint32_t best_score = 0xFFFFFFFFu;
+        for (const NodeId z : members) {
+          if (z == owner) continue;
+          const std::uint32_t score = ids0[z] - ids0[owner] - 1;
+          if (best == kInvalidNode || score < best_score) {
+            best = z;
+            best_score = score;
+          }
         }
+        EXPECT_EQ(server, best == kInvalidNode ? owner : best)
+            << "id scheme " << static_cast<int>(scheme) << " owner " << owner << " level " << k;
       }
-      EXPECT_EQ(server, best == kInvalidNode ? owner : best);
     }
   }
 }
 
 TEST(FlatSuccessor, SingletonClusterSelfServes) {
-  // A 2-node graph: level-1 cluster has both nodes; build a custom case
-  // where a cluster has one member by using a disconnected pair handled via
-  // augmentation-free construction.
-  const graph::Graph g(1);
+  // A 16-node path plus one isolated node: the path aggregates level by
+  // level while the isolated node stays alone, so it forms a one-member
+  // cluster at every served level.
+  std::vector<graph::Edge> edges;
+  for (NodeId v = 0; v + 1 < 16; ++v) edges.push_back({v, v + 1});
+  const graph::Graph g(17, edges);
   const auto h = cluster::HierarchyBuilder().build(g);
-  // Top level is 0; no served levels — nothing to assert beyond no crash.
-  EXPECT_EQ(h.top_level(), 0u);
+  ASSERT_GE(h.top_level(), kFirstServedLevel);
+  const NodeId lone = 16;
+  const auto bulk = select_all_servers(h);
+  for (Level k = kFirstServedLevel; k <= h.top_level(); ++k) {
+    ASSERT_EQ(h.members0(k, h.ancestor(lone, k)).size(), 1u) << "level " << k;
+    EXPECT_EQ(select_server(h, lone, k), lone) << "level " << k;
+    EXPECT_EQ(bulk[lone][k - kFirstServedLevel], lone) << "level " << k;
+  }
 }
 
 TEST(Descent, ExcludeOwnBranchAvoidsOwnersLevel1Cluster) {
@@ -176,18 +205,24 @@ TEST(SelectServerIn, AgreesWithSelectServerForOwnCluster) {
 }
 
 TEST(SelectAllServers, MatchesPerOwnerSelectionExactly) {
-  const auto f = make(350, 8);
-  for (const auto strategy :
-       {SelectStrategy::kFlatSuccessor, SelectStrategy::kWeightedDescent,
-        SelectStrategy::kUnweightedDescent}) {
-    ServerSelectConfig cfg;
-    cfg.strategy = strategy;
-    const auto bulk = select_all_servers(f.h, cfg);
-    ASSERT_EQ(bulk.size(), f.n);
-    for (NodeId owner = 0; owner < f.n; ++owner) {
-      for (Level k = kFirstServedLevel; k <= f.h.top_level(); ++k) {
-        ASSERT_EQ(bulk[owner][k - kFirstServedLevel], select_server(f.h, owner, k, cfg))
-            << to_string(strategy) << " owner " << owner << " level " << k;
+  // Identity, shuffled and 2^32-straddling ids: the bulk flat-successor walk
+  // visits vertices in id order, so a non-trivial id order must not change
+  // a single answer.
+  for (const Ids scheme : {Ids::kIdentity, Ids::kShuffled, Ids::kWrapping}) {
+    const auto f = make(350, 8, scheme);
+    for (const auto strategy :
+         {SelectStrategy::kFlatSuccessor, SelectStrategy::kWeightedDescent,
+          SelectStrategy::kUnweightedDescent}) {
+      ServerSelectConfig cfg;
+      cfg.strategy = strategy;
+      const auto bulk = select_all_servers(f.h, cfg);
+      ASSERT_EQ(bulk.size(), f.n);
+      for (NodeId owner = 0; owner < f.n; ++owner) {
+        for (Level k = kFirstServedLevel; k <= f.h.top_level(); ++k) {
+          ASSERT_EQ(bulk[owner][k - kFirstServedLevel], select_server(f.h, owner, k, cfg))
+              << to_string(strategy) << " id scheme " << static_cast<int>(scheme)
+              << " owner " << owner << " level " << k;
+        }
       }
     }
   }

@@ -78,6 +78,17 @@ def series_points(doc, name):
     return {p["n"]: p["mean"] for p in doc.get("series", {}).get(name, [])}
 
 
+def hardware_concurrency(doc):
+    """The producing machine's core count from the artifact manifest; 0 when
+    the manifest lacks the field (artifacts older than the field)."""
+    manifest = doc.get("manifest", {})
+    hw = manifest.get("hardware_concurrency", 0) \
+        if isinstance(manifest, dict) else 0
+    if not isinstance(hw, (int, float)) or isinstance(hw, bool):
+        return 0
+    return hw
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("artifact")
@@ -116,7 +127,8 @@ def main():
         "min_speedup", "min_capacity_n", "min_speedup_high",
         "max_orchestrator_overhead_frac", "max_allocs_per_tick",
         "max_session_interruption_p99", "max_misroute_rate",
-        "min_lookups_per_sec", "max_lookup_p99_us", "min_parallel_speedup")
+        "min_lookups_per_sec", "max_lookup_p99_us", "min_parallel_speedup",
+        "min_lookup_scaling")
     baseline_scalars = baseline.get("scalars", {})
     if not throughput_series and not any(
             key in baseline_scalars for key in gate_scalar_keys):
@@ -227,11 +239,7 @@ def main():
     # hardware_concurrency < 2.
     min_parallel = baseline.get("scalars", {}).get("min_parallel_speedup")
     if min_parallel is not None:
-        manifest = artifact.get("manifest", {})
-        hw = manifest.get("hardware_concurrency", 0) \
-            if isinstance(manifest, dict) else 0
-        if not isinstance(hw, (int, float)) or isinstance(hw, bool):
-            hw = 0
+        hw = hardware_concurrency(artifact)
         if hw < 2:
             print(f"check_bench: min_parallel_speedup gate skipped "
                   f"(hardware_concurrency={hw:g} < 2: single-core runner, "
@@ -347,8 +355,10 @@ def main():
     # the p99 per-lookup latency must stay under the cap. The floor is a
     # deliberate lowball (any in-memory epoch-pinned lookup path clears
     # 10^6/s even on the slowest CI hardware) so it trips on structural
-    # regressions — a lock on the read path, a per-lookup allocation — not
-    # on machine variance.
+    # single-thread regressions — a per-lookup allocation or system call, a
+    # scan instead of an index — not on machine variance. One thread cannot
+    # see cross-thread contention on the read path; the read-scaling gate
+    # below covers that.
     floor_rate = baseline.get("scalars", {}).get("min_lookups_per_sec")
     if floor_rate is not None:
         rate = artifact.get("scalars", {}).get("lookups_per_sec")
@@ -379,6 +389,37 @@ def main():
             checked += 1
             print(f"check_bench: ok lookup p99 {p99:g}us "
                   f"(cap {p99_cap:g}us)")
+
+    # Per-call read-scaling gate (bench_query E31): per-call lookup() at 4
+    # reader threads must beat 1 reader by `min_lookup_scaling` (the median
+    # of interleaved 1-thread / 4-thread pairs). Every call pins and unpins
+    # the snapshot, so a reader count all threads write — one contended
+    # cache line — drops the ratio below 1x. A ratio of two runs on the same
+    # machine, so the floor is absolute; it needs 4 cores to mean anything,
+    # so the gate skips itself, with the reason logged, when the artifact's
+    # manifest reports hardware_concurrency < 4.
+    min_scaling = baseline_scalars.get("min_lookup_scaling")
+    if min_scaling is not None:
+        hw = hardware_concurrency(artifact)
+        if hw < 4:
+            print(f"check_bench: min_lookup_scaling gate skipped "
+                  f"(hardware_concurrency={hw:g} < 4: 4 reader threads "
+                  f"cannot run in parallel here)")
+        else:
+            scaling = artifact.get("scalars", {}).get("lookup_scaling_4t")
+            if scaling is None:
+                print("check_bench: FAIL artifact is missing the "
+                      "lookup_scaling_4t scalar", file=sys.stderr)
+                status = 1
+            elif scaling < min_scaling:
+                print(f"check_bench: FAIL per-call lookup scaling "
+                      f"{scaling:.2f}x at 4 threads is below the "
+                      f"{min_scaling:g}x floor", file=sys.stderr)
+                status = 1
+            else:
+                checked += 1
+                print(f"check_bench: ok per-call lookup scaling "
+                      f"{scaling:.2f}x at 4 threads (floor {min_scaling:g}x)")
 
     if status == 0:
         print(f"check_bench: OK ({checked} points within "

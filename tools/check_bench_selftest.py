@@ -48,6 +48,16 @@ def main():
         else:
             print(f"ok: {label} -> exit {expect}")
 
+    def logs(artifact, baseline, needle, label):
+        result = subprocess.run(
+            [sys.executable, check_bench, str(artifact), str(baseline)],
+            capture_output=True, text=True)
+        if needle not in result.stdout:
+            failures.append(f"{label} did not log its reason:\n"
+                            f"  stdout: {result.stdout.strip()}")
+        else:
+            print(f"ok: {label} logs its reason")
+
     with tempfile.TemporaryDirectory() as raw:
         tmp = Path(raw)
 
@@ -106,14 +116,8 @@ def main():
         single_core = write("psingle.json", pdoc(1, {"speedup_max": 0.5}))
         run(single_core, speedup_baseline, 0,
             "single-core runner skips the parallel-speedup gate")
-        result = subprocess.run(
-            [sys.executable, check_bench, str(single_core),
-             str(speedup_baseline)], capture_output=True, text=True)
-        if "min_parallel_speedup gate skipped" not in result.stdout:
-            failures.append("single-core skip did not log its reason:\n"
-                            f"  stdout: {result.stdout.strip()}")
-        else:
-            print("ok: single-core skip logs its reason")
+        logs(single_core, speedup_baseline,
+             "min_parallel_speedup gate skipped", "single-core skip")
         run(write("pnohw.json", doc(scalars={"speedup_max": 0.5})),
             speedup_baseline, 0,
             "manifest without hardware_concurrency skips the gate")
@@ -155,6 +159,29 @@ def main():
             query_baseline, 1, "missing query scalars are exit 1")
         run(good_artifact, write("gateless.json", qdoc({})),
             1, "baseline without series or gate scalars is exit 1")
+
+        # Per-call read-scaling gate (bench_query E31): binds only when the
+        # artifact's manifest reports at least 4 cores; below that it skips
+        # with a logged reason.
+        def sdoc(hw, scalars):
+            d = qdoc(scalars)
+            d["manifest"] = {"name": "query", "hardware_concurrency": hw}
+            return d
+
+        scaling_baseline = write("sbase.json",
+                                 qdoc({"min_lookup_scaling": 1.5}))
+        run(write("sfast.json", sdoc(4, {"lookup_scaling_4t": 3.3})),
+            scaling_baseline, 0, "met lookup-scaling floor passes")
+        run(write("sslow.json", sdoc(4, {"lookup_scaling_4t": 0.27})),
+            scaling_baseline, 1, "unmet lookup-scaling floor is exit 1")
+        run(write("smissing.json", sdoc(8, {})),
+            scaling_baseline, 1,
+            "missing lookup_scaling_4t on 4+ cores is exit 1")
+        two_core = write("stwo.json", sdoc(2, {"lookup_scaling_4t": 0.27}))
+        run(two_core, scaling_baseline, 0,
+            "runner below 4 cores skips the lookup-scaling gate")
+        logs(two_core, scaling_baseline,
+             "min_lookup_scaling gate skipped", "below-4-core skip")
 
     if failures:
         print("\n".join(failures), file=sys.stderr)

@@ -190,23 +190,29 @@ grep -q '"min_capacity_n"' "$root/tools/baselines/BENCH_capacity.json" ||
 
 # 8d. The query-serving plane is documented and its gates cannot silently
 #     rot: the user guide exists and documents every QueryEngine public
-#     method, the batch rendezvous kernels and the CLI flag (and each of
-#     those must still exist in the code), the architecture chapter exists
-#     and names the load-bearing pieces, EXPERIMENTS.md keeps E31 + the
-#     artifact schema, and the bench_query baseline keeps its gate scalars.
+#     method (the scoped Reader and the set_parallel row fill included), the
+#     batch rendezvous kernels and the CLI flag (and each of those must still
+#     exist in the code), the architecture chapter exists and names the
+#     load-bearing pieces, EXPERIMENTS.md keeps E31 + the artifact schema,
+#     and the bench_query baseline keeps its gate scalars.
 qe_doc="$root/docs/QUERY_ENGINE.md"
 qe_hpp="$root/src/lm/query_engine.hpp"
 if [ ! -f "$qe_doc" ]; then
     fail "docs/QUERY_ENGINE.md is missing"
 else
     # code -> docs: every QueryEngine public method must be documented.
-    for method in publish lookup lookup_batch epoch; do
+    for method in publish lookup lookup_batch epoch set_parallel; do
         grep -q "$method" "$qe_doc" ||
             fail "docs/QUERY_ENGINE.md no longer documents QueryEngine::$method"
         grep -q "$method" "$qe_hpp" ||
             fail "docs/QUERY_ENGINE.md documents QueryEngine::$method but \
 src/lm/query_engine.hpp does not declare it"
     done
+    grep -q 'QueryEngine::Reader' "$qe_doc" ||
+        fail "docs/QUERY_ENGINE.md no longer documents QueryEngine::Reader"
+    grep -q 'class Reader' "$qe_hpp" ||
+        fail "docs/QUERY_ENGINE.md documents QueryEngine::Reader but \
+src/lm/query_engine.hpp does not declare it"
     for sym in rendezvous_pick_batch rendezvous_pick_weighted_batch \
                RendezvousScratch QueryResult kInvalidNode; do
         grep -q "$sym" "$qe_doc" ||
@@ -233,7 +239,7 @@ grep -q 'BENCH_query_cost' "$experiments" ||
     fail "EXPERIMENTS.md must name the split E12b artifact BENCH_query_cost.json"
 [ -f "$root/tools/baselines/BENCH_query.json" ] ||
     fail "tools/baselines/BENCH_query.json baseline is missing"
-for scalar in min_lookups_per_sec max_lookup_p99_us; do
+for scalar in min_lookups_per_sec max_lookup_p99_us min_lookup_scaling; do
     grep -q "\"$scalar\"" "$root/tools/baselines/BENCH_query.json" ||
         fail "BENCH_query.json baseline lost its $scalar gate scalar"
 done
