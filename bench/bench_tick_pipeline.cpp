@@ -1,8 +1,8 @@
 /// E25: incremental tick pipeline — full-rebuild vs delta-maintained ticks.
 ///
-/// The incremental path (RunOptions::incremental_tick, the default) keeps the
-/// unit-disk graph as a per-moved-node delta, gates the hierarchy rebuild on
-/// actual change and repairs changed ALCA hierarchies in place. This bench
+/// The incremental path (RunOptions::incremental_tick, the default) skips the
+/// unit-disk rescan on ticks where no node moved, gates the hierarchy rebuild
+/// on actual change and repairs changed ALCA hierarchies in place. This bench
 /// measures the resulting ticks/sec against the historical
 /// rebuild-everything tick at n in {256, 1024, 4096} under three mobility
 /// regimes:

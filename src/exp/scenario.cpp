@@ -31,6 +31,8 @@ std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
   if (!(warmup >= 0.0)) errors.push_back({"warmup", "must be >= 0"});
   if (!(duration >= 0.0)) errors.push_back({"duration", "must be >= 0"});
   if (!(density > 0.0)) errors.push_back({"density", "must be > 0"});
+  // Every moving model needs a positive speed; a static field ignores it.
+  if (mobility != MobilityKind::kStatic && !(mu > 0.0)) errors.push_back({"mu", "must be > 0"});
   const auto probability = [&](const char* field, double p) {
     if (!(p >= 0.0 && p <= 1.0)) errors.push_back({field, "must be in [0, 1]"});
   };

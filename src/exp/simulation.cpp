@@ -69,9 +69,10 @@ sim::TraceEventType trace_type_of(cluster::ReorgEventType type) {
 }
 
 /// Sampled mean level-0 hop count between nodes sharing a level-k cluster
-/// (the paper's h_k, eq. (3)).
+/// (the paper's h_k, eq. (3)). Each pair is one exact bidirectional query,
+/// equal to a full BFS's distance but touching only the pair's surroundings.
 double measure_hk(const cluster::Hierarchy& h, const graph::Graph& g, Level k, Size pairs,
-                  common::Xoshiro256& rng, graph::BfsScratch& bfs) {
+                  common::Xoshiro256& rng, graph::BfsPairScratch& bfs) {
   double sum = 0.0;
   Size measured = 0;
   const Size n_clusters = h.cluster_count(k);
@@ -82,8 +83,7 @@ double measure_hk(const cluster::Hierarchy& h, const graph::Graph& g, Level k, S
     const NodeId u = members[common::uniform_index(rng, members.size())];
     const NodeId v = members[common::uniform_index(rng, members.size())];
     if (u == v) continue;
-    bfs.run(g, u);
-    const auto hops = bfs.hops_to(v);
+    const auto hops = bfs.hops(g, u, v);
     if (hops == graph::kUnreachable) continue;
     sum += hops;
     ++measured;
@@ -707,7 +707,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   }
 
   if (options.measure_hops) {
-    graph::BfsScratch bfs;
+    graph::BfsPairScratch bfs;
     for (Level k = 1; k <= hier.top_level(); ++k) {
       out.set(keyed("h_k", k),
               measure_hk(hier, *g, k, options.hop_sample_pairs, hop_rng, bfs));

@@ -85,10 +85,11 @@ struct RunOptions {
   bool measure_routing = false;    ///< table size + path stretch on the final snapshot (E16/E17)
   Size stretch_pairs = 100;        ///< sampled pairs for the stretch measurement
 
-  /// Incremental tick pipeline (default). The unit-disk graph is maintained
-  /// as a delta over moved nodes, the hierarchy rebuild is skipped entirely
-  /// on ticks where nothing it depends on changed, and changed ticks of ALCA
-  /// scenarios repair the hierarchy in place (localized_repair).
+  /// Incremental tick pipeline (default). The unit-disk graph is change-gated
+  /// (no work on ticks where no node moved, an exact link delta otherwise),
+  /// the hierarchy rebuild is skipped entirely on ticks where nothing it
+  /// depends on changed, and changed ticks of ALCA scenarios repair the
+  /// hierarchy in place (localized_repair).
   /// Bit-identical to the full-rebuild path (enforced by
   /// tests/integration/tick_pipeline_test); set false to force the
   /// historical rebuild-everything tick, which is what bench_tick_pipeline

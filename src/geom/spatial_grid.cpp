@@ -54,32 +54,4 @@ std::pair<std::uint32_t, std::uint32_t> SpatialGrid::bucket(std::int64_t key) co
   return {begin, end};
 }
 
-std::int32_t SpatialGrid::bucket_index_of(Vec2 p) const {
-  const std::int64_t key = cell_of(p);
-  const auto it = std::lower_bound(
-      cell_starts_.begin(), cell_starts_.end(), key,
-      [](const auto& entry, std::int64_t k) { return entry.first < k; });
-  if (it == cell_starts_.end() || it->first != key) return -1;
-  return static_cast<std::int32_t>(it - cell_starts_.begin());
-}
-
-void SpatialGrid::neighbors_within(Vec2 query, double radius, NodeId self,
-                                   std::vector<NodeId>& out) const {
-  MANET_CHECK_MSG(radius <= cell_size_ * (1.0 + 1e-9),
-                  "query radius exceeds grid cell size; 3x3 stencil would miss pairs");
-  const double r2 = radius * radius;
-  const auto cx = static_cast<std::int64_t>(std::floor(query.x / cell_size_));
-  const auto cy = static_cast<std::int64_t>(std::floor(query.y / cell_size_));
-  for (std::int64_t dx = -1; dx <= 1; ++dx) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
-      const auto [begin, end] = bucket(cell_key(cx + dx, cy + dy));
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const NodeId v = sorted_ids_[i];
-        if (v == self) continue;
-        if (distance2(query, positions_[v]) <= r2) out.push_back(v);
-      }
-    }
-  }
-}
-
 }  // namespace manet::geom

@@ -9,10 +9,11 @@
 #include "geom/vec2.hpp"
 
 /// \file spatial_grid.hpp
-/// Uniform hash grid over the plane for radius-bounded neighbor queries.
+/// Uniform hash grid over the plane for radius-bounded neighbor enumeration.
 ///
-/// Building the unit-disk graph naively is O(n^2) distance checks; with cell
-/// size == query radius, each query inspects only the 3x3 cell neighborhood,
+/// Building the unit-disk graph naively is O(n^2) distance checks; with a
+/// cell size at least the query radius (the unit-disk builder uses
+/// 1.5 R_TX), each node's neighbors lie in its 3x3 cell neighborhood,
 /// making graph construction O(n + m) in expectation under the paper's
 /// constant-density deployment. This is the hot path of every topology
 /// resample, so the grid stores node indices in flat bucket arrays (CSR
@@ -27,11 +28,6 @@ class SpatialGrid {
 
   /// Rebuild the index over \p positions (indexed by NodeId).
   void rebuild(const std::vector<Vec2>& positions);
-
-  /// Append to \p out all node ids within \p radius of \p query
-  /// (excluding \p self if it is a valid id). Requires radius <= cell_size.
-  void neighbors_within(Vec2 query, double radius, NodeId self,
-                        std::vector<NodeId>& out) const;
 
   /// For every node u in the occupied cells with bucket index in
   /// [cell_begin, cell_end), visit(u, neighbors): every v != u within
@@ -49,11 +45,6 @@ class SpatialGrid {
   std::size_t node_count() const { return positions_.size(); }
   /// Occupied cells in the current index (the range of for_each_neighbor).
   std::size_t cell_count() const { return cell_starts_.size(); }
-
-  /// Index into the occupied-cell table of the cell containing \p p, or -1
-  /// when that cell holds no node (sim::NodeStateSoA caches it per node at
-  /// anchor time).
-  std::int32_t bucket_index_of(Vec2 p) const;
 
  private:
   std::int64_t cell_of(Vec2 p) const;

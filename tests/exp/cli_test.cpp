@@ -127,6 +127,8 @@ TEST(Cli, ScenarioValidationErrorsNameTheFlag) {
   EXPECT_EQ(parse({"--duration", "-2"}).error, "--duration must be >= 0");
   EXPECT_EQ(parse({"--density", "0"}).error, "--density must be > 0");
   EXPECT_EQ(parse({"--handover-backoff", "0.5"}).error, "--handover-backoff must be >= 1");
+  EXPECT_EQ(parse({"--mu", "0"}).error, "--mu must be > 0");
+  EXPECT_TRUE(parse({"--mobility", "static", "--mu", "0"}).ok) << "static ignores the speed";
 }
 
 TEST(Cli, FaultProbabilitiesAboveOneNameTheFlag) {

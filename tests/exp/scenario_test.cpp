@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,24 @@ TEST(ScenarioConfig, ValidateFaultAuditPeriodNonNegative) {
   // periodic audits would silently never run.
   expect_rule([](ScenarioConfig& c, double v) { c.fault.audit_period = v; },
               "fault.audit_period", "must be >= 0", {-5.0}, 0.0);
+}
+
+TEST(ScenarioConfig, ValidateMuPositiveUnlessStatic) {
+  // Every moving model aborts on a non-positive speed; a static field
+  // ignores it, so mu = 0 stays valid there.
+  for (const auto kind : {MobilityKind::kRandomWaypoint, MobilityKind::kRandomDirection,
+                          MobilityKind::kGaussMarkov, MobilityKind::kGroup}) {
+    expect_rule(
+        [kind](ScenarioConfig& c, double v) {
+          c.mobility = kind;
+          c.mu = v;
+        },
+        "mu", "must be > 0", {0.0, -1.0}, std::numeric_limits<double>::denorm_min());
+  }
+  ScenarioConfig cfg;
+  cfg.mobility = MobilityKind::kStatic;
+  cfg.mu = 0.0;
+  EXPECT_TRUE(cfg.validate().empty());
 }
 
 TEST(Scenario, MaterializeCreatesRequestedMobility) {

@@ -80,26 +80,6 @@ TEST(SpatialGrid, BoundaryDistanceIsInclusive) {
   EXPECT_EQ(pairs.size(), 1u);
 }
 
-TEST(SpatialGrid, NeighborsWithinFindsAllAndExcludesSelf) {
-  common::Xoshiro256 rng(23);
-  const DiskRegion disk({0, 0}, 5.0);
-  std::vector<Vec2> pts(150);
-  for (auto& p : pts) p = disk.sample(rng);
-  SpatialGrid grid(1.0);
-  grid.rebuild(pts);
-
-  for (NodeId v = 0; v < pts.size(); ++v) {
-    std::vector<NodeId> found;
-    grid.neighbors_within(pts[v], 1.0, v, found);
-    std::sort(found.begin(), found.end());
-    std::vector<NodeId> expected;
-    for (NodeId u = 0; u < pts.size(); ++u) {
-      if (u != v && distance2(pts[u], pts[v]) <= 1.0) expected.push_back(u);
-    }
-    EXPECT_EQ(found, expected) << "node " << v;
-  }
-}
-
 TEST(SpatialGrid, ForEachNeighborCellRangesOwnDisjointNodes) {
   // Split the occupied cells into uneven ranges: every node's neighborhood
   // must come from exactly one range and equal the brute-force one, with

@@ -77,6 +77,15 @@ TEST(TickPipeline, IncrementalMatchesFullGroupMobility) {
   run_both_and_compare(cfg);
 }
 
+TEST(TickPipeline, IncrementalMatchesFullRandomDirectionAndGaussMarkov) {
+  for (const auto kind : {MobilityKind::kRandomDirection, MobilityKind::kGaussMarkov}) {
+    SCOPED_TRACE(kind == MobilityKind::kRandomDirection ? "random direction" : "Gauss-Markov");
+    auto cfg = base_config(160, 15);
+    cfg.mobility = kind;
+    run_both_and_compare(cfg);
+  }
+}
+
 TEST(TickPipeline, IncrementalMatchesFullFractionalTick) {
   // tick = 0.25 exercises the integer warmup stepping (cf. the FP drift fix)
   // together with the delta path.

@@ -81,11 +81,11 @@ TEST(UnitDisk, NoAugmentationWhenAlreadyConnected) {
 }
 
 TEST(UnitDiskIncremental, UpdateMatchesBuildUnderRandomMotion) {
-  // The incremental maintenance contract: at every tick, update() must yield
-  // the exact edge set a full build() over the same positions produces —
-  // including augmentation bridges — and the reported ups/downs must be the
-  // exact raw-edge delta. Motion mixes small jiggles (point-update path),
-  // frozen subsets (empty-delta path) and bulk moves (full-rescan fallback).
+  // The maintenance contract: at every tick, update() must yield the exact
+  // edge set a full build() over the same positions produces — including
+  // augmentation bridges — and the reported ups/downs must be the exact
+  // raw-edge delta. Motion mixes sparse jiggles, frozen ticks (the unmoved
+  // early return) and bulk moves; every moving tick rescans.
   common::Xoshiro256 rng(41);
   const geom::DiskRegion region({0, 0}, 8.0);
   const double radius = 1.3;
@@ -191,8 +191,8 @@ TEST(UnitDiskIncremental, BridgeMotionAloneReportsChange) {
 }
 
 TEST(UnitDiskIncremental, LargeDriftTriggersExactFallback) {
-  // Move well over a quarter of the nodes far enough to rewire everything:
-  // the internal full-rescan fallback must still report the exact delta.
+  // Every node teleports, rewiring everything: the rescan must still report
+  // the exact delta.
   common::Xoshiro256 rng(9);
   const geom::DiskRegion region({0, 0}, 6.0);
   std::vector<geom::Vec2> pts(80);
@@ -244,48 +244,110 @@ TEST(UnitDisk, ConnectivityRadiusYieldsConnectedDeployments) {
   EXPECT_GE(at_high, at_low);
 }
 
-/// Move exactly \p k of the \p n nodes by a tiny jiggle and report whether
-/// the update took the full-rescan fallback. The builder is freshly seeded
-/// each call so the move count is the only variable.
-bool rescanned_after_moving(Size n, Size k) {
+TEST(UnitDiskIncremental, AnyMovedNodeRescansWithExactDelta) {
+  // One update path: a tick on which any node moved rescans and reports the
+  // exact raw delta, however few nodes moved; a tick on which none moved
+  // does no work. "Moved" is an exact position change, so a node
+  // re-assigned its own coordinates is unmoved.
+  const double radius = 1.2;
+  for (const Size n : {Size{5}, Size{8}, Size{100}}) {
+    // Nodes on a line 0.5 apart: node 0 links to nodes 1 and 2.
+    std::vector<geom::Vec2> pts(n);
+    for (Size i = 0; i < n; ++i) pts[i] = {0.5 * static_cast<double>(i), 0.0};
+    UnitDiskBuilder builder(radius);
+    UnitDiskBuilder reference(radius);
+    (void)builder.update(pts);
+    EXPECT_TRUE(builder.last_full_rescan()) << "seeding update is a full rescan";
+    const auto before = reference.build(pts);
+
+    // Node 0 jumps past the far end (new neighbors n-1 and n-2); node 1 is
+    // re-assigned its own coordinates.
+    pts[0] = {0.5 * static_cast<double>(n), 0.0};
+    pts[1] = geom::Vec2{pts[1].x, pts[1].y};
+    const auto& got = builder.update(pts);
+    EXPECT_EQ(builder.last_moved_nodes(), 1u) << "n=" << n;
+    EXPECT_TRUE(builder.last_full_rescan()) << "n=" << n;
+    EXPECT_TRUE(builder.changed()) << "n=" << n;
+    const auto after = reference.build(pts);
+    ASSERT_TRUE(std::equal(after.edges().begin(), after.edges().end(), got.edges().begin(),
+                           got.edges().end()))
+        << "n=" << n;
+
+    std::vector<graph::Edge> ups, downs;
+    std::set_difference(after.edges().begin(), after.edges().end(), before.edges().begin(),
+                        before.edges().end(), std::back_inserter(ups));
+    std::set_difference(before.edges().begin(), before.edges().end(), after.edges().begin(),
+                        after.edges().end(), std::back_inserter(downs));
+    const auto last = static_cast<NodeId>(n - 1);
+    EXPECT_EQ(ups, (std::vector<graph::Edge>{{0, last - 1}, {0, last}})) << "n=" << n;
+    EXPECT_EQ(downs, (std::vector<graph::Edge>{{0, 1}, {0, 2}})) << "n=" << n;
+    EXPECT_EQ(builder.links_up(), ups) << "n=" << n;
+    EXPECT_EQ(builder.links_down(), downs) << "n=" << n;
+
+    (void)builder.update(pts);
+    EXPECT_EQ(builder.last_moved_nodes(), 0u) << "n=" << n;
+    EXPECT_FALSE(builder.last_full_rescan()) << "n=" << n;
+    EXPECT_FALSE(builder.changed()) << "n=" << n;
+    EXPECT_TRUE(builder.links_up().empty());
+    EXPECT_TRUE(builder.links_down().empty());
+  }
+}
+
+// Seeds a random n-node deployment, teleports its first k nodes and returns
+// whether that update rescanned; also checks it reports k moved nodes, the
+// graph build() gives and the exact raw delta.
+bool rescanned_exactly_after_moving(Size n, Size k) {
   common::Xoshiro256 rng(17);
   const geom::DiskRegion region({0, 0}, 4.0);
   std::vector<geom::Vec2> pts(n);
   for (auto& p : pts) p = region.sample(rng);
   UnitDiskBuilder builder(1.2);
+  UnitDiskBuilder reference(1.2);
   (void)builder.update(pts);
   EXPECT_TRUE(builder.last_full_rescan()) << "seeding update is a full rescan";
-  for (Size i = 0; i < k; ++i) pts[i].x += 0.01;
-  (void)builder.update(pts);
-  EXPECT_EQ(builder.last_moved_nodes(), k);
+  const auto before = reference.build(pts);
+
+  for (Size i = 0; i < k; ++i) pts[i] = region.sample(rng);
+  const auto& got = builder.update(pts);
+  EXPECT_EQ(builder.last_moved_nodes(), k) << "n=" << n;
+  const auto after = reference.build(pts);
+  EXPECT_TRUE(std::equal(after.edges().begin(), after.edges().end(), got.edges().begin(),
+                         got.edges().end()))
+      << "n=" << n << " k=" << k;
+
+  std::vector<graph::Edge> ups, downs;
+  std::set_difference(after.edges().begin(), after.edges().end(), before.edges().begin(),
+                      before.edges().end(), std::back_inserter(ups));
+  std::set_difference(before.edges().begin(), before.edges().end(), after.edges().begin(),
+                      after.edges().end(), std::back_inserter(downs));
+  EXPECT_EQ(builder.links_up(), ups) << "n=" << n << " k=" << k;
+  EXPECT_EQ(builder.links_down(), downs) << "n=" << n << " k=" << k;
   return builder.last_full_rescan();
 }
 
 TEST(UnitDiskIncremental, RescanThresholdBoundaryIsExact) {
-  // The fallback condition is "strictly more than a quarter moved", tested
-  // as 4 * moved > n with no integer-division truncation. Exactly n/4 moved
-  // must stay on the point-update path; one more must rescan.
-  EXPECT_FALSE(rescanned_after_moving(8, 2));   // 4*2 = 8, not > 8
-  EXPECT_TRUE(rescanned_after_moving(8, 3));    // 12 > 8
-  EXPECT_FALSE(rescanned_after_moving(100, 25));
-  EXPECT_TRUE(rescanned_after_moving(100, 26));
+  // There is no moved-count threshold any more: exactly n/4 moved nodes and
+  // one more both take the rescan, and both report the exact delta.
+  EXPECT_TRUE(rescanned_exactly_after_moving(8, 2));
+  EXPECT_TRUE(rescanned_exactly_after_moving(8, 3));
+  EXPECT_TRUE(rescanned_exactly_after_moving(100, 25));
+  EXPECT_TRUE(rescanned_exactly_after_moving(100, 26));
 }
 
 TEST(UnitDiskIncremental, RescanThresholdSmallOddCounts) {
-  // Small odd n is where a floor(n/4) comparison would misclassify: for
-  // n in 5..7, floor(n/4) = 1, and moving exactly 1 node must point-update
-  // while moving 2 (> n/4 exactly, not > floor) must rescan.
+  // Small odd n, where floor(n/4) = 1: moving one node or two rescans and
+  // reports the exact delta alike.
   for (const Size n : {Size{5}, Size{6}, Size{7}}) {
-    EXPECT_FALSE(rescanned_after_moving(n, 1)) << "n=" << n;
-    EXPECT_TRUE(rescanned_after_moving(n, 2)) << "n=" << n;
+    EXPECT_TRUE(rescanned_exactly_after_moving(n, 1)) << "n=" << n;
+    EXPECT_TRUE(rescanned_exactly_after_moving(n, 2)) << "n=" << n;
   }
 }
 
 TEST(UnitDiskIncremental, ParallelUpdateMatchesSequential) {
   // The 16-shard pool builder and the default builder (one inline shard)
   // must yield byte-identical graphs and deltas under every motion regime —
-  // jiggles (point-update path), frozen ticks (empty delta) and bulk drift
-  // (the full-rescan fallback) — and both must equal the stateless build().
+  // sparse jiggles, frozen ticks (no rescan) and bulk drift — and both must
+  // equal the stateless build().
   common::ThreadPool pool(4);
   sim::ShardExecutor exec(pool, sim::kDefaultShardCount);
 

@@ -244,20 +244,16 @@ for scalar in min_lookups_per_sec max_lookup_p99_us min_lookup_scaling; do
         fail "BENCH_query.json baseline lost its $scalar gate scalar"
 done
 
-# 8e. The runtime shard topology + SoA node state (PR 10) are documented
-#     and their gates cannot silently rot: the architecture chapter names
-#     the load-bearing pieces (and they still exist in the code), CLI.md
-#     documents --shards, and the bench_capacity baseline keeps the
-#     parallel-speedup gate scalars.
-for sym in resolve_shard_count NodeStateSoA min_parallel_speedup speedup_max \
-           '--shards'; do
+# 8e. The runtime shard topology is documented and its gates cannot
+#     silently rot: the architecture chapter names the load-bearing pieces
+#     (and they still exist in the code), CLI.md documents --shards, and the
+#     bench_capacity baseline keeps the parallel-speedup gate scalars.
+for sym in resolve_shard_count min_parallel_speedup speedup_max '--shards'; do
     grep -q -- "$sym" "$arch" ||
         fail "docs/ARCHITECTURE.md sharded-tick chapter no longer mentions $sym"
 done
 grep -q 'resolve_shard_count' "$root/src/sim/shard.hpp" ||
     fail "docs name sim::resolve_shard_count but src/sim/shard.hpp lost it"
-grep -q 'class NodeStateSoA' "$root/src/sim/node_state.hpp" ||
-    fail "docs name sim::NodeStateSoA but src/sim/node_state.hpp lost it"
 grep -q -- '"--shards"' "$cli_src" ||
     fail "docs document --shards but src/exp/cli.cpp does not parse it"
 for scalar in min_parallel_speedup speedup_max; do
@@ -278,6 +274,16 @@ src/cluster/ (level promotion lives once, in HierarchyBuilder::grow)"
 memo=$(grep -rn 'level_inputs_match' "$root/src" || true)
 [ -z "$memo" ] ||
     fail "the builder's reuse memo is back under src/ (one hierarchy recursion): $memo"
+
+# 8g. One unit-disk update path: a tick with any moved node takes the
+#     sharded rescan, so the point-update machinery (per-moved-node
+#     recompute, stale list, slack-anchored grid, the grid's point query and
+#     the SoA node-state mirror) may not grow back under src/.
+point_path=$(grep -rnE 'recompute_moved|stale_list_|slack_factor|neighbors_within|node_state\.hpp' \
+    "$root/src" || true)
+point_path="$point_path$(find "$root/src" -name node_state.hpp)"
+[ -z "$point_path" ] ||
+    fail "unit-disk point-update path is back under src/ (one update path): $point_path"
 
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
