@@ -1,9 +1,8 @@
 /// E27: allocator traffic in the tick loop — throughput + allocs-per-tick.
 ///
 /// The kernel's steady-state tick is supposed to be allocation-free: flat
-/// hash containers (common::FlatMap), slab-pooled event closures
-/// (sim::EventClosure) and reused per-tick scratch replace the per-event
-/// std::function and per-tick std::unordered_map churn. This bench measures
+/// hash containers (common::FlatMap) and reused per-tick scratch replace the
+/// per-tick std::unordered_map churn. This bench measures
 /// both halves of that claim:
 ///
 ///   throughput — ticks/sec on the paper scenario at n in {1024, 4096} under
@@ -74,7 +73,7 @@ double measure_allocs_per_tick(const exp::ScenarioConfig& cfg) {
 int main() {
   bench::print_header(
       "E27  bench_memory — allocator traffic and steady-state tick throughput",
-      "flat maps + slab events + arena scratch: >=1.3x ticks/sec on the hot "
+      "flat maps + arena scratch: >=1.3x ticks/sec on the hot "
       "scenario, <=8 allocations per steady-state tick");
 
   auto base = bench::paper_scenario();

@@ -10,9 +10,8 @@
 /// lm::QueryEngine serves millions of location lookups per second from
 /// 1/2/8 reader threads against a frozen n = 4096 hierarchy snapshot, its
 /// per-call lookup() rate scales from 1 to 4 reader threads (each call pins
-/// the snapshot on its own thread's stripe), it stays torn-free while the
-/// write plane churns epochs underneath, and the batched rendezvous kernels
-/// are bit-identical to the scalar ones. Gated by tools/check_bench.py
+/// the snapshot on its own thread's stripe), and it stays torn-free while the
+/// write plane churns epochs underneath. Gated by tools/check_bench.py
 /// (min_lookups_per_sec, max_lookup_p99_us, min_lookup_scaling,
 /// identity_violations) against tools/baselines/BENCH_query.json.
 
@@ -27,7 +26,6 @@
 #include "graph/bfs.hpp"
 #include "lm/chlm.hpp"
 #include "lm/query_engine.hpp"
-#include "lm/rendezvous.hpp"
 #include "net/unit_disk.hpp"
 
 using namespace manet;
@@ -114,42 +112,6 @@ double per_call_rate(const lm::QueryEngine& engine, Size threads, Size width) {
   return static_cast<double>(threads * kPerCallLookups) / wall.count();
 }
 
-/// Scalar-vs-batch rendezvous identity sweep (unweighted + weighted paths).
-Size rendezvous_identity_violations(Size trials, std::uint64_t seed) {
-  common::Xoshiro256 rng(seed);
-  lm::RendezvousScratch scratch;
-  std::vector<NodeId> candidates, owners, batch_out;
-  std::vector<double> weights;
-  Size violations = 0;
-  for (Size trial = 0; trial < trials; ++trial) {
-    const Size m = 1 + common::uniform_index(rng, 64);
-    candidates.clear();
-    weights.clear();
-    for (Size j = 0; j < m; ++j) {
-      candidates.push_back(static_cast<NodeId>(rng() & 0xFFFFFFFFu));
-      weights.push_back(0.5 + 3.5 * static_cast<double>(rng() >> 11) /
-                                  9007199254740992.0);
-    }
-    owners.clear();
-    for (Size i = 0; i < kBatch; ++i) {
-      owners.push_back(static_cast<NodeId>(rng() & 0xFFFFFFFFu));
-    }
-    const std::uint64_t salt = rng();
-    batch_out.assign(owners.size(), kInvalidNode);
-    lm::rendezvous_pick_batch(salt, owners, candidates, batch_out, scratch);
-    for (Size i = 0; i < owners.size(); ++i) {
-      if (batch_out[i] != lm::rendezvous_pick(salt, owners[i], candidates)) ++violations;
-    }
-    lm::rendezvous_pick_weighted_batch(salt, owners, candidates, weights, batch_out, scratch);
-    for (Size i = 0; i < owners.size(); ++i) {
-      if (batch_out[i] != lm::rendezvous_pick_weighted(salt, owners[i], candidates, weights)) {
-        ++violations;
-      }
-    }
-  }
-  return violations;
-}
-
 }  // namespace
 
 int main() {
@@ -209,8 +171,7 @@ int main() {
       "E31  bench_query — epoch-gated query-engine serving throughput",
       "lm::QueryEngine answers >= 1M location lookups/s on one thread against\n"
       "a frozen n=4096 snapshot, per-call lookups scale >= 1.5x from 1 to 4\n"
-      "readers, torn-free under epoch churn, with the batched rendezvous\n"
-      "kernels bit-identical to the scalar ones",
+      "readers, torn-free under epoch churn",
       "manet-bench-artifact/1");
 
   auto qcfg = bench::paper_scenario();
@@ -361,29 +322,23 @@ int main() {
     for (auto& th : reader_threads) th.join();
   }
 
-  const Size rdv_violations =
-      rendezvous_identity_violations(/*trials=*/256, common::derive_seed(qcfg.seed, 0xE31));
-  const Size total_violations = violations.load() + rdv_violations;
-  std::printf(
-      "\nchurn: %llu lookups across %zu epoch flips, %zu torn answers;\n"
-      "scalar-vs-batch rendezvous sweep: %zu mismatches\n",
-      static_cast<unsigned long long>(churn_lookups.load()),
-      static_cast<std::size_t>(kChurnFlips), static_cast<std::size_t>(violations.load()),
-      static_cast<std::size_t>(rdv_violations));
+  const Size torn = violations.load();
+  std::printf("\nchurn: %llu lookups across %zu epoch flips, %zu torn answers\n",
+              static_cast<unsigned long long>(churn_lookups.load()),
+              static_cast<std::size_t>(kChurnFlips), static_cast<std::size_t>(torn));
   std::printf(
       "reading: every concurrent answer must match the pre- or post-flip\n"
       "reference exactly — the epoch pin makes torn reads structurally\n"
-      "impossible, and the batch kernels must agree with the scalar ones\n"
-      "bit for bit.\n");
+      "impossible.\n");
 
   artifact.set_scalar("lookups_per_sec", single_thread_rate);
   artifact.set_scalar("lookup_p99_us", single_thread_p99);
   artifact.set_scalar("per_call_lookups_per_sec_1t", per_call_1t);
   artifact.set_scalar("per_call_lookups_per_sec_4t", per_call_4t);
   artifact.set_scalar("lookup_scaling_4t", lookup_scaling);
-  artifact.set_scalar("identity_violations", static_cast<double>(total_violations));
+  artifact.set_scalar("identity_violations", static_cast<double>(torn));
   artifact.set_scalar("epoch_flips", static_cast<double>(kChurnFlips));
   artifact.set_scalar("churn_lookups", static_cast<double>(churn_lookups.load()));
   artifact.write();
-  return total_violations == 0 ? 0 : 1;
+  return torn == 0 ? 0 : 1;
 }

@@ -476,11 +476,14 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
   }
 
   // Scenario constraints live in ScenarioConfig::validate(); each field maps
-  // to its flag ("handover.backoff" -> "--handover-backoff"). Fault fields
-  // have their own flag names; one without a flag keeps its field name.
+  // to its flag ("handover.backoff" -> "--handover-backoff"). The radius
+  // knobs and fault fields have their own flag names; a fault field without
+  // a flag keeps its field name.
   const auto errors = opt.scenario.validate();
   if (!errors.empty()) {
-    static const std::map<std::string, std::string> kFaultFlags = {
+    static const std::map<std::string, std::string> kFlags = {
+        {"target_degree", "--degree"},
+        {"connectivity_margin", "--margin"},
         {"fault.loss", "--loss"},
         {"fault.burst_loss", "--burst-loss"},
         {"fault.burst_on", "--burst-on"},
@@ -488,9 +491,10 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
         {"fault.audit_period", "--audit"}};
     const std::string& field = errors.front().field;
     std::string flag;
-    if (field.rfind("fault.", 0) == 0) {
-      const auto it = kFaultFlags.find(field);
-      flag = it != kFaultFlags.end() ? it->second : field;
+    if (const auto it = kFlags.find(field); it != kFlags.end()) {
+      flag = it->second;
+    } else if (field.rfind("fault.", 0) == 0) {
+      flag = field;
     } else {
       flag = "--" + field;
       std::replace(flag.begin(), flag.end(), '.', '-');

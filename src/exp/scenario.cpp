@@ -1,5 +1,6 @@
 #include "exp/scenario.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/check.hpp"
@@ -33,6 +34,15 @@ std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
   if (!(density > 0.0)) errors.push_back({"density", "must be > 0"});
   // Every moving model needs a positive speed; a static field ignores it.
   if (mobility != MobilityKind::kStatic && !(mu > 0.0)) errors.push_back({"mu", "must be > 0"});
+  // Each radius knob must leave R_TX positive under its own policy; the
+  // other policy ignores it.
+  if (radius_policy == RadiusPolicy::kMeanDegree && !(target_degree > 0.0)) {
+    errors.push_back({"target_degree", "must be > 0"});
+  }
+  if (radius_policy == RadiusPolicy::kConnectivity &&
+      !(connectivity_margin > -std::log(static_cast<double>(n)))) {
+    errors.push_back({"connectivity_margin", "must be > -ln(n)"});
+  }
   const auto probability = [&](const char* field, double p) {
     if (!(p >= 0.0 && p <= 1.0)) errors.push_back({field, "must be in [0, 1]"});
   };

@@ -103,6 +103,8 @@ struct ScenarioConfig {
   };
   /// Every violated constraint, in declaration order (empty = valid):
   /// n >= 2, tick > 0, warmup >= 0, duration >= 0, density > 0,
+  /// mu > 0 unless mobility is kStatic, target_degree > 0 under kMeanDegree,
+  /// connectivity_margin > -ln(n) under kConnectivity,
   /// fault.loss / fault.burst_loss / fault.burst_on in [0, 1],
   /// fault.arq_timeout >= 0, fault.arq_backoff >= 1, fault.audit_period >= 0
   /// and handover.backoff >= 1; NaN fails every rule. run_simulation()

@@ -28,7 +28,6 @@
 #include "net/lossy_channel.hpp"
 #include "net/unit_disk.hpp"
 #include "routing/table.hpp"
-#include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard.hpp"
 
@@ -291,7 +290,6 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   // in floating point drifts for ticks without an exact binary representation
   // (0.1 summed ten times is not 1.0) and eventually skips or repeats a
   // warmup step on long horizons.
-  sim::Engine engine;
   const auto warmup_ticks = static_cast<Size>(std::floor(cfg.warmup / cfg.tick + 1e-9));
   for (Size i = 1; i <= warmup_ticks; ++i) {
     scenario.mobility->advance_to(static_cast<Time>(i) * cfg.tick);
@@ -342,7 +340,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     if (faulted) registration->set_resilience(arq.get(), &down);
   }
 
-  // --- Measured window, driven by a recurring tick event ---
+  // --- Measured window: one tick_fn call per sampling instant ---
   // Accumulators for level-k link dynamics and event taxonomy.
   std::vector<double> ek_time_sum;      // sum over ticks of |E_k|
   std::vector<Size> ek_ticks;           // ticks where level k existed
@@ -376,16 +374,13 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       faulted ? std::max<Size>(1, static_cast<Size>(std::lround(cfg.fault.audit_period /
                                                                 cfg.tick)))
               : 0;
-  engine.set_trace_sink(options.trace);
-  engine.run_until(t0);
   // Reused across ticks: the freshly built hierarchy and the diff scratch
   // (their internal buffers survive moves/clears, so changed steady-state
   // ticks stop growing the heap).
   cluster::Hierarchy next;
   cluster::HierarchyDelta delta;
   net::LinkDelta link_delta;
-  auto tick_fn = [&] {
-    const Time now = engine.now();
+  auto tick_fn = [&](const Time now) {
     scenario.mobility->advance_to(now);
 
     bool topo_changed = true;  // full-rebuild path treats every tick as changed
@@ -474,12 +469,14 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
 
     if (options.track_events && rebuild) {
       cluster::diff_hierarchies(hier, next, delta);
-      if (engine.tracing()) {
+      if (options.trace != nullptr) {
         for (const auto& m : delta.migrations) {
-          engine.emit(sim::TraceEventType::kMigration, m.level, m.node, m.to_head);
+          options.trace->record(
+              sim::TraceEvent{now, sim::TraceEventType::kMigration, m.level, m.node, m.to_head});
         }
         for (const auto& ev : delta.events) {
-          engine.emit(trace_type_of(ev.type), ev.level, ev.a, ev.b);
+          options.trace->record(
+              sim::TraceEvent{now, trace_type_of(ev.type), ev.level, ev.a, ev.b});
         }
       }
       for (std::size_t type = 0; type < cluster::kReorgEventTypeCount; ++type) {
@@ -590,17 +587,13 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       options.metrics->gauge("sim.now").set(now);
     }
   };
-  // The i-th measured tick fires at t0 + i * tick (one multiply per tick —
-  // no accumulated rounding), and exactly total_ticks of them are scheduled,
-  // so the measured sample count is a pure function of (duration, tick) on
-  // any horizon. The horizon is widened by an ulp-sized max() because the
-  // last product can round a hair past warmup + duration.
+  // The i-th measured tick runs at t0 + i * tick (one multiply per tick —
+  // no accumulated rounding), and exactly total_ticks of them run, so the
+  // measured sample count is a pure function of (duration, tick) on any
+  // horizon.
   const auto total_ticks = static_cast<Size>(std::floor(cfg.duration / cfg.tick + 1e-9));
-  for (Size i = 1; i <= total_ticks; ++i) {
-    engine.schedule_at(t0 + static_cast<Time>(i) * cfg.tick, tick_fn);
-  }
   const auto alloc_at_measure = common::alloc_profile::totals();
-  engine.run_until(std::max(horizon, t0 + static_cast<Time>(total_ticks) * cfg.tick));
+  for (Size i = 1; i <= total_ticks; ++i) tick_fn(t0 + static_cast<Time>(i) * cfg.tick);
 
   // Per-phase allocator traffic. Guarded on enabled() so that default builds
   // publish nothing and every artifact stays byte-identical to an

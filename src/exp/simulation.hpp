@@ -142,8 +142,8 @@ struct RunOptions {
 
   /// Observability hooks (not owned; nullptr = off, zero cost). With a
   /// registry attached, every producer publishes live lm.* / net.* / alca.*
-  /// instruments during the run; with a trace sink attached, the engine and
-  /// producers emit typed TraceEvents (handoff transfers, migrations, the
+  /// instruments during the run; with a trace sink attached, the tick loop
+  /// and producers emit typed TraceEvents (handoff transfers, migrations, the
   /// (i)-(vii) reorg taxonomy). See docs/ARCHITECTURE.md "Observability".
   common::MetricsRegistry* metrics = nullptr;
   sim::TraceSink* trace = nullptr;

@@ -11,19 +11,8 @@ namespace {
 
 constexpr std::uint64_t kPhi64 = 0x9E3779B97F4A7C15ULL;
 
-/// Local always-inline copy of common::mix64 (Stafford variant 13). The
-/// common/ definition is out-of-line, which defeats vectorization of the
-/// batch kernels' elementwise loops; this copy must stay bit-identical to
-/// common::mix64 (pinned by rendezvous_test's scalar-vs-batch sweeps).
-inline std::uint64_t mix64_inline(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 /// Map a raw 64-bit score to (0, 1): 53-bit mantissa, never exactly 0 or 1
-/// thanks to the +1 / +2 shift. Shared by the scalar and batch weighted paths
-/// so they are bit-identical by construction.
+/// thanks to the +1 / +2 shift.
 inline double uniform01(std::uint64_t raw) noexcept {
   return (static_cast<double>(raw >> 11) + 1.0) / (9007199254740992.0 + 2.0);
 }
@@ -85,78 +74,6 @@ NodeId rendezvous_pick_weighted(std::uint64_t salt, NodeId owner,
     }
   }
   return best;
-}
-
-void rendezvous_pick_batch(std::uint64_t salt, std::span<const NodeId> owners,
-                           std::span<const NodeId> candidates, std::span<NodeId> out,
-                           RendezvousScratch& scratch) {
-  MANET_CHECK_MSG(!candidates.empty(), "rendezvous over empty candidate set");
-  MANET_CHECK(out.size() == owners.size());
-  const Size m = candidates.size();
-
-  // Hoist the candidate-side multiply: it does not depend on the owner, so
-  // one pass amortizes it over every owner in the batch.
-  scratch.products.resize(m);
-  scratch.scores.resize(m);
-  std::uint64_t* const products = scratch.products.data();
-  std::uint64_t* const scores = scratch.scores.data();
-  for (Size j = 0; j < m; ++j) {
-    products[j] = static_cast<std::uint64_t>(candidates[j]) * kPhi64;
-  }
-
-  for (Size i = 0; i < owners.size(); ++i) {
-    const std::uint64_t domain = common::hash_combine(salt, owners[i]);
-    // Straight-line elementwise map — no branches, no calls — so the
-    // compiler can vectorize across candidates.
-    for (Size j = 0; j < m; ++j) {
-      scores[j] = mix64_inline(domain ^ products[j]);
-    }
-    // Argmax with the scalar path's tie-break (toward the smaller id).
-    NodeId best = candidates[0];
-    std::uint64_t best_score = scores[0];
-    for (Size j = 1; j < m; ++j) {
-      if (scores[j] > best_score || (scores[j] == best_score && candidates[j] < best)) {
-        best = candidates[j];
-        best_score = scores[j];
-      }
-    }
-    out[i] = best;
-  }
-}
-
-void rendezvous_pick_weighted_batch(std::uint64_t salt, std::span<const NodeId> owners,
-                                    std::span<const NodeId> candidates,
-                                    std::span<const double> weights, std::span<NodeId> out,
-                                    RendezvousScratch& scratch) {
-  MANET_CHECK_MSG(!candidates.empty(), "rendezvous over empty candidate set");
-  MANET_CHECK(candidates.size() == weights.size());
-  MANET_CHECK(out.size() == owners.size());
-  const Size m = candidates.size();
-
-  scratch.products.resize(m);
-  scratch.scores.resize(m);
-  std::uint64_t* const products = scratch.products.data();
-  std::uint64_t* const raws = scratch.scores.data();
-  for (Size j = 0; j < m; ++j) {
-    products[j] = static_cast<std::uint64_t>(candidates[j]) * kPhi64;
-  }
-
-  for (Size i = 0; i < owners.size(); ++i) {
-    const std::uint64_t domain = common::hash_combine(salt, owners[i]);
-    for (Size j = 0; j < m; ++j) {
-      raws[j] = mix64_inline(domain ^ products[j]);
-    }
-    NodeId best = candidates[0];
-    double best_score = weights[0] / -std::log(uniform01(raws[0]));
-    for (Size j = 1; j < m; ++j) {
-      const double score = weights[j] / -std::log(uniform01(raws[j]));
-      if (score > best_score || (score == best_score && candidates[j] < best)) {
-        best = candidates[j];
-        best_score = score;
-      }
-    }
-    out[i] = best;
-  }
 }
 
 }  // namespace manet::lm

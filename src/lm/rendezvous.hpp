@@ -2,12 +2,11 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/types.hpp"
 
 /// \file rendezvous.hpp
-/// Highest-random-weight (rendezvous) hashing — scalar and batched kernels.
+/// Highest-random-weight (rendezvous) hashing.
 ///
 /// CHLM (paper Section 3.2) needs a hash that picks, for owner node v, one
 /// member of a candidate set (a cluster's children) such that (a) any node
@@ -20,14 +19,6 @@
 /// score(owner, candidate) = mix64(owner ^ salt ^ candidate) and the winner
 /// is the argmax, so each owner sees an independent uniform permutation of
 /// candidates.
-///
-/// The batched kernels exist for the query-serving path (lm/query_engine.hpp,
-/// bench_query E31): many owners are scored against one candidate span in a
-/// single pass, with the per-candidate hash work (`candidate * phi64`) hoisted
-/// out of the per-owner inner loop so the remaining mix is a straight-line
-/// elementwise map the compiler can auto-vectorize. Both batch kernels are
-/// bit-identical to their scalar counterparts by construction and by test
-/// (tests/lm/rendezvous_test.cpp).
 
 namespace manet::lm {
 
@@ -54,29 +45,5 @@ Size rendezvous_pick_index(std::uint64_t salt, NodeId owner, Size n);
 NodeId rendezvous_pick_weighted(std::uint64_t salt, NodeId owner,
                                 std::span<const NodeId> candidates,
                                 std::span<const double> weights);
-
-/// Reusable per-thread scratch for the batch kernels: holds the hoisted
-/// per-candidate products and the per-candidate score lane. Reuse one
-/// instance across calls to keep the batch path allocation-free.
-struct RendezvousScratch {
-  std::vector<std::uint64_t> products;  ///< candidate[j] * phi64, hoisted
-  std::vector<std::uint64_t> scores;    ///< per-candidate scores for one owner
-};
-
-/// Batched rendezvous: for every owner in \p owners, pick the winner among
-/// \p candidates and write it to \p out (same length as \p owners).
-/// Bit-identical to calling rendezvous_pick per owner; the batch form hoists
-/// the candidate-side multiply out of the inner loop and scores candidates
-/// in a flat elementwise pass that auto-vectorizes.
-void rendezvous_pick_batch(std::uint64_t salt, std::span<const NodeId> owners,
-                           std::span<const NodeId> candidates, std::span<NodeId> out,
-                           RendezvousScratch& scratch);
-
-/// Batched weighted rendezvous: the weighted_descent analogue of
-/// rendezvous_pick_batch. Bit-identical to rendezvous_pick_weighted per owner.
-void rendezvous_pick_weighted_batch(std::uint64_t salt, std::span<const NodeId> owners,
-                                    std::span<const NodeId> candidates,
-                                    std::span<const double> weights, std::span<NodeId> out,
-                                    RendezvousScratch& scratch);
 
 }  // namespace manet::lm

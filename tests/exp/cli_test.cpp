@@ -129,6 +129,8 @@ TEST(Cli, ScenarioValidationErrorsNameTheFlag) {
   EXPECT_EQ(parse({"--handover-backoff", "0.5"}).error, "--handover-backoff must be >= 1");
   EXPECT_EQ(parse({"--mu", "0"}).error, "--mu must be > 0");
   EXPECT_TRUE(parse({"--mobility", "static", "--mu", "0"}).ok) << "static ignores the speed";
+  EXPECT_EQ(parse({"--radius", "degree", "--degree", "0"}).error, "--degree must be > 0");
+  EXPECT_EQ(parse({"--margin", "-10"}).error, "--margin must be > -ln(n)");
 }
 
 TEST(Cli, FaultProbabilitiesAboveOneNameTheFlag) {

@@ -129,6 +129,28 @@ TEST(ScenarioConfig, ValidateMuPositiveUnlessStatic) {
   EXPECT_TRUE(cfg.validate().empty());
 }
 
+TEST(ScenarioConfig, ValidateRadiusKnobsUnderTheirOwnPolicy) {
+  // A knob that leaves no positive R_TX would abort in net/radio or the
+  // spatial grid; the policy that ignores it keeps any value valid.
+  expect_rule(
+      [](ScenarioConfig& c, double v) {
+        c.radius_policy = RadiusPolicy::kMeanDegree;
+        c.target_degree = v;
+      },
+      "target_degree", "must be > 0", {0.0, -1.0}, std::numeric_limits<double>::denorm_min());
+  const double ln_n = std::log(static_cast<double>(ScenarioConfig{}.n));
+  expect_rule([](ScenarioConfig& c, double v) { c.connectivity_margin = v; },
+              "connectivity_margin", "must be > -ln(n)", {-ln_n, -10.0},
+              std::nextafter(-ln_n, 0.0));
+  ScenarioConfig cfg;
+  cfg.target_degree = 0.0;
+  EXPECT_TRUE(cfg.validate().empty()) << "the connectivity policy ignores the degree";
+  cfg.radius_policy = RadiusPolicy::kMeanDegree;
+  cfg.target_degree = 9.0;
+  cfg.connectivity_margin = -10.0;
+  EXPECT_TRUE(cfg.validate().empty()) << "the mean-degree policy ignores the margin";
+}
+
 TEST(Scenario, MaterializeCreatesRequestedMobility) {
   ScenarioConfig cfg;
   cfg.n = 50;

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "sim/trace.hpp"
+
 namespace manet::exp {
 namespace {
 
@@ -183,13 +185,26 @@ TEST(RunSimulation, SparseRetryLoopActuallyRetries) {
 TEST(RunSimulation, TickCountExactOnLongFractionalHorizons) {
   // 0.1 has no exact binary representation; the old warmup/tick loops
   // accumulated it and could drift a full tick off over long horizons. The
-  // measured sample count must be exactly duration / tick.
+  // measured sample count must be exactly duration / tick, and every traced
+  // event must carry its tick's time warmup + i * tick, never a running sum.
   auto cfg = quick_config(60, 31);
   cfg.tick = 0.1;
   cfg.warmup = 12.3;
   cfg.duration = 30.0;
-  const auto m = run_simulation(cfg);
+  sim::TraceSink sink(sim::TraceSink::Config{/*capacity=*/Size{1} << 20, /*sample_every=*/1});
+  RunOptions options;
+  options.trace = &sink;
+  const auto m = run_simulation(cfg, options);
   EXPECT_DOUBLE_EQ(m.get("ticks"), 300.0);
+  ASSERT_EQ(sink.dropped(), 0u);
+  const auto events = sink.snapshot();
+  ASSERT_FALSE(events.empty());
+  for (const auto& e : events) {
+    const long i = std::lround((e.t - cfg.warmup) / cfg.tick);
+    ASSERT_GE(i, 1);
+    ASSERT_LE(i, 300);
+    ASSERT_EQ(e.t, cfg.warmup + static_cast<Time>(i) * cfg.tick) << "tick " << i;
+  }
 
   cfg.duration = 60.0;
   const auto longer = run_simulation(cfg);

@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/rng.hpp"
-
 namespace manet::lm {
 namespace {
 
@@ -83,76 +81,6 @@ TEST(Rendezvous, PickIndexCoversRange) {
 
 TEST(Rendezvous, ScoreIsOwnerSensitive) {
   EXPECT_NE(rendezvous_score(1, 10, 5), rendezvous_score(1, 11, 5));
-}
-
-// --- Batched kernels: bit-identity against the scalar paths --------------
-
-TEST(RendezvousBatch, MatchesScalarOnRandomizedSets) {
-  common::Xoshiro256 rng(0xB47C4);
-  RendezvousScratch scratch;
-  std::vector<NodeId> candidates, owners, out;
-  for (int trial = 0; trial < 64; ++trial) {
-    const Size m = 1 + common::uniform_index(rng, 48);
-    candidates.clear();
-    for (Size j = 0; j < m; ++j) {
-      candidates.push_back(static_cast<NodeId>(rng() & 0xFFFFFFFFu));
-    }
-    owners.clear();
-    for (Size i = 0; i < 128; ++i) {
-      owners.push_back(static_cast<NodeId>(rng() & 0xFFFFFFFFu));
-    }
-    const std::uint64_t salt = rng();
-    out.assign(owners.size(), kInvalidNode);
-    rendezvous_pick_batch(salt, owners, candidates, out, scratch);
-    for (Size i = 0; i < owners.size(); ++i) {
-      ASSERT_EQ(out[i], rendezvous_pick(salt, owners[i], candidates))
-          << "trial " << trial << " owner index " << i;
-    }
-  }
-}
-
-TEST(RendezvousBatch, WeightedMatchesScalarOnRandomizedSets) {
-  common::Xoshiro256 rng(0xB47C5);
-  RendezvousScratch scratch;
-  std::vector<NodeId> candidates, owners, out;
-  std::vector<double> weights;
-  for (int trial = 0; trial < 64; ++trial) {
-    const Size m = 1 + common::uniform_index(rng, 48);
-    candidates.clear();
-    weights.clear();
-    for (Size j = 0; j < m; ++j) {
-      candidates.push_back(static_cast<NodeId>(rng() & 0xFFFFFFFFu));
-      // Weights in [0.5, 4): the server_select range (level-0 member counts
-      // normalized) plus fractional values to exercise the double math.
-      weights.push_back(0.5 + 3.5 * static_cast<double>(rng() >> 11) /
-                                  9007199254740992.0);
-    }
-    owners.clear();
-    for (Size i = 0; i < 128; ++i) {
-      owners.push_back(static_cast<NodeId>(rng() & 0xFFFFFFFFu));
-    }
-    const std::uint64_t salt = rng();
-    out.assign(owners.size(), kInvalidNode);
-    rendezvous_pick_weighted_batch(salt, owners, candidates, weights, out, scratch);
-    for (Size i = 0; i < owners.size(); ++i) {
-      ASSERT_EQ(out[i], rendezvous_pick_weighted(salt, owners[i], candidates, weights))
-          << "trial " << trial << " owner index " << i;
-    }
-  }
-}
-
-TEST(RendezvousBatch, ScratchReusesAcrossDifferingCandidateCounts) {
-  RendezvousScratch scratch;
-  const std::vector<NodeId> owners{1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<NodeId> out(owners.size());
-  for (const Size m : {Size{17}, Size{3}, Size{64}, Size{1}}) {
-    std::vector<NodeId> candidates;
-    for (Size j = 0; j < m; ++j) candidates.push_back(static_cast<NodeId>(100 + j * 7));
-    rendezvous_pick_batch(42, owners, candidates, out, scratch);
-    for (Size i = 0; i < owners.size(); ++i) {
-      EXPECT_EQ(out[i], rendezvous_pick(42, owners[i], candidates));
-    }
-  }
 }
 
 TEST(RendezvousWeighted, ScalarPickHonorsWeights) {

@@ -123,8 +123,7 @@ fi
 #    bench_memory acceptance gate (E27) keeps its baseline + scalars.
 grep -q '^## Memory layer' "$arch" ||
     fail "docs/ARCHITECTURE.md lost its 'Memory layer' chapter"
-for sym in FlatMap ArenaScratch EventClosure MANET_PROFILE_ALLOC \
-           max_allocs_per_tick; do
+for sym in FlatMap ArenaScratch MANET_PROFILE_ALLOC max_allocs_per_tick; do
     grep -q "$sym" "$arch" ||
         fail "docs/ARCHITECTURE.md memory chapter no longer mentions $sym"
 done
@@ -191,8 +190,8 @@ grep -q '"min_capacity_n"' "$root/tools/baselines/BENCH_capacity.json" ||
 # 8d. The query-serving plane is documented and its gates cannot silently
 #     rot: the user guide exists and documents every QueryEngine public
 #     method (the scoped Reader and the set_parallel row fill included), the
-#     batch rendezvous kernels and the CLI flag (and each of those must still
-#     exist in the code), the architecture chapter exists and names the
+#     QueryResult type and the CLI flag (and each of those must still exist
+#     in the code), the architecture chapter exists and names the
 #     load-bearing pieces, EXPERIMENTS.md keeps E31 + the artifact schema,
 #     and the bench_query baseline keeps its gate scalars.
 qe_doc="$root/docs/QUERY_ENGINE.md"
@@ -213,8 +212,7 @@ src/lm/query_engine.hpp does not declare it"
     grep -q 'class Reader' "$qe_hpp" ||
         fail "docs/QUERY_ENGINE.md documents QueryEngine::Reader but \
 src/lm/query_engine.hpp does not declare it"
-    for sym in rendezvous_pick_batch rendezvous_pick_weighted_batch \
-               RendezvousScratch QueryResult kInvalidNode; do
+    for sym in QueryResult kInvalidNode; do
         grep -q "$sym" "$qe_doc" ||
             fail "docs/QUERY_ENGINE.md no longer mentions $sym"
     done
@@ -228,8 +226,7 @@ src/exp/cli.cpp does not parse it"
 fi
 grep -q '^## Query engine' "$arch" ||
     fail "docs/ARCHITECTURE.md lost its 'Query engine' chapter"
-for sym in QueryEngine rendezvous_pick_batch query_engine_test seq_cst \
-           query_load; do
+for sym in QueryEngine query_engine_test seq_cst query_load; do
     grep -q "$sym" "$arch" ||
         fail "docs/ARCHITECTURE.md query-engine chapter no longer mentions $sym"
 done
@@ -284,6 +281,19 @@ point_path=$(grep -rnE 'recompute_moved|stale_list_|slack_factor|neighbors_withi
 point_path="$point_path$(find "$root/src" -name node_state.hpp)"
 [ -z "$point_path" ] ||
     fail "unit-disk point-update path is back under src/ (one update path): $point_path"
+
+# 8h. One tick loop: run_simulation drives the measured window with a plain
+#     loop over the tick times, so the discrete-event kernel (sim::Engine,
+#     its EventQueue and the EventClosure slab) and the batched rendezvous
+#     kernels no caller used may not grow back under src/.
+kernel=$(grep -rnE 'sim::Engine|EventQueue|EventClosure|sim/engine\.hpp|event_queue\.hpp|rendezvous_pick(_weighted)?_batch|RendezvousScratch' \
+    "$root/src" || true)
+for f in sim/engine.hpp sim/engine.cpp sim/event_queue.hpp sim/event_queue.cpp \
+         sim/event_closure.hpp; do
+    if [ -e "$root/src/$f" ]; then kernel="$kernel src/$f"; fi
+done
+[ -z "$kernel" ] ||
+    fail "the event kernel or batched rendezvous is back under src/ (one tick loop): $kernel"
 
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
