@@ -14,7 +14,6 @@
 
 #include "exp/simulation.hpp"
 #include "lm/address.hpp"
-#include "lm/overhead.hpp"
 
 int main(int argc, char** argv) {
   using namespace manet;

@@ -68,61 +68,6 @@ bool RunManifest::from_json(const analysis::JsonValue& v, RunManifest& out) {
   return true;
 }
 
-void write_overhead_json(analysis::JsonWriter& w, const lm::OverheadReport& report) {
-  w.begin_object();
-  w.field("schema", "manet-overhead/1");
-  w.field("node_count", static_cast<std::uint64_t>(report.node_count));
-  w.field("window", report.window);
-  w.field("phi_rate", report.phi_rate);
-  w.field("gamma_rate", report.gamma_rate);
-  w.field("total_rate", report.total_rate());
-  w.field("phi_entries", static_cast<std::uint64_t>(report.phi_entries));
-  w.field("gamma_entries", static_cast<std::uint64_t>(report.gamma_entries));
-  w.field("unreachable_transfers",
-          static_cast<std::uint64_t>(report.unreachable_transfers));
-  const auto levels = [&w](const char* key, const std::vector<double>& xs) {
-    w.key(key).begin_array();
-    for (const double x : xs) w.value(x);
-    w.end_array();
-  };
-  levels("phi_per_level", report.phi_per_level);
-  levels("gamma_per_level", report.gamma_per_level);
-  levels("migration_per_level", report.migration_per_level);
-  w.end_object();
-}
-
-bool overhead_from_json(const analysis::JsonValue& v, lm::OverheadReport& out) {
-  if (!v.is_object()) return false;
-  if (v.string_or("schema", "") != "manet-overhead/1") return false;
-  const auto* phi = v.find("phi_rate");
-  const auto* gamma = v.find("gamma_rate");
-  if (phi == nullptr || !phi->is_number() || gamma == nullptr || !gamma->is_number()) {
-    return false;
-  }
-  out.node_count = static_cast<Size>(v.number_or("node_count", 0.0));
-  out.window = v.number_or("window", 0.0);
-  out.phi_rate = phi->number;
-  out.gamma_rate = gamma->number;
-  out.phi_entries = static_cast<Size>(v.number_or("phi_entries", 0.0));
-  out.gamma_entries = static_cast<Size>(v.number_or("gamma_entries", 0.0));
-  out.unreachable_transfers =
-      static_cast<Size>(v.number_or("unreachable_transfers", 0.0));
-  const auto levels = [&v](const char* key, std::vector<double>& xs) {
-    xs.clear();
-    const auto* arr = v.find(key);
-    if (arr == nullptr || !arr->is_array()) return false;
-    xs.reserve(arr->items.size());
-    for (const auto& item : arr->items) {
-      if (!item.is_number()) return false;
-      xs.push_back(item.number);
-    }
-    return true;
-  };
-  return levels("phi_per_level", out.phi_per_level) &&
-         levels("gamma_per_level", out.gamma_per_level) &&
-         levels("migration_per_level", out.migration_per_level);
-}
-
 void write_registry_json(analysis::JsonWriter& w, const common::MetricsRegistry& registry,
                          Time now) {
   using Entry = common::MetricsRegistry::Entry;

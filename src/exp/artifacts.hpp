@@ -6,7 +6,6 @@
 #include "analysis/json.hpp"
 #include "common/metrics.hpp"
 #include "exp/montecarlo.hpp"
-#include "lm/overhead.hpp"
 #include "sim/trace.hpp"
 
 /// \file artifacts.hpp
@@ -55,11 +54,6 @@ struct RunManifest {
 /// Git SHA baked in at configure time (-DMANET_GIT_SHA=...); "unknown"
 /// when the build tree was not a git checkout.
 std::string build_git_sha();
-
-/// OverheadReport <-> JSON (schema "manet-overhead/1": scalar rates plus the
-/// per-level phi_k / gamma_k / f_k arrays).
-void write_overhead_json(analysis::JsonWriter& w, const lm::OverheadReport& report);
-bool overhead_from_json(const analysis::JsonValue& v, lm::OverheadReport& out);
 
 /// Dump a registry: counters as integers, gauges as numbers, rate meters as
 /// {total, rate} (rate evaluated at \p now), histograms as {count, sum, mean,

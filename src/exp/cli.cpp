@@ -8,9 +8,16 @@
 #include <map>
 #include <sstream>
 
+#include "sim/shard.hpp"
+
 namespace manet::exp {
 
 namespace {
+
+// A tick never has more than sim::kMaxShardCount shards, so a worker beyond
+// that could never receive one.
+static_assert(sim::kMaxShardCount == 1024);
+constexpr const char* kThreadsCeiling = "--threads must be <= 1024";
 
 bool parse_size(const std::string& text, Size& out) {
   // Digits only: strtoull on its own would silently *wrap* a negative input
@@ -161,6 +168,7 @@ CampaignCliParseResult parse_campaign_cli(int argc, const char* const* argv) {
       if (value == nullptr || !parse_size(value, parsed)) {
         return fail(flag + " needs an unsigned integer");
       }
+      if (flag == "--threads" && parsed > sim::kMaxShardCount) return fail(kThreadsCeiling);
       if (flag == "--threads") opt.threads = parsed;
       else opt.max_units = parsed;
     } else {
@@ -392,6 +400,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       if (value == nullptr || !parse_size(value, parsed)) {
         return fail(flag + " needs an unsigned integer");
       }
+      if (flag == "--threads" && parsed > sim::kMaxShardCount) return fail(kThreadsCeiling);
       if (flag == "--n") opt.scenario.n = parsed;
       else if (flag == "--seed") opt.scenario.seed = parsed;
       else if (flag == "--threads") opt.run.threads = parsed;

@@ -21,7 +21,6 @@
 #include "lm/address.hpp"
 #include "lm/gls.hpp"
 #include "lm/query_engine.hpp"
-#include "lm/overhead.hpp"
 #include "lm/registration.hpp"
 #include "lm/reliable.hpp"
 #include "net/link_tracker.hpp"
@@ -97,6 +96,9 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   std::string invalid;
   for (const auto& e : errors) invalid += (invalid.empty() ? "" : "; ") + e.field + " " + e.rule;
   MANET_CHECK_MSG(errors.empty(), invalid.c_str());
+  // A tick has at most sim::kMaxShardCount shards to hand out; refuse a
+  // pool that could never give its extra workers one.
+  MANET_CHECK_MSG(options.threads <= sim::kMaxShardCount, "threads must be <= 1024");
 
   // Allocation accounting (MANET_PROFILE_ALLOC builds only): setup covers
   // everything up to the first measured tick — materialization, the initial
@@ -136,7 +138,6 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     case ClusterAlgo::kMaxMin2: algo = std::make_shared<cluster::MaxMinDCluster>(2); break;
   }
   cluster::HierarchyBuilder builder(algo, hopts);
-  cluster::Hierarchy hier = builder.build(g0, scenario.ids, scenario.mobility->positions());
 
   // Localized repair replaces the per-tick builder call on changed ticks of
   // the incremental path: consume the unit-disk link delta, re-elect only in
@@ -307,7 +308,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     refresh_down(t0);
     g = strip_down(*g, /*dirty=*/true);
   }
-  hier = builder.build(*g, scenario.ids, scenario.mobility->positions());
+  cluster::Hierarchy hier = builder.build(*g, scenario.ids, scenario.mobility->positions());
   handoff.prime(hier, t0);
   // Landmark-guided pricing (exact on any pricing graph, so enabling it
   // never changes a priced value; the full-rebuild arm keeps the historical
@@ -333,7 +334,6 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   if (options.track_registration) {
     lm::RegistrationConfig reg_cfg;
     reg_cfg.select = cfg.handoff.select;
-    reg_cfg.threshold = options.registration_threshold;
     reg_cfg.tx_radius = cfg.tx_radius();
     registration = std::make_unique<lm::RegistrationTracker>(reg_cfg);
     registration->prime(hier, scenario.mobility->positions(), t0);

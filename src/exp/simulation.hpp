@@ -81,7 +81,6 @@ struct RunOptions {
   bool measure_hops = true;        ///< sampled h_k measurement (E2)
   Size hop_sample_pairs = 64;      ///< pairs sampled per level for h_k
   bool track_registration = false; ///< owner-driven update overhead (E18)
-  double registration_threshold = 0.5;  ///< in units of R_TX * sqrt(c_k)
   bool measure_routing = false;    ///< table size + path stretch on the final snapshot (E16/E17)
   Size stretch_pairs = 100;        ///< sampled pairs for the stretch measurement
 

@@ -10,31 +10,25 @@ ChlmService::ChlmService(ServerSelectConfig config) : config_(config) {}
 void ChlmService::rebuild(const cluster::Hierarchy& h, Time now) {
   const Size n = h.level(0).vertex_count();
   top_level_ = h.top_level();
-  const Size levels = served_levels();
-
-  servers_ = select_all_servers(h, config_);
+  width_ = select_all_servers_into(h, config_, servers_);
   db_.reset(n);
   for (NodeId owner = 0; owner < n; ++owner) {
-    for (Size i = 0; i < levels; ++i) {
+    for (Size i = 0; i < width_; ++i) {
       const Level k = static_cast<Level>(i) + kFirstServedLevel;
-      db_.put(servers_[owner][i], LocationRecord{owner, k, now, 0});
+      db_.put(servers_[owner * width_ + i], LocationRecord{owner, k, now, 0});
     }
   }
 }
 
-Size ChlmService::served_levels() const {
-  return top_level_ >= kFirstServedLevel ? top_level_ - kFirstServedLevel + 1 : 0;
-}
-
 NodeId ChlmService::server_of(NodeId owner, Level k) const {
-  MANET_CHECK(owner < servers_.size());
+  MANET_CHECK(owner < node_count());
   if (k < kFirstServedLevel || k > top_level_) return kInvalidNode;
-  return servers_[owner][k - kFirstServedLevel];
+  return servers_[owner * width_ + (k - kFirstServedLevel)];
 }
 
 std::span<const NodeId> ChlmService::servers_of(NodeId owner) const {
-  MANET_CHECK(owner < servers_.size());
-  return servers_[owner];
+  MANET_CHECK(owner < node_count());
+  return std::span<const NodeId>(servers_).subspan(owner * width_, width_);
 }
 
 PacketCount ChlmService::query_cost(const cluster::Hierarchy& h, const graph::Graph& g,

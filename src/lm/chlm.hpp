@@ -25,7 +25,7 @@ class ChlmService {
   /// (re)populate the database at time \p now.
   void rebuild(const cluster::Hierarchy& h, Time now = 0.0);
 
-  Size node_count() const { return servers_.empty() ? 0 : servers_.size(); }
+  Size node_count() const { return db_.node_count(); }
 
   /// Highest served level in the last rebuild (the hierarchy top). Levels
   /// [2, top] carry servers; a hierarchy with top < 2 has none.
@@ -38,7 +38,7 @@ class ChlmService {
   std::span<const NodeId> servers_of(NodeId owner) const;
 
   /// Number of distinct served levels (top - 1 when top >= 2, else 0).
-  Size served_levels() const;
+  Size served_levels() const { return width_; }
 
   const LmDatabase& database() const { return db_; }
 
@@ -55,8 +55,9 @@ class ChlmService {
 
  private:
   ServerSelectConfig config_;
-  /// servers_[owner][k - 2] for k in [2, top_level_].
-  std::vector<std::vector<NodeId>> servers_;
+  /// servers_[owner * width_ + (k - 2)] for k in [2, top_level_].
+  std::vector<NodeId> servers_;
+  Size width_ = 0;
   Level top_level_ = 0;
   LmDatabase db_;
 };

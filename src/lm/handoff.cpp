@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
 #include <utility>
 
 #include "common/check.hpp"
@@ -96,7 +95,7 @@ LevelOverhead& HandoffEngine::ledger(Level k) {
 std::uint32_t HandoffEngine::hops_between(const graph::Graph& g0, NodeId from, NodeId to) {
   // All branches are exact on g0, so this dispatch can never change a
   // priced value — only how fast it is produced. The batch cache (filled by
-  // batch_price_pairs) is consulted first; hop distance is symmetric, so the
+  // price_moves) is consulted first; hop distance is symmetric, so the
   // canonical pair key covers both directions.
   if (!price_keys_.empty()) {
     const std::uint64_t key = pack_pair(from, to);
@@ -109,38 +108,37 @@ std::uint32_t HandoffEngine::hops_between(const graph::Graph& g0, NodeId from, N
   return pair_bfs_.hops(g0, from, to);
 }
 
-void HandoffEngine::batch_price_pairs(const graph::Graph& g0, const Snapshot& next) {
-  // Read-only pre-scan of the snapshot diff, replicating the branch
-  // structure of update()'s entry-move loop so the collected pair set is
-  // the set of hops_between() queries that loop issues without ARQ (price()
-  // never queries equal endpoints), and a superset of them with ARQ. Runs
-  // before any mutation, so the scan and the loop see identical prev_/next
-  // state.
-  price_keys_.clear();
-  price_vals_.clear();
+template <class Fn>
+void HandoffEngine::for_each_move(const Snapshot& next, Fn&& fn) const {
   const Level max_top = std::max(prev_.top, next.top);
   for (NodeId v = 0; v < node_count_; ++v) {
     for (Level k = kFirstServedLevel; k <= max_top; ++k) {
       const bool had = k <= prev_.top;
       const bool has = k <= next.top;
-      NodeId from = kInvalidNode;
-      NodeId to = kInvalidNode;
+      const NodeId from = had ? prev_.server(v, k) : v;
+      const NodeId to = has ? next.server(v, k) : v;
       if (had && has) {
-        from = prev_.server(v, k);
-        to = next.server(v, k);
-      } else if (had) {
-        from = prev_.server(v, k);
-        to = v;
-      } else if (has) {
-        from = v;
-        to = next.server(v, k);
+        if (from == to) continue;
+        // Attribution: migration when the owner's level-k cluster changed;
+        // otherwise the cluster kept its head but recomposed (reorg).
+        fn(Move{v, k, from, to, MoveKind::kTransfer, prev_.anc_id(v, k) != next.anc_id(v, k)});
       } else {
-        continue;
+        fn(Move{v, k, from, to, had ? MoveKind::kRetire : MoveKind::kRegister, false});
       }
-      if (from == to) continue;
-      price_keys_.push_back(pack_pair(from, to));
     }
   }
+}
+
+void HandoffEngine::price_moves(const graph::Graph& g0, const Snapshot& next) {
+  // The pair set is the set of hops_between() queries the commit issues
+  // without ARQ (price() never queries equal endpoints), and a superset of
+  // them with ARQ. Runs before any mutation, so this walk and the commit's
+  // see identical prev_/next state.
+  price_keys_.clear();
+  price_vals_.clear();
+  for_each_move(next, [&](const Move& m) {
+    if (m.from != m.to) price_keys_.push_back(pack_pair(m.from, m.to));
+  });
   std::sort(price_keys_.begin(), price_keys_.end());
   price_keys_.erase(std::unique(price_keys_.begin(), price_keys_.end()), price_keys_.end());
   if (price_keys_.empty()) return;
@@ -326,220 +324,133 @@ HandoffEngine::TickResult HandoffEngine::update(const cluster::Hierarchy& h,
   MANET_CHECK_MSG(h.level(0).vertex_count() == node_count_, "node population changed");
 
   if (fast_pricing_) oracle_.prepare(g0);
-  arena_.rewind();
   capture(h, next_scratch_);
   const Snapshot& next = next_scratch_;
   TickResult tick;
 
-  // Sharded pricing: compute every hop distance the loop below may ask for
-  // up front, over the executor's shards. Under ARQ the loop skips stale
+  // Sharded pricing: compute every hop distance the commit below may ask for
+  // up front, over the executor's shards. Under ARQ the commit skips stale
   // entries and down endpoints, so the cache is a superset of its queries;
-  // the lossy channel's RNG is still drawn by the loop, in loop order.
-  batch_price_pairs(g0, next);
+  // the lossy channel's RNG is still drawn by the commit, in move order.
+  price_moves(g0, next);
 
   // Count per-level cluster membership changes (f_k numerators).
   const Level common_top = std::min(prev_.top, next.top);
   if (migrations_.size() <= common_top) migrations_.resize(common_top + 1, 0);
-  std::span<Size> migrations_before;
-  if (metrics_ != nullptr) {
-    migrations_before = arena_.alloc_span<Size>(migrations_.size());
-    std::copy(migrations_.begin(), migrations_.end(), migrations_before.begin());
-  }
-  for (NodeId v = 0; v < node_count_; ++v) {
-    for (Level k = 1; k <= common_top; ++k) {
-      if (prev_.anc_id(v, k) != next.anc_id(v, k)) ++migrations_[k];
+  for (Level k = 1; k <= common_top; ++k) {
+    Size changed = 0;
+    for (NodeId v = 0; v < node_count_; ++v) {
+      if (prev_.anc_id(v, k) != next.anc_id(v, k)) ++changed;
     }
-  }
-  if (metrics_ != nullptr) {
-    for (Level k = 1; k <= common_top; ++k) {
-      const Size before = k < migrations_before.size() ? migrations_before[k] : 0;
-      const Size delta = migrations_[k] - before;
-      if (delta > 0) level_counter(migration_level_c_, "lm.migrations", k)->add(delta);
+    migrations_[k] += changed;
+    if (metrics_ != nullptr && changed > 0) {
+      level_counter(migration_level_c_, "lm.migrations", k)->add(changed);
     }
   }
 
-  // Entry moves.
-  const Level max_top = std::max(prev_.top, next.top);
-  for (NodeId v = 0; v < node_count_; ++v) {
-    for (Level k = kFirstServedLevel; k <= max_top; ++k) {
-      const bool had = k <= prev_.top;
-      const bool has = k <= next.top;
-      const NodeId s_old = had ? prev_.server(v, k) : kInvalidNode;
-      const NodeId s_new = has ? next.server(v, k) : kInvalidNode;
-      if (had && has) {
-        if (s_old == s_new) continue;
-        // Attribution: migration when the owner's level-k cluster changed;
-        // otherwise the cluster kept its head but recomposed (reorg).
-        const bool anc_known =
-            k <= prev_.top && k <= next.top;
-        const bool migrated = anc_known && prev_.anc_id(v, k) != next.anc_id(v, k);
-        PacketCount cost = 0;
-        if (arq_ == nullptr) {
-          cost = price(g0, s_old, s_new);
-        } else {
-          // Unreliable path: a stale entry is not at s_old, so there is
-          // nothing the old server could send — the repair path owns it.
-          const std::uint64_t sk = stale_key(v, k);
-          if (stale_.contains(sk)) continue;
-          const TransferOutcome out = attempt_transfer(g0, s_old, s_new);
-          auto& retx_ledger = migrated ? resil_.phi_retx : resil_.gamma_retx;
-          if (!out.delivered) {
-            retx_ledger += out.packets;
-            ++resil_.failed_transfers;
-            stale_.emplace(sk, StaleEntry{s_old, t});
-            if (observer_ != nullptr) observer_->on_entry_stale(v, k, s_old, t);
-            if (trace_ != nullptr) {
-              trace_->record(sim::TraceEvent{t, sim::TraceEventType::kPacketDropped, k,
-                                             s_old, s_new,
-                                             static_cast<double>(out.packets)});
-            }
-            continue;
-          }
-          retx_ledger += out.retx;
-          if (trace_ != nullptr && out.attempts > 1) {
-            trace_->record(sim::TraceEvent{t, sim::TraceEventType::kRetransmit, k, s_old,
-                                           s_new, static_cast<double>(out.attempts - 1)});
-          }
-          cost = out.packets - out.retx;  // the ideal hops(s_old, s_new)
-        }
-        auto& lvl = ledger(k);
-        if (migrated) {
-          lvl.phi_packets += cost;
-          ++lvl.phi_entries;
-          tick.phi_packets += cost;
-          if (metrics_ != nullptr) {
-            phi_packets_c_->add(cost);
-            phi_entries_c_->add(1);
-            level_counter(phi_level_c_, "lm.phi_packets", k)->add(cost);
-          }
-        } else {
-          lvl.gamma_packets += cost;
-          ++lvl.gamma_entries;
-          tick.gamma_packets += cost;
-          if (metrics_ != nullptr) {
-            gamma_packets_c_->add(cost);
-            gamma_entries_c_->add(1);
-            level_counter(gamma_level_c_, "lm.gamma_packets", k)->add(cost);
-          }
-        }
-        ++tick.entries_moved;
-        if (metrics_ != nullptr) {
-          entry_moves_rate_->mark(t);
-          transfer_hops_h_->observe(static_cast<double>(cost));
-        }
-        if (trace_ != nullptr) {
-          trace_->record(sim::TraceEvent{
-              t, migrated ? sim::TraceEventType::kHandoffPhi
-                          : sim::TraceEventType::kHandoffGamma,
-              k, s_old, s_new, static_cast<double>(cost)});
-        }
-        const LocationRecord rec = db_.take(s_old, v, k);
-        db_.put(s_new, LocationRecord{v, k, t, rec.owner == kInvalidNode
-                                                   ? version_counter_++
-                                                   : rec.version + 1});
-        if (observer_ != nullptr) observer_->on_entry_move(v, k, s_old, s_new, t, migrated, cost);
-      } else if (had && !has) {
-        // Hierarchy lost level k: the entry retires to its owner.
-        PacketCount cost = 0;
-        if (arq_ == nullptr) {
-          cost = price(g0, s_old, v);
-        } else {
-          const std::uint64_t sk = stale_key(v, k);
-          const auto st = stale_.find(sk);
-          if (st != stale_.end()) {
-            // The level retired while the entry was stale: whoever still
-            // holds it just discards it; nothing is transmitted.
-            if (st->second.holder != kInvalidNode) db_.take(st->second.holder, v, k);
+  // Commit the entry moves.
+  for_each_move(next, [&](const Move& m) {
+    const NodeId v = m.owner;
+    const Level k = m.k;
+    // Every retirement counts as level churn, whatever its delivery: the
+    // level is gone, so its entry is dropped wherever it is held.
+    const auto retire = [&](NodeId holder) {
+      if (holder != kInvalidNode) db_.take(holder, v, k);
+      ++level_churn_;
+      if (level_churn_c_ != nullptr) level_churn_c_->add(1);
+      if (observer_ != nullptr) observer_->on_entry_retired(v, k, t);
+    };
+    PacketCount cost = 0;
+    if (arq_ == nullptr) {
+      cost = price(g0, m.from, m.to);
+    } else {
+      // Unreliable path. A stale entry is not at its old server, so there
+      // is nothing to send: the repair path owns a stale transfer, and a
+      // stale entry whose level retired is discarded by whoever holds it.
+      // A registration creates its entry, so it has no stale check.
+      if (m.kind != MoveKind::kRegister) {
+        const auto st = stale_.find(stale_key(v, k));
+        if (st != stale_.end()) {
+          if (m.kind == MoveKind::kRetire) {
+            const NodeId holder = st->second.holder;
             stale_.erase(st);
-            ++level_churn_;
-            if (level_churn_c_ != nullptr) level_churn_c_->add(1);
-            if (observer_ != nullptr) observer_->on_entry_retired(v, k, t);
-            continue;
+            retire(holder);
           }
-          const TransferOutcome out = attempt_transfer(g0, s_old, v);
-          if (!out.delivered) {
-            // The retirement notice was lost; the serving plane drops the
-            // entry regardless (level k no longer exists), the owner just
-            // never hears the final ack. Harmless data loss.
-            resil_.gamma_retx += out.packets;
-            ++resil_.failed_transfers;
-            db_.take(s_old, v, k);
-            ++level_churn_;
-            if (level_churn_c_ != nullptr) level_churn_c_->add(1);
-            if (observer_ != nullptr) observer_->on_entry_retired(v, k, t);
-            if (trace_ != nullptr) {
-              trace_->record(sim::TraceEvent{t, sim::TraceEventType::kPacketDropped, k,
-                                             s_old, v, static_cast<double>(out.packets)});
-            }
-            continue;
-          }
-          resil_.gamma_retx += out.retx;
-          cost = out.packets - out.retx;
-        }
-        auto& lvl = ledger(k);
-        lvl.gamma_packets += cost;
-        ++lvl.gamma_entries;
-        tick.gamma_packets += cost;
-        ++tick.entries_moved;
-        ++level_churn_;
-        db_.take(s_old, v, k);
-        if (observer_ != nullptr) observer_->on_entry_retired(v, k, t);
-        if (metrics_ != nullptr) {
-          gamma_packets_c_->add(cost);
-          gamma_entries_c_->add(1);
-          level_churn_c_->add(1);
-          level_counter(gamma_level_c_, "lm.gamma_packets", k)->add(cost);
-          entry_moves_rate_->mark(t);
-          transfer_hops_h_->observe(static_cast<double>(cost));
-        }
-        if (trace_ != nullptr) {
-          trace_->record(sim::TraceEvent{t, sim::TraceEventType::kLevelChurn, k, s_old, v,
-                                         static_cast<double>(cost)});
-        }
-      } else if (!had && has) {
-        // Hierarchy gained level k: the owner registers with the new server.
-        PacketCount cost = 0;
-        if (arq_ == nullptr) {
-          cost = price(g0, v, s_new);
-        } else {
-          const TransferOutcome out = attempt_transfer(g0, v, s_new);
-          if (!out.delivered) {
-            resil_.gamma_retx += out.packets;
-            ++resil_.failed_transfers;
-            const bool fresh =
-                stale_.try_emplace(stale_key(v, k), StaleEntry{kInvalidNode, t}).second;
-            if (fresh && observer_ != nullptr) observer_->on_entry_stale(v, k, kInvalidNode, t);
-            if (trace_ != nullptr) {
-              trace_->record(sim::TraceEvent{t, sim::TraceEventType::kPacketDropped, k, v,
-                                             s_new, static_cast<double>(out.packets)});
-            }
-            continue;
-          }
-          resil_.gamma_retx += out.retx;
-          cost = out.packets - out.retx;
-        }
-        auto& lvl = ledger(k);
-        lvl.gamma_packets += cost;
-        ++lvl.gamma_entries;
-        tick.gamma_packets += cost;
-        ++tick.entries_moved;
-        ++level_churn_;
-        db_.put(s_new, LocationRecord{v, k, t, version_counter_++});
-        if (metrics_ != nullptr) {
-          gamma_packets_c_->add(cost);
-          gamma_entries_c_->add(1);
-          level_churn_c_->add(1);
-          level_counter(gamma_level_c_, "lm.gamma_packets", k)->add(cost);
-          entry_moves_rate_->mark(t);
-          transfer_hops_h_->observe(static_cast<double>(cost));
-        }
-        if (trace_ != nullptr) {
-          trace_->record(sim::TraceEvent{t, sim::TraceEventType::kLevelChurn, k, v, s_new,
-                                         static_cast<double>(cost)});
+          return;
         }
       }
+      const TransferOutcome out = attempt_transfer(g0, m.from, m.to);
+      auto& retx_ledger = m.migrated ? resil_.phi_retx : resil_.gamma_retx;
+      if (!out.delivered) {
+        retx_ledger += out.packets;
+        ++resil_.failed_transfers;
+        if (m.kind == MoveKind::kRetire) {
+          // The retirement notice was lost; the serving plane drops the
+          // entry regardless (level k no longer exists), the owner just
+          // never hears the final ack. Harmless data loss.
+          retire(m.from);
+        } else {
+          // The entry stays stale until repaired: left at the old server by
+          // a failed transfer, held nowhere after a failed registration.
+          const NodeId holder = m.kind == MoveKind::kTransfer ? m.from : kInvalidNode;
+          const bool fresh = stale_.try_emplace(stale_key(v, k), StaleEntry{holder, t}).second;
+          if (fresh && observer_ != nullptr) observer_->on_entry_stale(v, k, holder, t);
+        }
+        if (trace_ != nullptr) {
+          trace_->record(sim::TraceEvent{t, sim::TraceEventType::kPacketDropped, k, m.from,
+                                         m.to, static_cast<double>(out.packets)});
+        }
+        return;
+      }
+      retx_ledger += out.retx;
+      if (trace_ != nullptr && m.kind == MoveKind::kTransfer && out.attempts > 1) {
+        trace_->record(sim::TraceEvent{t, sim::TraceEventType::kRetransmit, k, m.from, m.to,
+                                       static_cast<double>(out.attempts - 1)});
+      }
+      cost = out.packets - out.retx;  // the ideal hops(from, to)
     }
-  }
+
+    auto& lvl = ledger(k);
+    if (m.migrated) {
+      lvl.phi_packets += cost;
+      ++lvl.phi_entries;
+      tick.phi_packets += cost;
+    } else {
+      lvl.gamma_packets += cost;
+      ++lvl.gamma_entries;
+      tick.gamma_packets += cost;
+    }
+    ++tick.entries_moved;
+    if (metrics_ != nullptr) {
+      (m.migrated ? phi_packets_c_ : gamma_packets_c_)->add(cost);
+      (m.migrated ? phi_entries_c_ : gamma_entries_c_)->add(1);
+      level_counter(m.migrated ? phi_level_c_ : gamma_level_c_,
+                    m.migrated ? "lm.phi_packets" : "lm.gamma_packets", k)
+          ->add(cost);
+      entry_moves_rate_->mark(t);
+      transfer_hops_h_->observe(static_cast<double>(cost));
+    }
+    // A level-churn move lands before its trace event, a transfer after it.
+    if (m.kind == MoveKind::kRetire) {
+      retire(m.from);
+    } else if (m.kind == MoveKind::kRegister) {
+      ++level_churn_;
+      if (level_churn_c_ != nullptr) level_churn_c_->add(1);
+      db_.put(m.to, LocationRecord{v, k, t, version_counter_++});
+    }
+    if (trace_ != nullptr) {
+      const auto type = m.kind != MoveKind::kTransfer ? sim::TraceEventType::kLevelChurn
+                        : m.migrated                  ? sim::TraceEventType::kHandoffPhi
+                                                      : sim::TraceEventType::kHandoffGamma;
+      trace_->record(sim::TraceEvent{t, type, k, m.from, m.to, static_cast<double>(cost)});
+    }
+    if (m.kind == MoveKind::kTransfer) {
+      const LocationRecord rec = db_.take(m.from, v, k);
+      db_.put(m.to, LocationRecord{v, k, t, rec.owner == kInvalidNode ? version_counter_++
+                                                                       : rec.version + 1});
+      if (observer_ != nullptr) observer_->on_entry_move(v, k, m.from, m.to, t, m.migrated, cost);
+    }
+  });
 
   std::swap(prev_, next_scratch_);  // both snapshots keep their buffer capacity
   last_time_ = t;

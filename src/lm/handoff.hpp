@@ -4,7 +4,6 @@
 #include <map>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -133,7 +132,7 @@ class HandoffEngine {
 
   /// Publish live counters/gauges into \p registry (see docs/ARCHITECTURE.md
   /// "Observability" for the lm.* instrument names). phi_k / gamma_k / f_k
-  /// become queryable *during* the run, not just via OverheadReport.
+  /// become queryable *during* the run, not just from the final ledgers.
   void set_metrics(common::MetricsRegistry* registry);
 
   /// Emit one typed TraceEvent per entry transfer / level-churn move.
@@ -181,16 +180,17 @@ class HandoffEngine {
 
   /// Shard the per-tick pricing work over \p executor. Until this is
   /// called, and again after set_parallel(nullptr), the engine uses
-  /// sim::kInlineExecutor (one shard on the calling thread). update()
-  /// pre-scans the snapshot diff for the (from, to) endpoint pairs its
-  /// entry-move loop may price, computes their hop distances over the
-  /// shards (each executing thread with a private net::HopOracle::Scratch),
-  /// and the serial loop reads the answers from the cache. Hop queries are
-  /// exact and symmetric, so the cache can never change a priced value —
-  /// ledgers, traces, database versions and observer callbacks are emitted
-  /// by the unchanged serial loop in the unchanged order. That holds with
-  /// an ARQ layer attached too: the cache covers a superset of the lossy
-  /// loop's queries, and the channel RNG is still drawn in loop order.
+  /// sim::kInlineExecutor (one shard on the calling thread). update() walks
+  /// the tick's entry moves once to collect their (from, to) endpoint
+  /// pairs, computes the hop distances over the shards (each executing
+  /// thread with a private net::HopOracle::Scratch), and then walks the
+  /// same moves again to commit them serially, reading the answers from the
+  /// cache. Hop queries are exact and symmetric, so the cache can never
+  /// change a priced value — ledgers, traces, database versions and
+  /// observer callbacks are emitted by the serial commit in move order.
+  /// That holds with an ARQ layer attached too: the cache covers a superset
+  /// of the lossy commit's queries, and the channel RNG is still drawn in
+  /// move order.
   void set_parallel(sim::ShardExecutor* executor) noexcept {
     par_ = executor != nullptr ? executor : &sim::kInlineExecutor;
   }
@@ -272,6 +272,25 @@ class HandoffEngine {
   };
   void capture(const cluster::Hierarchy& h, Snapshot& snap) const;
 
+  /// One (owner, level k) entry move from prev_ to the captured snapshot.
+  enum class MoveKind : std::uint8_t {
+    kTransfer,  ///< served in both snapshots, by different servers
+    kRetire,    ///< the hierarchy lost level k: from the server to the owner
+    kRegister,  ///< the hierarchy gained level k: from the owner to the server
+  };
+  struct Move {
+    NodeId owner = kInvalidNode;
+    Level k = 0;
+    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+    MoveKind kind = MoveKind::kTransfer;
+    bool migrated = false;  ///< the owner's level-k cluster changed (phi, else gamma)
+  };
+  /// Call \p fn(const Move&) for every entry move from prev_ to \p next, in
+  /// (owner, level) order. Pricing and the commit both read this one walk.
+  template <class Fn>
+  void for_each_move(const Snapshot& next, Fn&& fn) const;
+
   LevelOverhead& ledger(Level k);
   PacketCount price(const graph::Graph& g0, NodeId from, NodeId to);
 
@@ -293,7 +312,6 @@ class HandoffEngine {
 
   Snapshot prev_;
   Snapshot next_scratch_;  ///< swap target for update(); keeps buffer capacity
-  common::ArenaScratch arena_;  ///< per-tick transient allocations (rewound each update)
   std::vector<LevelOverhead> levels_;
   std::vector<Size> migrations_;  ///< per level k
   Size unreachable_ = 0;
@@ -332,10 +350,10 @@ class HandoffEngine {
 
   /// Pre-computed hop distances for this update()'s pricing queries, keyed
   /// by canonical packed pair (min << 32 | max), sorted for binary search.
-  /// Filled by batch_price_pairs() at the start of every update(); cleared
-  /// at its end so between-tick callers (audit_repair, on_node_up) never
-  /// read answers computed on an older graph.
-  void batch_price_pairs(const graph::Graph& g0, const Snapshot& next);
+  /// Filled by price_moves() at the start of every update(); cleared at its
+  /// end so between-tick callers (audit_repair, on_node_up) never read
+  /// answers computed on an older graph.
+  void price_moves(const graph::Graph& g0, const Snapshot& next);
   static std::uint64_t pack_pair(NodeId a, NodeId b) {
     return (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
   }

@@ -111,18 +111,6 @@ NodeId select_server_in(const cluster::Hierarchy& h, NodeId cluster, Level k, No
   return descend(h, cluster, k, owner, config);
 }
 
-std::vector<std::vector<NodeId>> select_all_servers(const cluster::Hierarchy& h,
-                                                    const ServerSelectConfig& config) {
-  std::vector<NodeId> flat;
-  const Size width = select_all_servers_into(h, config, flat);
-  const Size n = h.level(0).vertex_count();
-  std::vector<std::vector<NodeId>> servers(n, std::vector<NodeId>(width, kInvalidNode));
-  for (NodeId owner = 0; owner < n; ++owner) {
-    for (Size i = 0; i < width; ++i) servers[owner][i] = flat[owner * width + i];
-  }
-  return servers;
-}
-
 Size select_all_servers_into(const cluster::Hierarchy& h, const ServerSelectConfig& config,
                              std::vector<NodeId>& out) {
   const Size n = h.level(0).vertex_count();

@@ -84,21 +84,16 @@ NodeId select_server_in(const cluster::Hierarchy& h, NodeId cluster, Level k, No
 inline constexpr Level kFirstServedLevel = 2;
 
 /// Bulk assignment: servers for every (owner, level in [2, top]) at once.
-/// Result[owner][k - 2] equals select_server(h, owner, k, config) exactly,
-/// but the flat-successor strategy sorts the level-0 vertices by (id,
-/// vertex) once and then walks that order once per level, chaining each
-/// cluster's members into their cyclic successor ring: one O(n log n) sort
-/// plus an O(n) walk per level, with no per-cluster sort or buffer. It is
-/// the hot path of every handoff capture and query publish.
-std::vector<std::vector<NodeId>> select_all_servers(const cluster::Hierarchy& h,
-                                                    const ServerSelectConfig& config = {});
-
-/// Flat bulk assignment for per-tick callers: fills \p out with
-/// out[owner * width + (k - kFirstServedLevel)], width = number of served
-/// levels (top - 1 when top >= 2, else 0), and returns width. Reuses \p out's
+/// Fills \p out with out[owner * width + (k - kFirstServedLevel)], width =
+/// number of served levels (top - 1 when top >= 2, else 0), and returns
+/// width. Each value equals select_server(h, owner, k, config) exactly, but
+/// the flat-successor strategy sorts the level-0 vertices by (id, vertex)
+/// once and then walks that order once per level, chaining each cluster's
+/// members into their cyclic successor ring: one O(n log n) sort plus an
+/// O(n) walk per level, with no per-cluster sort or buffer. It is the hot
+/// path of every handoff capture and query publish. Reuses \p out's
 /// capacity for the result; the flat-successor walk allocates only its id
-/// order (n words) and two per-cluster ring ends per call. Values match
-/// select_all_servers exactly.
+/// order (n words) and two per-cluster ring ends per call.
 Size select_all_servers_into(const cluster::Hierarchy& h, const ServerSelectConfig& config,
                              std::vector<NodeId>& out);
 

@@ -151,21 +151,6 @@ TEST(ResilienceJson, RejectsWrongSchemaOrMissingFields) {
   EXPECT_FALSE(resilience_from_json(missing.value, out));
 }
 
-lm::OverheadReport sample_report() {
-  lm::OverheadReport report;
-  report.node_count = 250;
-  report.window = 60.0;
-  report.phi_rate = 0.125;
-  report.gamma_rate = 0.0625;
-  report.phi_per_level = {0.0, 0.0, 0.1, 0.025};
-  report.gamma_per_level = {0.0, 0.0, 0.05, 0.0125};
-  report.migration_per_level = {0.0, 0.5, 0.25, 0.125};
-  report.phi_entries = 17;
-  report.gamma_entries = 9;
-  report.unreachable_transfers = 2;
-  return report;
-}
-
 TEST(SessionsJson, RoundTripPreservesNumbers) {
   SessionReport report;
   report.mu = 4.0;
@@ -214,36 +199,22 @@ TEST(SessionsJson, AbsentP99RoundTripsThroughNull) {
   EXPECT_EQ(back.packets_offered, report.packets_offered);
 }
 
-TEST(OverheadJson, RoundTripIsExact) {
-  const auto report = sample_report();
-  const auto text = render(
-      [&report](analysis::JsonWriter& w) { write_overhead_json(w, report); }, true);
-
-  const auto parsed = analysis::parse_json(text);
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_EQ(parsed.value.string_or("schema", ""), "manet-overhead/1");
-
-  lm::OverheadReport back;
-  ASSERT_TRUE(overhead_from_json(parsed.value, back));
-  EXPECT_EQ(back.node_count, report.node_count);
-  EXPECT_DOUBLE_EQ(back.window, report.window);
-  // %.17g serialization means doubles survive bit-exactly.
-  EXPECT_EQ(back.phi_rate, report.phi_rate);
-  EXPECT_EQ(back.gamma_rate, report.gamma_rate);
-  EXPECT_EQ(back.phi_per_level, report.phi_per_level);
-  EXPECT_EQ(back.gamma_per_level, report.gamma_per_level);
-  EXPECT_EQ(back.migration_per_level, report.migration_per_level);
-  EXPECT_EQ(back.phi_entries, report.phi_entries);
-  EXPECT_EQ(back.gamma_entries, report.gamma_entries);
-  EXPECT_EQ(back.unreachable_transfers, report.unreachable_transfers);
+TEST(JsonMetrics, RendersNamesAndValues) {
+  RunMetrics m;
+  m.set("phi_rate", 1.25);
+  m.set("weird\"name", 2.0);
+  m.set("nan_metric", std::nan(""));
+  const auto doc =
+      render([&m](analysis::JsonWriter& w) { write_run_metrics_json(w, m); }, false);
+  EXPECT_NE(doc.find("\"phi_rate\":1.25"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"weird\\\"name\":2"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"nan_metric\":null"), std::string::npos) << doc;
 }
 
-TEST(OverheadJson, RejectsWrongSchema) {
-  const auto parsed =
-      analysis::parse_json(R"({"schema": "bogus/9", "phi_rate": 1, "gamma_rate": 2})");
-  ASSERT_TRUE(parsed.ok);
-  lm::OverheadReport out;
-  EXPECT_FALSE(overhead_from_json(parsed.value, out));
+TEST(JsonMetrics, EmptyMetricsIsEmptyObject) {
+  EXPECT_EQ(render([](analysis::JsonWriter& w) { write_run_metrics_json(w, RunMetrics{}); },
+                   false),
+            "{}");
 }
 
 TEST(RegistryJson, SerializesEveryInstrumentKind) {

@@ -194,6 +194,13 @@ TEST(Cli, ThreadsFlagParses) {
   EXPECT_EQ(eight.options.run.threads, 8u);
   EXPECT_FALSE(parse({"--threads", "abc"}).ok);
   EXPECT_FALSE(parse({"--threads"}).ok);
+  // No tick has more than sim::kMaxShardCount shards to give a worker.
+  const auto ceiling = parse({"--threads", "1024"});
+  ASSERT_TRUE(ceiling.ok) << ceiling.error;
+  EXPECT_EQ(ceiling.options.run.threads, 1024u);
+  const auto above = parse({"--threads", "1025"});
+  EXPECT_FALSE(above.ok);
+  EXPECT_NE(above.error.find("--threads must be <= 1024"), std::string::npos) << above.error;
 }
 
 TEST(Cli, ShardsFlagParses) {
@@ -242,6 +249,16 @@ TEST(CampaignCli, ExecuteModeParses) {
   EXPECT_EQ(o.threads, 4u);
   EXPECT_EQ(o.max_units, 3u);
   EXPECT_EQ(o.shard_count, 1u);
+
+  // No tick has more than sim::kMaxShardCount shards to give a worker;
+  // --max-units shares the flag branch but not the ceiling.
+  const auto ceiling = parse_campaign({"--spec", "s.json", "--out", "d", "--threads", "1024"});
+  ASSERT_TRUE(ceiling.ok) << ceiling.error;
+  EXPECT_EQ(ceiling.options.threads, 1024u);
+  const auto above = parse_campaign({"--spec", "s.json", "--out", "d", "--threads", "1025"});
+  EXPECT_FALSE(above.ok);
+  EXPECT_NE(above.error.find("--threads must be <= 1024"), std::string::npos) << above.error;
+  EXPECT_TRUE(parse_campaign({"--spec", "s.json", "--out", "d", "--max-units", "5000"}).ok);
 }
 
 TEST(CampaignCli, ShardSyntax) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "sim/shard.hpp"
 #include "sim/trace.hpp"
 
 namespace manet::exp {
@@ -253,6 +254,13 @@ TEST(RunSimulationDeath, NamesEveryInvalidField) {
   cfg.n = 1;
   cfg.density = -1.0;
   EXPECT_DEATH(run_simulation(cfg), "n must be >= 2; density must be > 0");
+}
+
+TEST(RunSimulationDeath, RejectsThreadsAboveShardCeiling) {
+  // Checked before any pool exists, so this starts no threads.
+  RunOptions options;
+  options.threads = sim::kMaxShardCount + 1;
+  EXPECT_DEATH(run_simulation(quick_config(), options), "threads must be <= 1024");
 }
 
 TEST(RunSimulationDeath, NamesInvalidFaultField) {

@@ -150,11 +150,12 @@ TEST(FlatSuccessor, SingletonClusterSelfServes) {
   const auto h = cluster::HierarchyBuilder().build(g);
   ASSERT_GE(h.top_level(), kFirstServedLevel);
   const NodeId lone = 16;
-  const auto bulk = select_all_servers(h);
+  std::vector<NodeId> bulk;
+  const Size width = select_all_servers_into(h, {}, bulk);
   for (Level k = kFirstServedLevel; k <= h.top_level(); ++k) {
     ASSERT_EQ(h.members0(k, h.ancestor(lone, k)).size(), 1u) << "level " << k;
     EXPECT_EQ(select_server(h, lone, k), lone) << "level " << k;
-    EXPECT_EQ(bulk[lone][k - kFirstServedLevel], lone) << "level " << k;
+    EXPECT_EQ(bulk[lone * width + (k - kFirstServedLevel)], lone) << "level " << k;
   }
 }
 
@@ -215,11 +216,13 @@ TEST(SelectAllServers, MatchesPerOwnerSelectionExactly) {
           SelectStrategy::kUnweightedDescent}) {
       ServerSelectConfig cfg;
       cfg.strategy = strategy;
-      const auto bulk = select_all_servers(f.h, cfg);
-      ASSERT_EQ(bulk.size(), f.n);
+      std::vector<NodeId> bulk;
+      const Size width = select_all_servers_into(f.h, cfg, bulk);
+      ASSERT_EQ(bulk.size(), f.n * width);
       for (NodeId owner = 0; owner < f.n; ++owner) {
         for (Level k = kFirstServedLevel; k <= f.h.top_level(); ++k) {
-          ASSERT_EQ(bulk[owner][k - kFirstServedLevel], select_server(f.h, owner, k, cfg))
+          ASSERT_EQ(bulk[owner * width + (k - kFirstServedLevel)],
+                    select_server(f.h, owner, k, cfg))
               << to_string(strategy) << " id scheme " << static_cast<int>(scheme)
               << " owner " << owner << " level " << k;
         }
@@ -231,9 +234,9 @@ TEST(SelectAllServers, MatchesPerOwnerSelectionExactly) {
 TEST(SelectAllServers, FlatHierarchyYieldsEmptyRows) {
   const graph::Graph g(2, std::vector<graph::Edge>{{0, 1}});
   const auto h = cluster::HierarchyBuilder().build(g);
-  const auto bulk = select_all_servers(h);
-  ASSERT_EQ(bulk.size(), 2u);
-  EXPECT_TRUE(bulk[0].empty());
+  std::vector<NodeId> bulk{7, 7};  // stale contents are replaced
+  EXPECT_EQ(select_all_servers_into(h, {}, bulk), 0u);
+  EXPECT_TRUE(bulk.empty());
 }
 
 TEST(SelectStrategyNames, AreDistinct) {

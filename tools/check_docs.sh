@@ -295,6 +295,25 @@ done
 [ -z "$kernel" ] ||
     fail "the event kernel or batched rendezvous is back under src/ (one tick loop): $kernel"
 
+# 8i. One entry-move walk: HandoffEngine classifies each (owner, level) move
+#     in one place that pricing and the commit both read, so (had, has) is
+#     decided once in src/lm/handoff.cpp. The LM-layer duplicates no program
+#     read (the overhead report and its serializer, the viz JSON exporter,
+#     the nested server table) may not grow back under src/, tools/ or
+#     examples/.
+walks=$(grep -cF 'const bool had =' "$root/src/lm/handoff.cpp")
+[ "$walks" -le 1 ] ||
+    fail "src/lm/handoff.cpp decides (had, has) $walks times (one entry-move walk)"
+dups=$(grep -rnE --exclude=check_docs.sh \
+    'batch_price_pairs|OverheadReport|lm/overhead\.hpp|viz/json\.hpp|write_metrics_json|write_hierarchy_json|select_all_servers\(' \
+    "$root/src" "$root/tools" "$root/examples" || true)
+for f in src/lm/overhead.hpp src/lm/overhead.cpp src/viz/json.hpp src/viz/json.cpp \
+         tests/lm/overhead_test.cpp tests/viz/json_test.cpp; do
+    if [ -e "$root/$f" ]; then dups="$dups $f"; fi
+done
+[ -z "$dups" ] ||
+    fail "a deleted LM-layer duplicate is back (one entry-move walk): $dups"
+
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
 #    (GitHub-style: lowercase, punctuation stripped, spaces to dashes).

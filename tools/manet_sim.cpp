@@ -23,7 +23,6 @@
 #include "exp/campaign_runner.hpp"
 #include "exp/cli.hpp"
 #include "sim/trace.hpp"
-#include "viz/json.hpp"
 
 namespace {
 
@@ -204,27 +203,29 @@ int main(int argc, char** argv) {
     std::printf("%s", table.to_string("metrics over " + std::to_string(opt.replications) +
                                       " replication(s)")
                           .c_str());
-    if (!opt.json_path.empty()) {
-      // JSON carries a single canonical replication (the base seed).
-      const auto metrics = exp::run_simulation(opt.scenario, opt.run);
-      std::ofstream json_file(opt.json_path);
-      if (!json_file) {
-        std::fprintf(stderr, "error: cannot write %s\n", opt.json_path.c_str());
-        return 1;
-      }
-      viz::write_metrics_json(json_file, metrics);
-      std::printf("wrote metrics JSON to %s\n", opt.json_path.c_str());
-    }
-
-    if (opt.trace || !opt.metrics_json_path.empty()) {
-      // Observability attaches to one canonical replication (the base seed):
-      // the registry and trace describe a single run, not an aggregate.
+    if (!opt.json_path.empty() || opt.trace || !opt.metrics_json_path.empty()) {
+      // --json, --trace and --metrics-json all describe one canonical
+      // replication (the base seed), not an aggregate. It runs once with the
+      // observers the flags ask for; attached observers never change its
+      // RunMetrics.
       common::MetricsRegistry registry;
       sim::TraceSink sink(sim::TraceSink::Config{opt.trace_capacity, opt.trace_sample});
       exp::RunOptions observed = opt.run;
-      observed.metrics = &registry;
+      if (!opt.metrics_json_path.empty()) observed.metrics = &registry;
       if (opt.trace) observed.trace = &sink;
-      (void)exp::run_simulation(opt.scenario, observed);
+      const auto metrics = exp::run_simulation(opt.scenario, observed);
+
+      if (!opt.json_path.empty()) {
+        std::ofstream json_file(opt.json_path);
+        if (!json_file) {
+          std::fprintf(stderr, "error: cannot write %s\n", opt.json_path.c_str());
+          return 1;
+        }
+        analysis::JsonWriter w(json_file);
+        exp::write_run_metrics_json(w, metrics);
+        json_file << '\n';
+        std::printf("wrote metrics JSON to %s\n", opt.json_path.c_str());
+      }
 
       if (opt.trace) {
         std::printf("\ntrace: %zu events seen, %zu retained, %zu dropped "
