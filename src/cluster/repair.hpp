@@ -13,9 +13,9 @@
 ///
 /// The full builder re-derives every level's election from scratch each
 /// tick — O(|V| + |E|) at level 0 no matter how little actually moved. The
-/// repairer instead consumes the exact `links_up` / `links_down` edge delta
-/// maintained by net::UnitDiskBuilder::update() and re-evaluates elections
-/// only inside the delta's dirty region:
+/// repairer instead consumes the exact level-0 edge delta (in the simulator,
+/// net::LinkTracker's delta between consecutive changed ticks) and
+/// re-evaluates elections only inside the delta's dirty region:
 ///
 ///   * A raw election target raw_elect[u] = argmax_{w in N[u] + {u}} id(w)
 ///     depends only on u's closed neighborhood, so a link flip (u, v) can
@@ -115,11 +115,14 @@ struct RepairStats {
 ///
 /// Usage contract: repair() must be handed the snapshot it produced for the
 /// previous tick (`prev`) together with the exact level-0 edge delta between
-/// prev's topology and \p g. Whenever a tick's snapshot is produced by any
-/// other means — builder fallback on down-mask changes, augmentation
-/// bridges, a different election algorithm — call invalidate() so the next
-/// repair() re-seeds instead of trusting stale state. ALCA only: max-min
-/// elections have no incremental form here and take the builder path.
+/// prev's topology and \p g. run_simulation passes net::LinkTracker's delta:
+/// the tracker and prev's level 0 both last saw the effective graph of the
+/// previous changed tick (bridges included, down nodes stripped), so its
+/// update_into() against \p g is that delta on every changed tick. Whenever
+/// a tick's snapshot is produced by any other means — a builder call, a
+/// different election algorithm — call invalidate() so the next repair()
+/// re-seeds instead of trusting stale state. ALCA only: max-min elections
+/// have no incremental form here and take the builder path.
 class HierarchyRepairer {
  public:
   explicit HierarchyRepairer(HierarchyOptions options = {});
@@ -132,11 +135,11 @@ class HierarchyRepairer {
   /// bit-identical to HierarchyBuilder(Alca, options).build(g, ids,
   /// positions). \p links_up / \p links_down are the exact edge delta
   /// from prev.level(0).topo to g; they are ignored on re-seeding calls.
-  /// Pass \p level0_delta_exact = false when no trustworthy raw delta exists
-  /// (augmentation bridges entered or left the graph, the fault down-mask
-  /// flipped) — the repairer then edge-diffs level 0 against prev itself,
-  /// exactly as it already does for every higher level: O(|E|) set
-  /// differences instead of O(delta), still far cheaper than re-electing.
+  /// A caller without that delta (the raw unit-disk spans exclude bridges
+  /// and stripped edges) passes \p level0_delta_exact = false: the repairer
+  /// then edge-diffs level 0 against prev itself, exactly as it already does
+  /// for every higher level — O(|E|) set differences instead of O(delta),
+  /// still far cheaper than re-electing.
   void repair(const graph::Graph& g, std::span<const graph::Edge> links_up,
               std::span<const graph::Edge> links_down, std::span<const NodeId> ids,
               std::span<const geom::Vec2> positions, const Hierarchy& prev,

@@ -1,6 +1,5 @@
 #include "exp/artifacts.hpp"
 
-#include <cmath>
 #include <limits>
 #include <thread>
 
@@ -40,32 +39,6 @@ void RunManifest::write_json(analysis::JsonWriter& w) const {
   w.field("scenario", scenario);
   w.field("fault", fault);
   w.end_object();
-}
-
-bool RunManifest::from_json(const analysis::JsonValue& v, RunManifest& out) {
-  if (!v.is_object()) return false;
-  const auto* name = v.find("name");
-  const auto* sha = v.find("git_sha");
-  const auto* scenario = v.find("scenario");
-  const auto* seed = v.find("seed");
-  if (name == nullptr || !name->is_string() || sha == nullptr || !sha->is_string() ||
-      scenario == nullptr || !scenario->is_string() || seed == nullptr ||
-      !seed->is_number()) {
-    return false;
-  }
-  out.name = name->string;
-  out.git_sha = sha->string;
-  out.scenario = scenario->string;
-  out.seed = static_cast<std::uint64_t>(seed->number);
-  out.n = static_cast<Size>(v.number_or("n", 0.0));
-  out.replications = static_cast<Size>(v.number_or("replications", 0.0));
-  out.thread_count = static_cast<Size>(v.number_or("thread_count", 1.0));
-  // Manifests written before the field existed read back as 0 ("unknown").
-  out.hardware_concurrency = static_cast<Size>(v.number_or("hardware_concurrency", 0.0));
-  out.wall_seconds = v.number_or("wall_seconds", 0.0);
-  // Pre-fault manifests lack the field; treat them as fault-free runs.
-  out.fault = v.string_or("fault", "off");
-  return true;
 }
 
 void write_registry_json(analysis::JsonWriter& w, const common::MetricsRegistry& registry,
@@ -162,29 +135,6 @@ void write_resilience_json(analysis::JsonWriter& w, const ResilienceReport& repo
   w.end_object();
 }
 
-bool resilience_from_json(const analysis::JsonValue& v, ResilienceReport& out) {
-  if (!v.is_object()) return false;
-  if (v.string_or("schema", "") != "manet-resilience/1") return false;
-  const auto* loss = v.find("loss");
-  const auto* query = v.find("query_success_rate");
-  if (loss == nullptr || !loss->is_number() || query == nullptr || !query->is_number()) {
-    return false;
-  }
-  out.loss = loss->number;
-  out.crash_rate = v.number_or("crash_rate", 0.0);
-  out.phi_retx_rate = v.number_or("phi_retx_rate", 0.0);
-  out.gamma_retx_rate = v.number_or("gamma_retx_rate", 0.0);
-  out.failed_transfers = v.number_or("failed_transfers", 0.0);
-  out.stale_entries = v.number_or("stale_entries", 0.0);
-  out.repairs = v.number_or("repairs", 0.0);
-  out.mean_time_to_repair = v.number_or("mean_time_to_repair", 0.0);
-  out.query_success_rate = query->number;
-  out.query_success_mean = v.number_or("query_success_mean", 0.0);
-  out.crashes = v.number_or("crashes", 0.0);
-  out.rejoins = v.number_or("rejoins", 0.0);
-  return true;
-}
-
 void write_sessions_json(analysis::JsonWriter& w, const SessionReport& report) {
   w.begin_object();
   w.field("schema", "manet-sessions/1");
@@ -207,41 +157,6 @@ void write_sessions_json(analysis::JsonWriter& w, const SessionReport& report) {
   w.field("handover_rollback_failures", report.handover_rollback_failures);
   w.field("handover_mean_completion", report.handover_mean_completion);
   w.end_object();
-}
-
-bool sessions_from_json(const analysis::JsonValue& v, SessionReport& out) {
-  if (!v.is_object()) return false;
-  if (v.string_or("schema", "") != "manet-sessions/1") return false;
-  const auto* offered = v.find("packets_offered");
-  const auto* p99 = v.find("interruption_p99");
-  // interruption_p99 is NaN when the run closed no interruption windows
-  // (traffic::SessionWorkload::interruption_quantile); the writer renders
-  // non-finite doubles as null, so null here round-trips back to NaN.
-  const bool p99_ok =
-      p99 != nullptr && (p99->is_number() || p99->kind == analysis::JsonValue::Kind::kNull);
-  if (offered == nullptr || !offered->is_number() || !p99_ok) {
-    return false;
-  }
-  out.mu = v.number_or("mu", 0.0);
-  out.loss = v.number_or("loss", 0.0);
-  out.crash_rate = v.number_or("crash_rate", 0.0);
-  out.packets_offered = offered->number;
-  out.delivered = v.number_or("delivered", 0.0);
-  out.misrouted = v.number_or("misrouted", 0.0);
-  out.lost = v.number_or("lost", 0.0);
-  out.misroute_rate = v.number_or("misroute_rate", 0.0);
-  out.loss_rate = v.number_or("loss_rate", 0.0);
-  out.interruptions = v.number_or("interruptions", 0.0);
-  out.interruption_time = v.number_or("interruption_time", 0.0);
-  out.interruption_p99 =
-      p99->is_number() ? p99->number : std::numeric_limits<double>::quiet_NaN();
-  out.handover_started = v.number_or("handover_started", 0.0);
-  out.handover_completed = v.number_or("handover_completed", 0.0);
-  out.handover_retries = v.number_or("handover_retries", 0.0);
-  out.handover_rollbacks = v.number_or("handover_rollbacks", 0.0);
-  out.handover_rollback_failures = v.number_or("handover_rollback_failures", 0.0);
-  out.handover_mean_completion = v.number_or("handover_mean_completion", 0.0);
-  return true;
 }
 
 void write_run_metrics_json(analysis::JsonWriter& w, const RunMetrics& metrics) {

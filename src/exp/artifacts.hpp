@@ -47,8 +47,6 @@ struct RunManifest {
                              Size replications, Size thread_count = 1);
 
   void write_json(analysis::JsonWriter& w) const;
-  /// Strict read-back: false when a required field is missing or mistyped.
-  static bool from_json(const analysis::JsonValue& v, RunManifest& out);
 };
 
 /// Git SHA baked in at configure time (-DMANET_GIT_SHA=...); "unknown"
@@ -83,7 +81,6 @@ struct ResilienceReport {
 };
 
 void write_resilience_json(analysis::JsonWriter& w, const ResilienceReport& report);
-bool resilience_from_json(const analysis::JsonValue& v, ResilienceReport& out);
 
 /// Aggregated session-continuity + handover-FSM measurements for one
 /// scenario (one point of a bench_sessions sweep). Schema "manet-sessions/1".
@@ -110,7 +107,6 @@ struct SessionReport {
 };
 
 void write_sessions_json(analysis::JsonWriter& w, const SessionReport& report);
-bool sessions_from_json(const analysis::JsonValue& v, SessionReport& out);
 
 /// RunMetrics <-> JSON: an object whose member order is the metric emission
 /// order (duplicate names preserved — first occurrence wins on lookup, but

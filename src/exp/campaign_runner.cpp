@@ -2,9 +2,11 @@
 
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -67,6 +69,13 @@ bool write_json_atomic(const std::string& path,
   return true;
 }
 
+/// True when \p x is a whole number a Size holds. Checked before any cast:
+/// converting a larger double to Size is undefined behaviour.
+bool is_count(double x) {
+  return x >= 0.0 && x < static_cast<double>(std::numeric_limits<Size>::max()) &&
+         x == std::floor(x);
+}
+
 bool parse_positive_size(const analysis::JsonValue& v, std::string_view key,
                          Size fallback, Size& out, std::string& error) {
   const auto* member = v.find(key);
@@ -74,8 +83,7 @@ bool parse_positive_size(const analysis::JsonValue& v, std::string_view key,
     out = fallback;
     return true;
   }
-  if (!member->is_number() || member->number < 1.0 ||
-      member->number != static_cast<double>(static_cast<Size>(member->number))) {
+  if (!member->is_number() || !is_count(member->number) || member->number < 1.0) {
     error = "spec field '" + std::string(key) + "' must be a positive integer";
     return false;
   }
@@ -199,9 +207,9 @@ bool CampaignSpec::from_json(const analysis::JsonValue& v, CampaignSpec& out,
     return false;
   }
   for (const auto& item : sweep->items) {
-    if (!item.is_number() || item.number < 2.0 ||
-        item.number != static_cast<double>(static_cast<Size>(item.number))) {
-      error = "'sweep' entries must be integers >= 2";
+    // A node count's range (n >= 2) is validate()'s, checked per point below.
+    if (!item.is_number() || !is_count(item.number)) {
+      error = "'sweep' entries must be node counts (non-negative integers)";
       return false;
     }
     out.sweep.push_back(static_cast<Size>(item.number));
@@ -241,10 +249,16 @@ bool CampaignSpec::from_json(const analysis::JsonValue& v, CampaignSpec& out,
     }
   }
 
+  // The spec's sweep rides along as --sweep, so the CLI validates every
+  // point with its own n.
+  std::string points;
+  for (const Size n : out.sweep) points += (points.empty() ? "" : ",") + std::to_string(n);
   std::vector<const char*> argv;
-  argv.reserve(out.args.size() + 1);
+  argv.reserve(out.args.size() + 3);
   argv.push_back("manet_sim");
   for (const auto& arg : out.args) argv.push_back(arg.c_str());
+  argv.push_back("--sweep");
+  argv.push_back(points.c_str());
   const auto parsed = parse_cli(static_cast<int>(argv.size()), argv.data());
   if (!parsed.ok) {
     error = "spec args: " + parsed.error;

@@ -4,20 +4,17 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <limits>
-#include <map>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "sim/shard.hpp"
 
 namespace manet::exp {
 
 namespace {
-
-// A tick never has more than sim::kMaxShardCount shards, so a worker beyond
-// that could never receive one.
-static_assert(sim::kMaxShardCount == 1024);
-constexpr const char* kThreadsCeiling = "--threads must be <= 1024";
 
 bool parse_size(const std::string& text, Size& out) {
   // Digits only: strtoull on its own would silently *wrap* a negative input
@@ -62,17 +59,6 @@ bool split_inline_value(std::string& flag, std::string& value) {
   return true;
 }
 
-bool parse_size_list(const std::string& text, std::vector<Size>& out) {
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    Size value = 0;
-    if (!parse_size(item, value) || value == 0) return false;
-    out.push_back(value);
-  }
-  return !out.empty();
-}
-
 bool parse_shard(const std::string& text, Size& index, Size& count) {
   const auto slash = text.find('/');
   if (slash == std::string::npos) return false;
@@ -86,6 +72,80 @@ bool parse_shard(const std::string& text, Size& index, Size& count) {
   count = k;
   return true;
 }
+
+/// How a value flag reads its text: the syntax a well-formed value has (for
+/// the error message) and a setter that stores the value, false when the
+/// text is malformed. Syntax only: a value's range is validate()'s rule.
+struct ValueSyntax {
+  std::string needs;
+  std::function<bool(const std::string&)> set;
+};
+
+template <typename T>
+ValueSyntax count(T& target) {
+  return {"an unsigned integer", [&target](const std::string& text) {
+            Size value = 0;
+            if (!parse_size(text, value)) return false;
+            target = static_cast<T>(value);
+            return true;
+          }};
+}
+
+ValueSyntax number(double& target) {
+  return {"a number", [&target](const std::string& text) { return parse_double(text, target); }};
+}
+
+ValueSyntax path(std::string& target) {
+  return {"a path", [&target](const std::string& text) {
+            target = text;
+            return true;
+          }};
+}
+
+ValueSyntax node_counts(std::vector<Size>& target) {
+  return {"a comma-separated list of node counts", [&target](const std::string& text) {
+            std::stringstream ss(text);
+            std::string item;
+            while (std::getline(ss, item, ',')) {
+              Size value = 0;
+              if (!parse_size(item, value)) return false;
+              target.push_back(value);
+            }
+            return !target.empty();
+          }};
+}
+
+template <typename T>
+ValueSyntax word(T& target,
+                 std::initializer_list<std::pair<const char*, std::type_identity_t<T>>> words) {
+  std::string needs;
+  for (const auto& w : words) needs += (needs.empty() ? "one of " : "|") + std::string(w.first);
+  return {needs, [&target, table = std::vector(words)](const std::string& text) {
+            for (const auto& [w, value] : table) {
+              if (text == w) {
+                target = value;
+                return true;
+              }
+            }
+            return false;
+          }};
+}
+
+/// One value flag: its name, the field name validate() reports for the field
+/// it sets, and how it reads its text.
+struct ValueFlag {
+  const char* flag;
+  const char* field;
+  ValueSyntax syntax;
+  bool sessions = false;  ///< setting it also switches the session plane on
+};
+
+/// One boolean flag and the value it stores.
+struct Switch {
+  const char* flag;
+  bool& target;
+  bool value;
+};
 
 }  // namespace
 
@@ -168,7 +228,10 @@ CampaignCliParseResult parse_campaign_cli(int argc, const char* const* argv) {
       if (value == nullptr || !parse_size(value, parsed)) {
         return fail(flag + " needs an unsigned integer");
       }
-      if (flag == "--threads" && parsed > sim::kMaxShardCount) return fail(kThreadsCeiling);
+      // The replication pool keeps the run's worker ceiling.
+      if (flag == "--threads" && parsed > sim::kMaxShardCount) {
+        return fail("--threads must be <= " + std::to_string(sim::kMaxShardCount));
+      }
       if (flag == "--threads") opt.threads = parsed;
       else opt.max_units = parsed;
     } else {
@@ -281,6 +344,8 @@ std::string cli_usage(const std::string& program) {
 CliParseResult parse_cli(int argc, const char* const* argv) {
   CliParseResult result;
   CliOptions& opt = result.options;
+  ScenarioConfig& scenario = opt.scenario;
+  RunOptions& run = opt.run;
 
   auto fail = [&](const std::string& message) {
     result.ok = false;
@@ -288,229 +353,134 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
     return result;
   };
 
+  const Switch switches[] = {
+      {"--gls", run.run_gls, true},
+      {"--registration", run.track_registration, true},
+      {"--routing", run.measure_routing, true},
+      {"--no-events", run.track_events, false},
+      {"--no-states", run.track_states, false},
+      {"--no-hops", run.measure_hops, false},
+      {"--full-tick", run.incremental_tick, false},
+      {"--no-repair", run.localized_repair, false},
+      {"--sessions", scenario.sessions, true},
+      {"--trace", opt.trace, true},
+  };
+  constexpr bool kSessions = true;
+  const ValueFlag values[] = {
+      {"--n", "n", count(scenario.n)},
+      {"--density", "density", number(scenario.density)},
+      {"--mu", "mu", number(scenario.mu)},
+      {"--seed", "seed", count(scenario.seed)},
+      {"--tick", "tick", number(scenario.tick)},
+      {"--warmup", "warmup", number(scenario.warmup)},
+      {"--duration", "duration", number(scenario.duration)},
+      {"--mobility", "mobility",
+       word(scenario.mobility, {{"rwp", MobilityKind::kRandomWaypoint},
+                                {"rd", MobilityKind::kRandomDirection},
+                                {"gm", MobilityKind::kGaussMarkov},
+                                {"rpgm", MobilityKind::kGroup},
+                                {"static", MobilityKind::kStatic}})},
+      {"--radius", "radius_policy",
+       word(scenario.radius_policy, {{"connectivity", RadiusPolicy::kConnectivity},
+                                     {"degree", RadiusPolicy::kMeanDegree}})},
+      {"--degree", "target_degree", number(scenario.target_degree)},
+      {"--margin", "connectivity_margin", number(scenario.connectivity_margin)},
+      {"--algo", "cluster_algo",
+       word(scenario.cluster_algo, {{"alca", ClusterAlgo::kAlca},
+                                    {"maxmin1", ClusterAlgo::kMaxMin1},
+                                    {"maxmin2", ClusterAlgo::kMaxMin2}})},
+      {"--strategy", "handoff.select.strategy",
+       word(scenario.handoff.select.strategy,
+            {{"successor", lm::SelectStrategy::kFlatSuccessor},
+             {"weighted", lm::SelectStrategy::kWeightedDescent},
+             {"unweighted", lm::SelectStrategy::kUnweightedDescent}})},
+      {"--links", "geometric_links",
+       word(scenario.geometric_links, {{"geometric", true}, {"contraction", false}})},
+      {"--beta", "link_beta", number(scenario.link_beta)},
+      {"--loss", "fault.loss", number(scenario.fault.loss)},
+      {"--burst-loss", "fault.burst_loss", number(scenario.fault.burst_loss)},
+      {"--burst-on", "fault.burst_on", number(scenario.fault.burst_on)},
+      {"--burst-len", "fault.burst_len", number(scenario.fault.burst_len)},
+      {"--crash-rate", "fault.crash_rate", number(scenario.fault.crash_rate)},
+      {"--downtime", "fault.mean_downtime", number(scenario.fault.mean_downtime)},
+      {"--retry-budget", "fault.retry_budget", count(scenario.fault.retry_budget)},
+      {"--arq-timeout", "fault.arq_timeout", number(scenario.fault.arq_timeout)},
+      {"--audit", "fault.audit_period", number(scenario.fault.audit_period)},
+      {"--outage-radius", "fault.outage_radius", number(scenario.fault.outage_radius)},
+      {"--outage-start", "fault.outage_start", number(scenario.fault.outage_start)},
+      {"--outage-duration", "fault.outage_duration", number(scenario.fault.outage_duration)},
+      {"--session-rate", "session.sessions_per_node_per_sec",
+       number(scenario.session.sessions_per_node_per_sec), kSessions},
+      {"--session-duration", "session.mean_duration", number(scenario.session.mean_duration),
+       kSessions},
+      {"--session-pps", "session.packets_per_sec", number(scenario.session.packets_per_sec),
+       kSessions},
+      {"--handover-timeout", "handover.timeout", number(scenario.handover.timeout), kSessions},
+      {"--handover-retries", "handover.max_retries", count(scenario.handover.max_retries),
+       kSessions},
+      {"--handover-backoff", "handover.backoff", number(scenario.handover.backoff), kSessions},
+      {"--threads", "threads", count(run.threads)},
+      {"--shards", "shards", count(run.shards)},
+      {"--query-load", "query_load", count(run.query_load)},
+      {"--reps", "replications", count(opt.replications)},
+      {"--sweep", "sweep", node_counts(opt.sweep)},
+      {"--csv", "csv_path", path(opt.csv_path)},
+      {"--json", "json_path", path(opt.json_path)},
+      {"--metrics-json", "metrics_json_path", path(opt.metrics_json_path)},
+      {"--trace-capacity", "trace_capacity", count(opt.trace_capacity)},
+      {"--trace-sample", "trace_sample", count(opt.trace_sample)},
+  };
+
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
     std::string inline_value;
     const bool has_inline = split_inline_value(flag, inline_value);
-    bool inline_used = false;
-    auto next = [&]() -> const char* {
-      if (has_inline) {
-        inline_used = true;
-        return inline_value.c_str();
-      }
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-
     if (flag == "--help" || flag == "-h") {
       opt.show_help = true;
       result.ok = true;
       return result;
-    } else if (flag == "--gls") {
-      opt.run.run_gls = true;
-    } else if (flag == "--registration") {
-      opt.run.track_registration = true;
-    } else if (flag == "--routing") {
-      opt.run.measure_routing = true;
-    } else if (flag == "--no-events") {
-      opt.run.track_events = false;
-    } else if (flag == "--no-states") {
-      opt.run.track_states = false;
-    } else if (flag == "--no-hops") {
-      opt.run.measure_hops = false;
-    } else if (flag == "--full-tick") {
-      opt.run.incremental_tick = false;
-    } else if (flag == "--no-repair") {
-      opt.run.localized_repair = false;
-    } else if (flag == "--mobility") {
-      const char* value = next();
-      if (value == nullptr) return fail("--mobility needs a value");
-      const std::string v = value;
-      if (v == "rwp") opt.scenario.mobility = MobilityKind::kRandomWaypoint;
-      else if (v == "rd") opt.scenario.mobility = MobilityKind::kRandomDirection;
-      else if (v == "gm") opt.scenario.mobility = MobilityKind::kGaussMarkov;
-      else if (v == "rpgm") opt.scenario.mobility = MobilityKind::kGroup;
-      else if (v == "static") opt.scenario.mobility = MobilityKind::kStatic;
-      else return fail("unknown mobility '" + v + "'");
-    } else if (flag == "--radius") {
-      const char* value = next();
-      if (value == nullptr) return fail("--radius needs a value");
-      const std::string v = value;
-      if (v == "connectivity") opt.scenario.radius_policy = RadiusPolicy::kConnectivity;
-      else if (v == "degree") opt.scenario.radius_policy = RadiusPolicy::kMeanDegree;
-      else return fail("unknown radius policy '" + v + "'");
-    } else if (flag == "--algo") {
-      const char* value = next();
-      if (value == nullptr) return fail("--algo needs a value");
-      const std::string v = value;
-      if (v == "alca") opt.scenario.cluster_algo = ClusterAlgo::kAlca;
-      else if (v == "maxmin1") opt.scenario.cluster_algo = ClusterAlgo::kMaxMin1;
-      else if (v == "maxmin2") opt.scenario.cluster_algo = ClusterAlgo::kMaxMin2;
-      else return fail("unknown clustering algorithm '" + v + "'");
-    } else if (flag == "--strategy") {
-      const char* value = next();
-      if (value == nullptr) return fail("--strategy needs a value");
-      const std::string v = value;
-      if (v == "successor") {
-        opt.scenario.handoff.select.strategy = lm::SelectStrategy::kFlatSuccessor;
-      } else if (v == "weighted") {
-        opt.scenario.handoff.select.strategy = lm::SelectStrategy::kWeightedDescent;
-      } else if (v == "unweighted") {
-        opt.scenario.handoff.select.strategy = lm::SelectStrategy::kUnweightedDescent;
-      } else {
-        return fail("unknown strategy '" + v + "'");
-      }
-    } else if (flag == "--links") {
-      const char* value = next();
-      if (value == nullptr) return fail("--links needs a value");
-      const std::string v = value;
-      if (v == "geometric") opt.scenario.geometric_links = true;
-      else if (v == "contraction") opt.scenario.geometric_links = false;
-      else return fail("unknown link model '" + v + "'");
-    } else if (flag == "--csv") {
-      const char* value = next();
-      if (value == nullptr) return fail("--csv needs a path");
-      opt.csv_path = value;
-    } else if (flag == "--json") {
-      const char* value = next();
-      if (value == nullptr) return fail("--json needs a path");
-      opt.json_path = value;
-    } else if (flag == "--metrics-json") {
-      const char* value = next();
-      if (value == nullptr) return fail("--metrics-json needs a path");
-      opt.metrics_json_path = value;
-    } else if (flag == "--trace") {
-      opt.trace = true;
-    } else if (flag == "--trace-capacity" || flag == "--trace-sample") {
-      const char* value = next();
-      Size parsed = 0;
-      if (value == nullptr || !parse_size(value, parsed) || parsed == 0) {
-        return fail(flag + " needs a positive integer");
-      }
-      if (flag == "--trace-capacity") opt.trace_capacity = parsed;
-      else opt.trace_sample = parsed;
-    } else if (flag == "--sweep") {
-      const char* value = next();
-      if (value == nullptr || !parse_size_list(value, opt.sweep)) {
-        return fail("--sweep needs a comma-separated list of node counts");
-      }
-    } else if (flag == "--n" || flag == "--seed" || flag == "--reps" ||
-               flag == "--threads" || flag == "--shards" || flag == "--query-load") {
-      const char* value = next();
-      Size parsed = 0;
-      if (value == nullptr || !parse_size(value, parsed)) {
-        return fail(flag + " needs an unsigned integer");
-      }
-      if (flag == "--threads" && parsed > sim::kMaxShardCount) return fail(kThreadsCeiling);
-      if (flag == "--n") opt.scenario.n = parsed;
-      else if (flag == "--seed") opt.scenario.seed = parsed;
-      else if (flag == "--threads") opt.run.threads = parsed;
-      else if (flag == "--shards") opt.run.shards = parsed;
-      else if (flag == "--query-load") opt.run.query_load = parsed;
-      else opt.replications = parsed;
-    } else if (flag == "--retry-budget") {
-      const char* value = next();
-      Size parsed = 0;
-      if (value == nullptr || !parse_size(value, parsed)) {
-        return fail(flag + " needs an unsigned integer");
-      }
-      opt.scenario.fault.retry_budget = parsed;
-    } else if (flag == "--sessions") {
-      opt.scenario.sessions = true;
-    } else if (flag == "--handover-retries") {
-      const char* value = next();
-      Size parsed = 0;
-      if (value == nullptr || !parse_size(value, parsed)) {
-        return fail(flag + " needs an unsigned integer");
-      }
-      opt.scenario.handover.max_retries = parsed;
-      opt.scenario.sessions = true;
-    } else if (flag == "--session-rate" || flag == "--session-duration" ||
-               flag == "--session-pps" || flag == "--handover-timeout" ||
-               flag == "--handover-backoff") {
-      const char* value = next();
-      double parsed = 0.0;
-      if (value == nullptr || !parse_double(value, parsed) || parsed <= 0.0) {
-        return fail(flag + " needs a positive number");
-      }
-      opt.scenario.sessions = true;
-      if (flag == "--session-rate") opt.scenario.session.sessions_per_node_per_sec = parsed;
-      else if (flag == "--session-duration") opt.scenario.session.mean_duration = parsed;
-      else if (flag == "--session-pps") opt.scenario.session.packets_per_sec = parsed;
-      else if (flag == "--handover-timeout") opt.scenario.handover.timeout = parsed;
-      else opt.scenario.handover.backoff = parsed;
-    } else if (flag == "--density" || flag == "--mu" || flag == "--tick" ||
-               flag == "--warmup" || flag == "--duration" || flag == "--degree" ||
-               flag == "--margin" || flag == "--beta") {
-      const char* value = next();
-      double parsed = 0.0;
-      if (value == nullptr || !parse_double(value, parsed)) {
-        return fail(flag + " needs a number");
-      }
-      if (flag == "--density") opt.scenario.density = parsed;
-      else if (flag == "--mu") opt.scenario.mu = parsed;
-      else if (flag == "--tick") opt.scenario.tick = parsed;
-      else if (flag == "--warmup") opt.scenario.warmup = parsed;
-      else if (flag == "--duration") opt.scenario.duration = parsed;
-      else if (flag == "--degree") opt.scenario.target_degree = parsed;
-      else if (flag == "--margin") opt.scenario.connectivity_margin = parsed;
-      else opt.scenario.link_beta = parsed;
-    } else if (flag == "--loss" || flag == "--burst-loss" || flag == "--burst-on" ||
-               flag == "--burst-len" || flag == "--crash-rate" || flag == "--downtime" ||
-               flag == "--arq-timeout" || flag == "--audit" ||
-               flag == "--outage-radius" || flag == "--outage-start" ||
-               flag == "--outage-duration") {
-      const char* value = next();
-      double parsed = 0.0;
-      if (value == nullptr || !parse_double(value, parsed) || parsed < 0.0) {
-        return fail(flag + " needs a non-negative number");
-      }
-      sim::FaultConfig& fault = opt.scenario.fault;
-      if (flag == "--loss") fault.loss = parsed;
-      else if (flag == "--burst-loss") fault.burst_loss = parsed;
-      else if (flag == "--burst-on") fault.burst_on = parsed;
-      else if (flag == "--burst-len") fault.burst_len = parsed;
-      else if (flag == "--crash-rate") fault.crash_rate = parsed;
-      else if (flag == "--downtime") fault.mean_downtime = parsed;
-      else if (flag == "--arq-timeout") fault.arq_timeout = parsed;
-      else if (flag == "--audit") fault.audit_period = parsed;
-      else if (flag == "--outage-radius") fault.outage_radius = parsed;
-      else if (flag == "--outage-start") fault.outage_start = parsed;
-      else fault.outage_duration = parsed;
-    } else {
-      return fail("unknown flag '" + flag + "'");
     }
-    if (has_inline && !inline_used) {
-      return fail("'" + flag + "' does not take a value");
+    const auto named = [&flag](const auto& row) { return flag == row.flag; };
+    if (const auto sw = std::find_if(std::begin(switches), std::end(switches), named);
+        sw != std::end(switches)) {
+      if (has_inline) return fail("'" + flag + "' does not take a value");
+      sw->target = sw->value;
+      continue;
     }
+    const auto row = std::find_if(std::begin(values), std::end(values), named);
+    if (row == std::end(values)) return fail("unknown flag '" + flag + "'");
+    const char* value =
+        has_inline ? inline_value.c_str() : (i + 1 < argc ? argv[++i] : nullptr);
+    if (value == nullptr || !row->syntax.set(value)) {
+      return fail(flag + " needs " + row->syntax.needs);
+    }
+    if (row->sessions) scenario.sessions = true;
   }
 
-  // Scenario constraints live in ScenarioConfig::validate(); each field maps
-  // to its flag ("handover.backoff" -> "--handover-backoff"). The radius
-  // knobs and fault fields have their own flag names; a fault field without
-  // a flag keeps its field name.
-  const auto errors = opt.scenario.validate();
-  if (!errors.empty()) {
-    static const std::map<std::string, std::string> kFlags = {
-        {"target_degree", "--degree"},
-        {"connectivity_margin", "--margin"},
-        {"fault.loss", "--loss"},
-        {"fault.burst_loss", "--burst-loss"},
-        {"fault.burst_on", "--burst-on"},
-        {"fault.arq_timeout", "--arq-timeout"},
-        {"fault.audit_period", "--audit"}};
-    const std::string& field = errors.front().field;
-    std::string flag;
-    if (const auto it = kFlags.find(field); it != kFlags.end()) {
-      flag = it->second;
-    } else if (field.rfind("fault.", 0) == 0) {
-      flag = field;
-    } else {
-      flag = "--" + field;
-      std::replace(flag.begin(), flag.end(), '.', '-');
+  // Every range rule is validate()'s; the first error is reported under the
+  // flag that sets its field. A sweep point is validated with its own n.
+  const auto flag_of = [&values](const std::string& field) {
+    for (const auto& row : values) {
+      if (field == row.field) return std::string(row.flag);
     }
-    return fail(flag + " " + errors.front().rule);
+    return field;
+  };
+  auto errors = scenario.validate();
+  if (errors.empty()) errors = run.validate();
+  if (!errors.empty()) return fail(flag_of(errors.front().field) + " " + errors.front().rule);
+  for (const Size n : opt.sweep) {
+    ScenarioConfig point = scenario;
+    point.n = n;
+    const auto point_errors = point.validate();
+    if (point_errors.empty()) continue;
+    const auto& e = point_errors.front();
+    return fail("--sweep point n=" + std::to_string(n) + ": " +
+                (e.field == "n" ? e.field : flag_of(e.field)) + " " + e.rule);
   }
+  // The CLI's own counts.
   if (opt.replications < 1) return fail("--reps must be >= 1");
+  if (opt.trace_capacity < 1) return fail("--trace-capacity must be >= 1");
+  if (opt.trace_sample < 1) return fail("--trace-sample must be >= 1");
   result.ok = true;
   return result;
 }

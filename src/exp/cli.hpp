@@ -65,10 +65,13 @@ CampaignCliParseResult parse_campaign_cli(int argc, const char* const* argv);
 /// Usage text for the campaign subcommand.
 std::string campaign_cli_usage(const std::string& program);
 
-/// Parse argv (argv[0] skipped). Accepted flags:
+/// Parse argv (argv[0] skipped). Parsing checks syntax only (digits, a
+/// finite number, an enum word); every range rule is ScenarioConfig::
+/// validate()'s or RunOptions::validate()'s, reported as "<flag> <rule>",
+/// and each --sweep point is validated with its own n. Accepted flags:
 ///   --n N            --density D        --mu V          --seed S
 ///   --tick T         --warmup T         --duration T    --reps R
-///   --mobility {rwp|rd|gm|static}
+///   --mobility {rwp|rd|gm|rpgm|static}
 ///   --radius {connectivity|degree}      --degree D      --margin C
 ///   --algo {alca|maxmin1|maxmin2}
 ///   --strategy {successor|weighted|unweighted}

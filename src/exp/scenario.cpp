@@ -27,32 +27,56 @@ double ScenarioConfig::tx_radius() const {
 std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
   // Negated comparisons so NaN fails every rule.
   std::vector<Error> errors;
+  const auto positive = [&](const char* field, double v) {
+    if (!(v > 0.0)) errors.push_back({field, "must be > 0"});
+  };
+  const auto non_negative = [&](const char* field, double v) {
+    if (!(v >= 0.0)) errors.push_back({field, "must be >= 0"});
+  };
+  const auto at_least_one = [&](const char* field, double v) {
+    if (!(v >= 1.0)) errors.push_back({field, "must be >= 1"});
+  };
+  const auto probability = [&](const char* field, double p) {
+    if (!(p >= 0.0 && p <= 1.0)) errors.push_back({field, "must be in [0, 1]"});
+  };
   if (n < 2) errors.push_back({"n", "must be >= 2"});
-  if (!(tick > 0.0)) errors.push_back({"tick", "must be > 0"});
-  if (!(warmup >= 0.0)) errors.push_back({"warmup", "must be >= 0"});
-  if (!(duration >= 0.0)) errors.push_back({"duration", "must be >= 0"});
-  if (!(density > 0.0)) errors.push_back({"density", "must be > 0"});
+  positive("tick", tick);
+  non_negative("warmup", warmup);
+  non_negative("duration", duration);
+  positive("density", density);
   // Every moving model needs a positive speed; a static field ignores it.
-  if (mobility != MobilityKind::kStatic && !(mu > 0.0)) errors.push_back({"mu", "must be > 0"});
+  if (mobility != MobilityKind::kStatic) positive("mu", mu);
+  if (mobility == MobilityKind::kGroup && group_size < 1) {
+    errors.push_back({"group_size", "must be >= 1"});
+  }
   // Each radius knob must leave R_TX positive under its own policy; the
   // other policy ignores it.
-  if (radius_policy == RadiusPolicy::kMeanDegree && !(target_degree > 0.0)) {
-    errors.push_back({"target_degree", "must be > 0"});
-  }
+  if (radius_policy == RadiusPolicy::kMeanDegree) positive("target_degree", target_degree);
   if (radius_policy == RadiusPolicy::kConnectivity &&
       !(connectivity_margin > -std::log(static_cast<double>(n)))) {
     errors.push_back({"connectivity_margin", "must be > -ln(n)"});
   }
-  const auto probability = [&](const char* field, double p) {
-    if (!(p >= 0.0 && p <= 1.0)) errors.push_back({field, "must be in [0, 1]"});
-  };
   probability("fault.loss", fault.loss);
   probability("fault.burst_loss", fault.burst_loss);
   probability("fault.burst_on", fault.burst_on);
-  if (!(fault.arq_timeout >= 0.0)) errors.push_back({"fault.arq_timeout", "must be >= 0"});
-  if (!(fault.arq_backoff >= 1.0)) errors.push_back({"fault.arq_backoff", "must be >= 1"});
-  if (!(fault.audit_period >= 0.0)) errors.push_back({"fault.audit_period", "must be >= 0"});
-  if (!(handover.backoff >= 1.0)) errors.push_back({"handover.backoff", "must be >= 1"});
+  non_negative("fault.burst_len", fault.burst_len);
+  non_negative("fault.crash_rate", fault.crash_rate);
+  non_negative("fault.mean_downtime", fault.mean_downtime);
+  non_negative("fault.outage_radius", fault.outage_radius);
+  non_negative("fault.outage_start", fault.outage_start);
+  non_negative("fault.outage_duration", fault.outage_duration);
+  non_negative("fault.arq_timeout", fault.arq_timeout);
+  at_least_one("fault.arq_backoff", fault.arq_backoff);
+  non_negative("fault.audit_period", fault.audit_period);
+  positive("session.sessions_per_node_per_sec", session.sessions_per_node_per_sec);
+  if (session.packets_per_session < 1) {
+    errors.push_back({"session.packets_per_session", "must be >= 1"});
+  }
+  positive("session.mean_duration", session.mean_duration);
+  positive("session.packets_per_sec", session.packets_per_sec);
+  positive("handover.timeout", handover.timeout);
+  at_least_one("handover.backoff", handover.backoff);
+  positive("handover.holdoff", handover.holdoff);
   return errors;
 }
 

@@ -101,14 +101,23 @@ struct ScenarioConfig {
     std::string field;
     std::string rule;
   };
-  /// Every violated constraint, in declaration order (empty = valid):
-  /// n >= 2, tick > 0, warmup >= 0, duration >= 0, density > 0,
-  /// mu > 0 unless mobility is kStatic, target_degree > 0 under kMeanDegree,
-  /// connectivity_margin > -ln(n) under kConnectivity,
-  /// fault.loss / fault.burst_loss / fault.burst_on in [0, 1],
-  /// fault.arq_timeout >= 0, fault.arq_backoff >= 1, fault.audit_period >= 0
-  /// and handover.backoff >= 1; NaN fails every rule. run_simulation()
-  /// refuses an invalid config; the CLI maps each field to its flag.
+  /// Every violated constraint, in this order (empty = valid):
+  ///   n >= 2; tick > 0; warmup >= 0; duration >= 0; density > 0;
+  ///   mu > 0 unless mobility is kStatic; group_size >= 1 under kGroup;
+  ///   target_degree > 0 under kMeanDegree;
+  ///   connectivity_margin > -ln(n) under kConnectivity;
+  ///   fault.loss, fault.burst_loss, fault.burst_on in [0, 1];
+  ///   fault.burst_len, fault.crash_rate, fault.mean_downtime,
+  ///   fault.outage_radius, fault.outage_start, fault.outage_duration and
+  ///   fault.arq_timeout >= 0; fault.arq_backoff >= 1;
+  ///   fault.audit_period >= 0;
+  ///   session.sessions_per_node_per_sec > 0;
+  ///   session.packets_per_session >= 1; session.mean_duration > 0;
+  ///   session.packets_per_sec > 0;
+  ///   handover.timeout > 0; handover.backoff >= 1; handover.holdoff > 0.
+  /// NaN fails every rule. This is the only place a scenario rule is
+  /// written: run_simulation() refuses an invalid config, and the CLI
+  /// reports each error under the flag that sets its field.
   std::vector<Error> validate() const;
 };
 

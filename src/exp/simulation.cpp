@@ -91,14 +91,21 @@ double measure_hk(const cluster::Hierarchy& h, const graph::Graph& g, Level k, S
 
 }  // namespace
 
+std::vector<ScenarioConfig::Error> RunOptions::validate() const {
+  std::vector<ScenarioConfig::Error> errors;
+  if (threads > sim::kMaxShardCount) {
+    errors.push_back({"threads", "must be <= " + std::to_string(sim::kMaxShardCount)});
+  }
+  return errors;
+}
+
 RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& options) {
-  const auto errors = config.validate();
+  auto errors = config.validate();
+  const auto run_errors = options.validate();
+  errors.insert(errors.end(), run_errors.begin(), run_errors.end());
   std::string invalid;
   for (const auto& e : errors) invalid += (invalid.empty() ? "" : "; ") + e.field + " " + e.rule;
   MANET_CHECK_MSG(errors.empty(), invalid.c_str());
-  // A tick has at most sim::kMaxShardCount shards to hand out; refuse a
-  // pool that could never give its extra workers one.
-  MANET_CHECK_MSG(options.threads <= sim::kMaxShardCount, "threads must be <= 1024");
 
   // Allocation accounting (MANET_PROFILE_ALLOC builds only): setup covers
   // everything up to the first measured tick — materialization, the initial
@@ -140,12 +147,9 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   cluster::HierarchyBuilder builder(algo, hopts);
 
   // Localized repair replaces the per-tick builder call on changed ticks of
-  // the incremental path: consume the unit-disk link delta, re-elect only in
+  // the incremental path: consume the level-0 link delta, re-elect only in
   // the dirty neighborhoods, splice unaffected levels through. Only ALCA has
-  // an incremental election; other algorithms keep the builder. When the raw
-  // delta cannot describe the effective-graph transition (augmentation
-  // bridges, fault stripping, down-mask flips) the repairer edge-diffs level
-  // 0 itself instead of falling back to a full re-election.
+  // an incremental election; other algorithms keep the builder.
   const bool repair_enabled = options.incremental_tick && options.localized_repair &&
                               cfg.cluster_algo == ClusterAlgo::kAlca;
   cluster::HierarchyRepairer repairer(hopts);
@@ -315,10 +319,6 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   // per-pair BFS engine as the bit-identity reference — see
   // net::HopOracle).
   if (inc) handoff.set_fast_pricing(true);
-  // Bridges standing on the *previous* tick spoil the raw link delta: the
-  // hierarchy was built over the augmented graph then, so the delta
-  // (bridges excluded) would not describe the transition out of it.
-  bool prev_bridged = disk.last_augmented_edges() > 0;
   if (faulted) {
     prev_down = down;
     for (NodeId v = 0; v < cfg.n; ++v) {
@@ -394,7 +394,6 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       g = &g0;
     }
     augmented_edges += disk.last_augmented_edges();
-    const bool bridged = disk.last_augmented_edges() > 0;
 
     bool mask_changed = false;
     if (faulted) {
@@ -413,29 +412,11 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     // bit-identical to the full-rebuild path.
     const bool rebuild =
         !inc || topo_changed || mask_changed || (pos_moved && cfg.geometric_links);
-    if (rebuild) {
-      // Localized repair needs an exact level-0 delta from hier's topology to
-      // *g. The raw unit-disk delta provides it as long as the graph the
-      // hierarchy sees IS the raw graph on both ends of the transition: no
-      // augmentation bridge now or when hier was built, no down nodes, and a
-      // stable down-mask. Whenever any of those fail, the repairer edge-diffs
-      // level 0 against hier itself (the same O(|E|) set differences it runs
-      // for every higher level) — still churn-proportional above level 0.
-      if (repair_enabled) {
-        bool any_down = false;
-        if (faulted) {
-          for (const auto f : down) any_down = any_down || f != 0;
-        }
-        const bool delta_exact = !mask_changed && !bridged && !prev_bridged && !any_down;
-        repairer.repair(*g, disk.links_up(), disk.links_down(), scenario.ids,
-                        scenario.mobility->positions(), hier, next, delta_exact);
-      } else {
-        next = builder.build(*g, scenario.ids, scenario.mobility->positions());
-      }
-    }
-    prev_bridged = bridged;
-    const cluster::Hierarchy& hnow = rebuild ? next : hier;
-
+    // Changed tick: diff level 0 once, then repair or build the hierarchy
+    // and capture the handoff snapshot. The tracker and hier's level 0 both
+    // last saw the effective graph of the previous changed tick, so the
+    // tracker's delta is the exact level-0 edge delta from hier to *g:
+    // bridges and stripped edges included, whatever the down-mask did.
     // Gated tick: !rebuild proves the level-0 edge set and the hierarchy are
     // both unchanged (see the change-gate derivation above), so the link diff
     // and the handoff snapshot would compare equal everywhere — skip their
@@ -443,11 +424,18 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     // build+diff skip.
     if (rebuild) {
       links.update_into(*g, now, link_delta);
-      handoff.update(hnow, *g, now);
+      if (repair_enabled) {
+        repairer.repair(*g, link_delta.up, link_delta.down, scenario.ids,
+                        scenario.mobility->positions(), hier, next);
+      } else {
+        next = builder.build(*g, scenario.ids, scenario.mobility->positions());
+      }
+      handoff.update(next, *g, now);
     } else {
       links.advance_unchanged(now);
       handoff.advance_unchanged(now);
     }
+    const cluster::Hierarchy& hnow = rebuild ? next : hier;
     if (faulted) {
       for (NodeId v = 0; v < cfg.n; ++v) {
         if (down[v] != 0 && prev_down[v] == 0) {

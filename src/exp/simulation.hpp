@@ -96,12 +96,13 @@ struct RunOptions {
   bool incremental_tick = true;
 
   /// Localized hierarchy repair (incremental path only). Changed ticks feed
-  /// the unit-disk link delta to cluster::HierarchyRepairer, which re-runs
-  /// ALCA election only in the dirty neighborhoods of each level and keeps
-  /// the election state of unaffected levels, instead of re-electing every
-  /// level from scratch. Both share the builder's level promotion, so the
-  /// output is bit-identical (same golden artifacts, enforced by
-  /// tests/integration/tick_pipeline_test and tests/cluster/repair_test).
+  /// net::LinkTracker's level-0 link delta to cluster::HierarchyRepairer,
+  /// which re-runs ALCA election only in the dirty neighborhoods of each
+  /// level and keeps the election state of unaffected levels, instead of
+  /// re-electing every level from scratch. Both share the builder's level
+  /// promotion, so the output is bit-identical (same golden artifacts,
+  /// enforced by tests/integration/tick_pipeline_test and
+  /// tests/cluster/repair_test).
   /// Set false to call the plain HierarchyBuilder::build() on changed ticks
   /// instead. ALCA scenarios only: other election algorithms always take the
   /// builder path.
@@ -146,6 +147,12 @@ struct RunOptions {
   /// (i)-(vii) reorg taxonomy). See docs/ARCHITECTURE.md "Observability".
   common::MetricsRegistry* metrics = nullptr;
   sim::TraceSink* trace = nullptr;
+
+  /// Every violated run rule (empty = valid): threads <= sim::kMaxShardCount,
+  /// as a tick has no more shards to give a worker. This is the only place a
+  /// run rule is written: run_simulation() refuses invalid options, and the
+  /// CLI reports each error under the flag that sets its field.
+  std::vector<ScenarioConfig::Error> validate() const;
 };
 
 /// Run one replication of \p config and return the flattened metrics.

@@ -38,7 +38,7 @@ QueryResult QueryEngine::lookup_in(const Snapshot& s, NodeId owner, Level k) {
 
 QueryEngine::QueryEngine(ServerSelectConfig select) : select_(select) {}
 
-void QueryEngine::publish(const cluster::Hierarchy& h, const LmDatabase& db, Time now) {
+void QueryEngine::publish(const cluster::Hierarchy& h, const LmDatabase& db, Time /*now*/) {
   const std::uint32_t back = 1u - front_.load(std::memory_order_relaxed);
   Slot& slot = slots_[back];
 
@@ -55,7 +55,6 @@ void QueryEngine::publish(const cluster::Hierarchy& h, const LmDatabase& db, Tim
 
   Snapshot& s = slot.snap;
   s.epoch = ++epoch_counter_;
-  s.published_at = now;
   s.n = h.level(0).vertex_count();
   s.top = h.top_level();
   s.width = select_all_servers_into(h, select_, s.servers);

@@ -105,7 +105,8 @@ class QueryEngine {
 
   /// Writer: snapshot the (hierarchy, database) pair as the next epoch and
   /// flip readers onto it. Blocks only while readers are still pinned on the
-  /// slot being rebuilt (pins taken before the previous publish).
+  /// slot being rebuilt (pins taken before the previous publish). \p now
+  /// is not recorded: an epoch is identified by its number alone.
   void publish(const cluster::Hierarchy& h, const LmDatabase& db, Time now);
 
   /// Writer: fill publish()'s per-owner record rows over \p executor's
@@ -139,7 +140,6 @@ class QueryEngine {
     Size n = 0;
     Level top = 0;
     Size width = 0;
-    Time published_at = 0.0;
     std::vector<NodeId> servers;
     std::vector<std::uint64_t> versions;
     std::vector<Time> updated;

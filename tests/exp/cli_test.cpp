@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace manet::exp {
@@ -134,12 +135,72 @@ TEST(Cli, ScenarioValidationErrorsNameTheFlag) {
 }
 
 TEST(Cli, FaultProbabilitiesAboveOneNameTheFlag) {
-  // Negative values fail at parse time; values above 1 parse and are then
-  // refused by ScenarioConfig::validate() under the flag's own name.
+  // Any finite number parses; ScenarioConfig::validate() refuses one outside
+  // [0, 1] under the flag's own name.
   EXPECT_EQ(parse({"--loss", "1.5"}).error, "--loss must be in [0, 1]");
+  EXPECT_EQ(parse({"--loss", "-0.1"}).error, "--loss must be in [0, 1]");
   EXPECT_EQ(parse({"--burst-loss", "1.5"}).error, "--burst-loss must be in [0, 1]");
   EXPECT_EQ(parse({"--burst-on", "2"}).error, "--burst-on must be in [0, 1]");
   EXPECT_TRUE(parse({"--loss", "1"}).ok);
+}
+
+TEST(Cli, RangeRulesAreValidateRulesUnderTheFlag) {
+  // Parsing checks syntax only; each range error is a validate() rule,
+  // printed as "<flag> <rule>".
+  const std::pair<std::vector<const char*>, const char*> cases[] = {
+      {{"--burst-len", "-1"}, "--burst-len must be >= 0"},
+      {{"--crash-rate", "-1"}, "--crash-rate must be >= 0"},
+      {{"--downtime", "-1"}, "--downtime must be >= 0"},
+      {{"--arq-timeout", "-1"}, "--arq-timeout must be >= 0"},
+      {{"--audit", "-1"}, "--audit must be >= 0"},
+      {{"--outage-radius", "-1"}, "--outage-radius must be >= 0"},
+      {{"--outage-start", "-1"}, "--outage-start must be >= 0"},
+      {{"--outage-duration", "-1"}, "--outage-duration must be >= 0"},
+      {{"--burst-loss", "-1"}, "--burst-loss must be in [0, 1]"},
+      {{"--burst-on", "-1"}, "--burst-on must be in [0, 1]"},
+      {{"--session-rate", "0"}, "--session-rate must be > 0"},
+      {{"--session-duration", "0"}, "--session-duration must be > 0"},
+      {{"--session-pps", "-4"}, "--session-pps must be > 0"},
+      {{"--handover-timeout", "0"}, "--handover-timeout must be > 0"},
+      {{"--handover-backoff", "0"}, "--handover-backoff must be >= 1"},
+      {{"--threads", "1025"}, "--threads must be <= 1024"},
+      {{"--trace-capacity", "0"}, "--trace-capacity must be >= 1"},
+      {{"--trace-sample", "0"}, "--trace-sample must be >= 1"},
+  };
+  for (const auto& [args, error] : cases) {
+    std::vector<const char*> argv{"manet_sim"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    const auto result = parse_cli(static_cast<int>(argv.size()), argv.data());
+    EXPECT_FALSE(result.ok) << error;
+    EXPECT_EQ(result.error, error);
+  }
+  // The edge values parse.
+  EXPECT_TRUE(parse({"--crash-rate", "0", "--downtime", "0", "--outage-radius", "0"}).ok);
+  EXPECT_TRUE(parse({"--handover-backoff", "1", "--trace-sample", "1"}).ok);
+}
+
+TEST(Cli, SyntaxErrorsNameTheFlag) {
+  EXPECT_EQ(parse({"--n", "abc"}).error, "--n needs an unsigned integer");
+  EXPECT_EQ(parse({"--mu", "fast"}).error, "--mu needs a number");
+  EXPECT_EQ(parse({"--loss", "nan"}).error, "--loss needs a number");
+  EXPECT_EQ(parse({"--mobility", "teleport"}).error,
+            "--mobility needs one of rwp|rd|gm|rpgm|static");
+  EXPECT_EQ(parse({"--links"}).error, "--links needs one of geometric|contraction");
+  EXPECT_EQ(parse({"--csv"}).error, "--csv needs a path");
+  EXPECT_EQ(parse({"--sweep", "64,x"}).error,
+            "--sweep needs a comma-separated list of node counts");
+}
+
+TEST(Cli, SweepPointsValidateWithTheirOwnN) {
+  // The base n (256) is valid here; each sweep point is checked with its
+  // own n, so a run never aborts at a bad point.
+  EXPECT_EQ(parse({"--sweep", "1,64"}).error, "--sweep point n=1: n must be >= 2");
+  EXPECT_EQ(parse({"--sweep", "0"}).error, "--sweep point n=0: n must be >= 2");
+  EXPECT_EQ(parse({"--sweep", "2,64", "--margin", "-1"}).error,
+            "--sweep point n=2: --margin must be > -ln(n)");
+  EXPECT_TRUE(parse({"--sweep", "3,64", "--margin", "-1"}).ok);
+  EXPECT_TRUE(parse({"--sweep", "2,64", "--radius", "degree", "--margin", "-1"}).ok)
+      << "the mean-degree policy ignores the margin";
 }
 
 TEST(Cli, InlineEqualsValuesParse) {

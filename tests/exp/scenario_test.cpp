@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/radio.hpp"
@@ -109,6 +110,69 @@ TEST(ScenarioConfig, ValidateFaultAuditPeriodNonNegative) {
   // periodic audits would silently never run.
   expect_rule([](ScenarioConfig& c, double v) { c.fault.audit_period = v; },
               "fault.audit_period", "must be >= 0", {-5.0}, 0.0);
+}
+
+TEST(ScenarioConfig, ValidateFaultProcessKnobsNonNegative) {
+  // A negative mean downtime reaches common::exponential as a negative rate.
+  const double below_zero = std::nextafter(0.0, -1.0);
+  for (const auto& [field, member] :
+       {std::pair{"fault.burst_len", &sim::FaultConfig::burst_len},
+        std::pair{"fault.crash_rate", &sim::FaultConfig::crash_rate},
+        std::pair{"fault.mean_downtime", &sim::FaultConfig::mean_downtime},
+        std::pair{"fault.outage_radius", &sim::FaultConfig::outage_radius},
+        std::pair{"fault.outage_start", &sim::FaultConfig::outage_start},
+        std::pair{"fault.outage_duration", &sim::FaultConfig::outage_duration}}) {
+    expect_rule([member](ScenarioConfig& c, double v) { c.fault.*member = v; }, field,
+                "must be >= 0", {below_zero}, 0.0);
+  }
+}
+
+TEST(ScenarioConfig, ValidateSessionRatesPositive) {
+  // SessionWorkload's constructor would otherwise abort on an unnamed check.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const auto& [field, member] :
+       {std::pair{"session.sessions_per_node_per_sec",
+                  &traffic::SessionConfig::sessions_per_node_per_sec},
+        std::pair{"session.mean_duration", &traffic::SessionConfig::mean_duration},
+        std::pair{"session.packets_per_sec", &traffic::SessionConfig::packets_per_sec}}) {
+    expect_rule([member](ScenarioConfig& c, double v) { c.session.*member = v; }, field,
+                "must be > 0", {0.0}, tiny);
+  }
+  ScenarioConfig cfg;
+  cfg.session.packets_per_session = 0;
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].field, "session.packets_per_session");
+  EXPECT_EQ(errors[0].rule, "must be >= 1");
+  cfg.session.packets_per_session = 1;
+  EXPECT_TRUE(cfg.validate().empty());
+}
+
+TEST(ScenarioConfig, ValidateHandoverTimersPositive) {
+  // HandoverManager's constructor would otherwise abort on an unnamed check.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  expect_rule([](ScenarioConfig& c, double v) { c.handover.timeout = v; }, "handover.timeout",
+              "must be > 0", {0.0}, tiny);
+  expect_rule([](ScenarioConfig& c, double v) { c.handover.holdoff = v; }, "handover.holdoff",
+              "must be > 0", {0.0}, tiny);
+  expect_rule([](ScenarioConfig& c, double v) { c.handover.backoff = v; }, "handover.backoff",
+              "must be >= 1", {std::nextafter(1.0, 0.0)}, 1.0);
+}
+
+TEST(ScenarioConfig, ValidateGroupSizeUnderRpgm) {
+  // ReferencePointGroup aborts on empty groups; other models ignore the size.
+  ScenarioConfig cfg;
+  cfg.mobility = MobilityKind::kGroup;
+  cfg.group_size = 0;
+  const auto errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].field, "group_size");
+  EXPECT_EQ(errors[0].rule, "must be >= 1");
+  cfg.group_size = 1;
+  EXPECT_TRUE(cfg.validate().empty());
+  cfg.group_size = 0;
+  cfg.mobility = MobilityKind::kRandomWaypoint;
+  EXPECT_TRUE(cfg.validate().empty());
 }
 
 TEST(ScenarioConfig, ValidateMuPositiveUnlessStatic) {

@@ -256,11 +256,61 @@ TEST(RunSimulationDeath, NamesEveryInvalidField) {
   EXPECT_DEATH(run_simulation(cfg), "n must be >= 2; density must be > 0");
 }
 
+TEST(RunOptions, ValidateCapsThreadsAtShardCeiling) {
+  RunOptions options;
+  EXPECT_TRUE(options.validate().empty()) << "defaults must be valid";
+  options.threads = sim::kMaxShardCount;
+  EXPECT_TRUE(options.validate().empty());
+  options.threads = sim::kMaxShardCount + 1;
+  const auto errors = options.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].field, "threads");
+  EXPECT_EQ(errors[0].rule, "must be <= 1024");
+}
+
 TEST(RunSimulationDeath, RejectsThreadsAboveShardCeiling) {
   // Checked before any pool exists, so this starts no threads.
   RunOptions options;
   options.threads = sim::kMaxShardCount + 1;
   EXPECT_DEATH(run_simulation(quick_config(), options), "threads must be <= 1024");
+}
+
+TEST(RunSimulationDeath, NamesFieldsThePlanesWouldAbortOn) {
+  // Each of these used to pass validate() and then abort on an unnamed check
+  // inside FaultInjector (common::exponential), SessionWorkload,
+  // HandoverManager or ReferencePointGroup.
+  struct Case {
+    const char* pattern;
+    void (*set)(ScenarioConfig&);
+  };
+  const Case cases[] = {
+      {"fault\\.mean_downtime must be >= 0",
+       [](ScenarioConfig& c) {
+         c.fault.crash_rate = 0.05;
+         c.fault.mean_downtime = -1.0;
+       }},
+      {"session\\.mean_duration must be > 0",
+       [](ScenarioConfig& c) { c.session.mean_duration = 0.0; }},
+      {"session\\.packets_per_sec must be > 0",
+       [](ScenarioConfig& c) { c.session.packets_per_sec = -1.0; }},
+      {"session\\.sessions_per_node_per_sec must be > 0",
+       [](ScenarioConfig& c) { c.session.sessions_per_node_per_sec = 0.0; }},
+      {"session\\.packets_per_session must be >= 1",
+       [](ScenarioConfig& c) { c.session.packets_per_session = 0; }},
+      {"handover\\.timeout must be > 0", [](ScenarioConfig& c) { c.handover.timeout = 0.0; }},
+      {"handover\\.holdoff must be > 0", [](ScenarioConfig& c) { c.handover.holdoff = 0.0; }},
+      {"group_size must be >= 1",
+       [](ScenarioConfig& c) {
+         c.mobility = MobilityKind::kGroup;
+         c.group_size = 0;
+       }},
+  };
+  for (const auto& c : cases) {
+    auto cfg = quick_config();
+    cfg.sessions = true;
+    c.set(cfg);
+    EXPECT_DEATH(run_simulation(cfg), c.pattern);
+  }
 }
 
 TEST(RunSimulationDeath, NamesInvalidFaultField) {

@@ -314,6 +314,35 @@ done
 [ -z "$dups" ] ||
     fail "a deleted LM-layer duplicate is back (one entry-move walk): $dups"
 
+# 8j. One validation site: ScenarioConfig::validate() holds every scenario
+#     rule and RunOptions::validate() every run rule, and parse_cli reads
+#     syntax only. So parse_cli may not range-check a scenario or run field
+#     or a parsed value (the CLI's own counts --reps, --trace-capacity and
+#     --trace-sample keep their >= 1 checks), and src/exp/cli.cpp may not
+#     grow back a field-to-flag map (kFlags) or a "needs a non-negative /
+#     positive number" branch. run_simulation hands the repairer
+#     LinkTracker's exact level-0 delta, so the raw-delta exactness flags may
+#     not come back in src/exp/simulation.cpp, and the readers no program
+#     called (the manifest / resilience / sessions JSON readers and the
+#     query engine's publish time) may not come back under src/.
+parse_cli_body=$(sed -n '/^CliParseResult parse_cli(/,/^}/p' "$cli_src")
+[ -n "$parse_cli_body" ] || fail "src/exp/cli.cpp no longer defines parse_cli"
+range=$(printf '%s\n' "$parse_cli_body" | grep -E \
+    'kMaxShardCount|parsed|(scenario|run|fault|session|handover)\.[a-z_.]+ *[<>]|[<>]=? *(opt\.)?(scenario|run)\.|[<>]=? *-?[0-9]' |
+    grep -vE 'opt\.(replications|trace_capacity|trace_sample) < 1\)' || true)
+range="$range$(grep -nE 'kFlags|needs a (non-negative|positive)' "$cli_src" || true)"
+[ -z "$range" ] ||
+    fail "a range rule or field-to-flag map is back in src/exp/cli.cpp \
+(one validation site): $range"
+raw_delta=$(grep -nE 'prev_bridged|delta_exact' "$root/src/exp/simulation.cpp" || true)
+[ -z "$raw_delta" ] ||
+    fail "src/exp/simulation.cpp judges the raw link delta again \
+(LinkTracker's delta is exact): $raw_delta"
+readers=$(grep -rnE \
+    'RunManifest::from_json|RunManifest& out\)|resilience_from_json|sessions_from_json|published_at' \
+    "$root/src" || true)
+[ -z "$readers" ] || fail "a deleted reader is back under src/ (one validation site): $readers"
+
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
 #    (GitHub-style: lowercase, punctuation stripped, spaces to dashes).
