@@ -62,21 +62,22 @@ int main(int argc, char** argv) {
 
   // Step 2: hierarchical forwarding.
   const routing::RoutingTables tables(g, h);
-  const auto routed = tables.route(src, dst);
+  routing::RouteScratch scratch;
+  std::vector<NodeId> path;
+  const auto routed = tables.route(src, dst, scratch, &path);
   graph::BfsScratch bfs;
   bfs.run(g, src);
   const auto shortest = bfs.hops_to(dst);
 
-  std::printf("\nhierarchical route (%zu hops, shortest %u, stretch %.2f%s):\n",
-              routed.path.size() - 1, shortest,
-              static_cast<double>(routed.path.size() - 1) / shortest,
+  std::printf("\nhierarchical route (%u hops, shortest %u, stretch %.2f%s):\n",
+              routed.hops, shortest, static_cast<double>(routed.hops) / shortest,
               routed.recovered ? ", used recovery" : "");
   Level prev_boundary = 0;
-  for (Size i = 0; i < routed.path.size(); ++i) {
-    const NodeId hop = routed.path[i];
+  for (Size i = 0; i < path.size(); ++i) {
+    const NodeId hop = path[i];
     std::printf("  %s%u", i ? "-> " : "   ", hop);
-    if (i + 1 < routed.path.size()) {
-      const Level crossing = lm::lowest_common_level(h, hop, routed.path[i + 1]);
+    if (i + 1 < path.size()) {
+      const Level crossing = lm::lowest_common_level(h, hop, path[i + 1]);
       if (crossing > 1 && crossing != prev_boundary) {
         std::printf("   (crossing into a different level-%u subtree)", crossing - 1);
       }
@@ -85,8 +86,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf(
-      "\ntotal session setup = lookup (%llu) + %zu data hops per packet;\n"
+      "\ntotal session setup = lookup (%llu) + %u data hops per packet;\n"
       "the lookup amortizes over the session — the paper's Sec. 6 argument.\n",
-      static_cast<unsigned long long>(query_cost), routed.path.size() - 1);
+      static_cast<unsigned long long>(query_cost), routed.hops);
   return 0;
 }

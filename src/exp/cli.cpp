@@ -106,12 +106,15 @@ ValueSyntax node_counts(std::vector<Size>& target) {
   return {"a comma-separated list of node counts", [&target](const std::string& text) {
             std::stringstream ss(text);
             std::string item;
+            std::vector<Size> counts;
             while (std::getline(ss, item, ',')) {
               Size value = 0;
               if (!parse_size(item, value)) return false;
-              target.push_back(value);
+              counts.push_back(value);
             }
-            return !target.empty();
+            if (counts.empty()) return false;
+            target = std::move(counts);  // a repeated --sweep keeps its last list
+            return true;
           }};
 }
 

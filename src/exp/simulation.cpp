@@ -495,13 +495,14 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     if (rebuild) hier = std::move(next);
 
     // Session/handover plane: the FSMs advance every tick (pending deadlines
-    // fire on gated ticks too), then each live session's packets resolve
-    // through the locator and route over tables rebuilt only on changed
-    // ticks (a gated tick proves the level-0 graph and hierarchy are both
-    // unchanged, so the cached tables stay exact).
+    // fire on gated ticks too), then each live session resolves through the
+    // locator and routes once for all its packets, over tables rebuilt only
+    // on changed ticks (a gated tick proves the level-0 graph and hierarchy
+    // are both unchanged, so the cached tables stay exact).
     if (cfg.sessions) {
       handover->tick(now);
       if (rebuild || session_tables == nullptr) {
+        session_tables.reset();  // free the stale set first: two would set the memory peak
         session_tables = std::make_unique<routing::RoutingTables>(*g, hier);
       }
       traffic::SessionWorkload::TickContext sctx;

@@ -37,14 +37,11 @@ PacketCount ChlmService::query_cost(const cluster::Hierarchy& h, const graph::Gr
   if (requester == target) return 0;
 
   const Level shared = lowest_common_level(h, requester, target);
-  graph::BfsScratch bfs;
+  graph::BfsPairScratch bfs;
 
   // Within a shared level-1 cluster the full topology is known (paper
   // Section 3.2) — route directly.
-  if (shared <= 1) {
-    bfs.run(g, requester);
-    return bfs.hops_to(target);
-  }
+  if (shared <= 1) return bfs.hops(g, requester, target);
 
   // Probe chain: the requester asks the *would-be* level-k server of the
   // target inside its own level-k cluster; every probe below `shared`
@@ -55,14 +52,12 @@ PacketCount ChlmService::query_cost(const cluster::Hierarchy& h, const graph::Gr
   NodeId cursor = requester;
   for (Level k = kFirstServedLevel; k <= shared && k <= top_level_; ++k) {
     const NodeId probe = select_server_in(h, h.ancestor(requester, k), k, target, config_);
-    bfs.run(g, cursor);
-    const auto hops = bfs.hops_to(probe);
+    const auto hops = bfs.hops(g, cursor, probe);
     MANET_CHECK_MSG(hops != graph::kUnreachable, "query path through disconnected graph");
     cost += hops;
     cursor = probe;
   }
-  bfs.run(g, cursor);
-  const auto final_hops = bfs.hops_to(target);
+  const auto final_hops = bfs.hops(g, cursor, target);
   MANET_CHECK_MSG(final_hops != graph::kUnreachable, "query path through disconnected graph");
   return cost + final_hops;
 }

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "cluster/hierarchy.hpp"
+#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 /// \file table.hpp
@@ -34,12 +35,41 @@ struct RouteEntry {
   std::uint32_t distance = 0;
 };
 
+/// Caller-owned workspace of RoutingTables::route(): the forwarding walk's
+/// visited marks and the recovery leg's distance field, both epoch-stamped
+/// so a call clears nothing. One scratch serves any number of calls on any
+/// tables, one call at a time: concurrent callers each hold their own.
+class RouteScratch {
+ private:
+  friend class RoutingTables;
+
+  /// Start a call over \p n vertices; every earlier mark goes stale.
+  void begin(Size n);
+  void visit(NodeId v) { visited_[v] = epoch_; }
+  bool visited(NodeId v) const { return visited_[v] == epoch_; }
+  /// Hop distance to this call's BFS root; kUnreachable where unlabeled.
+  std::uint32_t hops(NodeId v) const {
+    return labeled_[v] == epoch_ ? dist_[v] : graph::kUnreachable;
+  }
+  /// BFS from \p root that stops once \p a and \p b (kInvalidNode: not
+  /// needed), neither of them \p root, are labeled. When a node at distance D gets its label, every
+  /// node at distance D - 1 already has one, so hops() is exact up to the
+  /// later of the two.
+  void label_until(const graph::Graph& g, NodeId root, NodeId a, NodeId b);
+
+  std::vector<std::uint32_t> visited_, labeled_;  ///< epoch stamps per node
+  std::vector<std::uint32_t> dist_;               ///< valid where labeled
+  std::vector<NodeId> queue_;
+  std::uint32_t epoch_ = 0;
+};
+
 /// All routing state for the network under one hierarchy snapshot.
 class RoutingTables {
  public:
-  /// Build tables for every node. Cost: one multi-source BFS per cluster
-  /// per level — O(L * |V| + sum_k |V_k| * |E|) worst case, fine at the
-  /// scales this library targets.
+  /// Build tables for every node. Cost: one multi-source BFS per child
+  /// cluster over its parent cluster's induced subgraph, plus, when the
+  /// parent has members cut off inside that subgraph, one global BFS from
+  /// the child that stops once every cut-off member it can reach is labeled.
   RoutingTables(const graph::Graph& g, const cluster::Hierarchy& h);
 
   /// Entries held by node \p v (its "hierarchical map" worth of routes).
@@ -56,18 +86,35 @@ class RoutingTables {
   NodeId next_hop(NodeId u, NodeId dest) const;
 
   struct RouteResult {
-    std::vector<NodeId> path;  ///< nodes visited, inclusive of both ends
     bool delivered = false;
-    bool recovered = false;  ///< loop detected; finished via recovery mode
+    bool recovered = false;  ///< revisit or missing entry; finished via recovery
+    std::uint32_t hops = 0;  ///< hops forwarded: the whole route when delivered
   };
 
-  /// Trace the full path u -> dest. Hierarchical forwarding is loop-free as
-  /// long as every hop stays inside the longest-matched cluster; entries
-  /// that had to fall back to global shortest-path fields (non-contiguous
-  /// cluster memberships) can oscillate — on the first revisit the packet
-  /// switches to recovery mode (pure shortest-path forwarding), like the
-  /// route-repair fallback of SURAN/MMWN-class protocols.
-  RouteResult route(NodeId u, NodeId dest) const;
+  /// Route a packet u -> dest. Hierarchical forwarding is loop-free as long
+  /// as every hop stays inside the longest-matched cluster; entries that had
+  /// to fall back to global shortest-path fields (non-contiguous cluster
+  /// memberships) can oscillate, and on the first revisit the packet
+  /// switches to recovery mode, like the route-repair fallback of
+  /// SURAN/MMWN-class protocols.
+  ///
+  /// The recovery rule, with d the hop distance to dest: the packet has
+  /// forwarded `prefix` hops to the node `cur` where the revisit happens
+  /// (or where no entry exists), and the table's oscillating hop `h`
+  /// (invalid when missing) still competes for the first step. The packet
+  /// moves to m = min({h} u {w in N(cur) : d(w) = d(cur) - 1}), then
+  /// descends to dest, always to the smallest-id neighbor one hop closer.
+  /// The route is undeliverable when d(cur) is unreachable; otherwise
+  /// `hops` = prefix + 1 + d(m), which is prefix + d(cur) unless m == h is
+  /// not a closer neighbor.
+  ///
+  /// Cost: one table lookup per forwarding hop, plus, for a recovering
+  /// packet, one BFS from dest that stops once `cur` and `h` are labeled
+  /// (the whole component of dest only when `cur` is cut off from it).
+  /// \p path, when given, receives the nodes visited, inclusive of both
+  /// ends, from the same walk.
+  RouteResult route(NodeId u, NodeId dest, RouteScratch& scratch,
+                    std::vector<NodeId>* path = nullptr) const;
 
   const cluster::Hierarchy& hierarchy() const { return *h_; }
 
@@ -91,7 +138,8 @@ struct StretchStats {
   Size failures = 0;    ///< pairs undeliverable even with recovery
 };
 
-/// Sample \p pairs random (src, dst) pairs and compare path lengths.
+/// Sample \p pairs random (src, dst) pairs and compare path lengths. Each
+/// pair costs one exact pair query (graph::BfsPairScratch) and one route().
 StretchStats measure_stretch(const RoutingTables& tables, const graph::Graph& g, Size pairs,
                              std::uint64_t seed);
 

@@ -74,15 +74,14 @@ void SessionWorkload::tick(const routing::RoutingTables& tables, Size node_count
     auto dst = static_cast<NodeId>(common::uniform_index(rng_, node_count - 1));
     if (dst >= src) ++dst;  // uniform over peers != src
     ++stats_.sessions;
-    const auto routed = tables.route(src, dst);
+    const auto routed = tables.route(src, dst, route_scratch_);
     if (!routed.delivered) {
       ++stats_.undeliverable;
       continue;
     }
     if (routed.recovered) ++stats_.recovered;
-    stats_.data_transmissions +=
-        static_cast<PacketCount>(config_.packets_per_session) *
-        static_cast<PacketCount>(routed.path.size() - 1);
+    stats_.data_transmissions += static_cast<PacketCount>(config_.packets_per_session) *
+                                 static_cast<PacketCount>(routed.hops);
   }
   stats_.window += dt;
 }
@@ -97,54 +96,54 @@ void SessionWorkload::close_window(Live& session, Time now) {
   if (interruption_h_ != nullptr) interruption_h_->observe(length);
 }
 
-bool SessionWorkload::send_packet(Live& session, const TickContext& ctx) {
-  ++stats_.packets_offered;
-  if (offered_c_ != nullptr) offered_c_->add(1);
-  if (is_down(ctx, session.src) || is_down(ctx, session.dst)) {
-    ++stats_.packets_lost;
-    if (lost_c_ != nullptr) lost_c_->add(1);
-    return false;
-  }
+SessionWorkload::PacketFate SessionWorkload::fate_of(const Live& session,
+                                                    const TickContext& ctx) {
+  PacketFate fate;
+  if (is_down(ctx, session.src) || is_down(ctx, session.dst)) return fate;
   LocateOutcome loc{LocateResult::kFresh, session.dst, kInvalidNode};
   if (ctx.locator != nullptr) loc = ctx.locator->locate(session.dst);
-  if (loc.result == LocateResult::kMiss) {
-    ++stats_.packets_lost;
-    if (lost_c_ != nullptr) lost_c_->add(1);
-    return false;
-  }
+  if (loc.result == LocateResult::kMiss) return fate;
   if (loc.result == LocateResult::kStaleHit && loc.holder != kInvalidNode &&
       loc.holder != session.dst) {
     // The packet chases the out-of-date locator to its holder first, then
     // on to the real destination — the user-visible cost of a stale entry.
-    const auto chase = ctx.tables->route(session.src, loc.holder);
-    const auto onward = ctx.tables->route(loc.holder, session.dst);
-    ++stats_.packets_misrouted;
-    if (misrouted_c_ != nullptr) misrouted_c_->add(1);
-    if (!chase.delivered || !onward.delivered) {
-      ++stats_.packets_lost;
-      if (lost_c_ != nullptr) lost_c_->add(1);
-      return false;
-    }
-    const auto chase_tx = static_cast<PacketCount>(chase.path.size() - 1);
-    stats_.data_transmissions += chase_tx;
-    stats_.data_transmissions += static_cast<PacketCount>(onward.path.size() - 1);
-    stats_.misroute_extra += chase_tx;
-    ++stats_.packets_delivered;
-    if (delivered_c_ != nullptr) delivered_c_->add(1);
-    return true;
+    fate.misrouted = true;
+    const auto chase = ctx.tables->route(session.src, loc.holder, route_scratch_);
+    if (!chase.delivered) return fate;
+    const auto onward = ctx.tables->route(loc.holder, session.dst, route_scratch_);
+    if (!onward.delivered) return fate;
+    fate.delivered = true;
+    fate.misroute_extra = chase.hops;
+    fate.transmissions = static_cast<PacketCount>(chase.hops) + onward.hops;
+    return fate;
   }
-  const auto routed = ctx.tables->route(session.src, session.dst);
-  if (!routed.delivered) {
-    ++stats_.packets_lost;
-    ++stats_.undeliverable;  // a genuine routing failure, as in legacy mode
-    if (lost_c_ != nullptr) lost_c_->add(1);
-    return false;
+  const auto routed = ctx.tables->route(session.src, session.dst, route_scratch_);
+  fate.delivered = routed.delivered;
+  fate.undeliverable = !routed.delivered;  // a genuine routing failure, as in legacy mode
+  fate.recovered = routed.recovered;
+  fate.transmissions = routed.hops;
+  return fate;
+}
+
+void SessionWorkload::charge(const PacketFate& fate, Size packets) {
+  const auto count = static_cast<PacketCount>(packets);
+  stats_.packets_offered += packets;
+  if (offered_c_ != nullptr) offered_c_->add(count);
+  if (fate.misrouted) {
+    stats_.packets_misrouted += packets;
+    if (misrouted_c_ != nullptr) misrouted_c_->add(count);
   }
-  if (routed.recovered) ++stats_.recovered;
-  stats_.data_transmissions += static_cast<PacketCount>(routed.path.size() - 1);
-  ++stats_.packets_delivered;
-  if (delivered_c_ != nullptr) delivered_c_->add(1);
-  return true;
+  if (!fate.delivered) {
+    stats_.packets_lost += packets;
+    if (fate.undeliverable) stats_.undeliverable += packets;
+    if (lost_c_ != nullptr) lost_c_->add(count);
+    return;
+  }
+  if (fate.recovered) stats_.recovered += packets;
+  stats_.data_transmissions += count * fate.transmissions;
+  stats_.misroute_extra += count * fate.misroute_extra;
+  stats_.packets_delivered += packets;
+  if (delivered_c_ != nullptr) delivered_c_->add(count);
 }
 
 void SessionWorkload::tick_sessions(const TickContext& ctx) {
@@ -184,24 +183,21 @@ void SessionWorkload::tick_sessions(const TickContext& ctx) {
     if (query_hops_h_ != nullptr && ctx.locator != nullptr) {
       const LocateOutcome loc = ctx.locator->locate(dst);
       if (loc.result != LocateResult::kMiss && loc.server != kInvalidNode) {
-        const auto to_server = ctx.tables->route(src, loc.server);
-        if (to_server.delivered) {
-          query_hops_h_->observe(static_cast<double>(to_server.path.size() - 1));
-        }
+        const auto to_server = ctx.tables->route(src, loc.server, route_scratch_);
+        if (to_server.delivered) query_hops_h_->observe(static_cast<double>(to_server.hops));
       }
     }
   }
 
-  // Per-tick packets for every live session; one delivered packet closes an
-  // open interruption window, a fully failed tick opens one.
+  // Per-tick packets for every live session, all with the session's one
+  // fate this tick; delivered packets close an open interruption window, a
+  // failed tick opens one.
   const auto packets_per_tick = static_cast<Size>(
       std::max<long>(1, std::lround(config_.packets_per_sec * ctx.dt)));
   for (auto& session : live_) {
-    bool any_delivered = false;
-    for (Size p = 0; p < packets_per_tick; ++p) {
-      any_delivered = send_packet(session, ctx) || any_delivered;
-    }
-    if (any_delivered) {
+    const PacketFate fate = fate_of(session, ctx);
+    charge(fate, packets_per_tick);
+    if (fate.delivered) {
       close_window(session, ctx.now);
     } else if (!session.interrupted) {
       session.interrupted = true;

@@ -17,8 +17,11 @@
 /// to the data load the network exists to carry (experiment E19).
 ///
 /// Long-lived sessions (tick_sessions()): sessions persist across ticks and
-/// every per-tick packet first *resolves* its destination through a
-/// LocatorView (the live LM database + handover FSM plane) before routing.
+/// their packets first *resolve* the destination through a LocatorView (the
+/// live LM database + handover FSM plane) before routing. Within a tick the
+/// down mask, the locator and the tables are read-only, so every packet of
+/// one session meets one fate: each live session resolves and routes once
+/// per tick, and that fate is charged once per packet of the tick.
 /// Handoffs therefore have user-visible consequences (experiment E29):
 ///   - a resolution served by a stale / rolled-back copy misroutes the
 ///     packet through the out-of-date holder before reaching the
@@ -55,7 +58,9 @@ struct LocateOutcome {
 /// How a packet finds its destination. Implemented over the LM plane by
 /// exp::LmSessionLocator; traffic/ stays below lm/ in the layering, so only
 /// this interface lives here. nullptr in TickContext = always fresh
-/// (idealized resolution, the legacy behavior).
+/// (idealized resolution, the legacy behavior). locate() must answer from
+/// the tick's state alone: tick_sessions() asks once per live session per
+/// tick and applies the answer to all of that session's packets.
 class LocatorView {
  public:
   virtual ~LocatorView() = default;
@@ -114,8 +119,9 @@ class SessionWorkload {
   };
 
   /// Long-lived mode: expire finished sessions, admit Poisson arrivals,
-  /// then send each live session's per-tick packets through locator +
-  /// routing. Skips (and counts) the tick when node_count < 2.
+  /// then resolve and route each live session once and charge that fate to
+  /// each of its per-tick packets. Skips (and counts) the tick when
+  /// node_count < 2.
   void tick_sessions(const TickContext& ctx);
 
   /// Close any interruption window still open (sessions interrupted at run
@@ -147,15 +153,28 @@ class SessionWorkload {
     Time interrupted_since = 0.0;
   };
 
+  /// What every packet of one session meets in one tick.
+  struct PacketFate {
+    bool delivered = false;
+    bool misrouted = false;      ///< resolved through a stale holder
+    bool undeliverable = false;  ///< the direct route failed
+    bool recovered = false;      ///< the direct route used recovery forwarding
+    PacketCount transmissions = 0;   ///< per delivered packet
+    PacketCount misroute_extra = 0;  ///< chase-leg share of transmissions
+  };
+
   bool is_down(const TickContext& ctx, NodeId v) const {
     return ctx.down != nullptr && v < ctx.down->size() && (*ctx.down)[v] != 0;
   }
-  /// One packet of \p session; returns true when delivered.
-  bool send_packet(Live& session, const TickContext& ctx);
+  /// Resolve and route \p session once for this tick.
+  PacketFate fate_of(const Live& session, const TickContext& ctx);
+  /// Charge \p fate to \p packets packets: stats and session.* counters.
+  void charge(const PacketFate& fate, Size packets);
   void close_window(Live& session, Time now);
 
   SessionConfig config_;
   common::Xoshiro256 rng_;
+  routing::RouteScratch route_scratch_;
   SessionStats stats_;
   std::vector<Live> live_;
   std::vector<double> windows_;  ///< closed interruption window lengths, s

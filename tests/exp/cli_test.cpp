@@ -69,6 +69,15 @@ TEST(Cli, SweepList) {
   EXPECT_EQ(result.options.csv_path, "out.csv");
 }
 
+TEST(Cli, RepeatedSweepKeepsTheLastList) {
+  // Like every other value flag, the last --sweep wins; it does not append.
+  const auto result = parse({"--sweep", "64", "--sweep", "128"});
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.options.sweep, (std::vector<Size>{128}));
+  EXPECT_EQ(parse({"--sweep", "64,256", "--sweep", "128,512"}).options.sweep,
+            (std::vector<Size>{128, 512}));
+}
+
 TEST(Cli, JsonPathAndRpgm) {
   const auto result = parse({"--json", "m.json", "--mobility", "rpgm"});
   ASSERT_TRUE(result.ok) << result.error;

@@ -118,7 +118,9 @@ TEST(Resilience, RepairHoldsQueryConsistencyUnderSustainedLoss) {
   EXPECT_GE(m.get("query_success_rate"), 0.99)
       << "the repair path must restore consistency";
   // Whatever went stale and got repaired took positive time to fix.
-  if (m.get("repairs") > 0.0) EXPECT_GT(m.get("mean_time_to_repair"), 0.0);
+  if (m.get("repairs") > 0.0) {
+    EXPECT_GT(m.get("mean_time_to_repair"), 0.0);
+  }
 }
 
 TEST(Resilience, CrashesDropEntriesAndSurvivorsReElect) {

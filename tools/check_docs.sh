@@ -343,6 +343,20 @@ readers=$(grep -rnE \
     "$root/src" || true)
 [ -z "$readers" ] || fail "a deleted reader is back under src/ (one validation site): $readers"
 
+# 8k. Session packets at route cost: route() prices its recovery leg with a
+#     bounded BFS from dest and reports a hop count, the table builder
+#     bounds its fallback BFS, and measure_stretch and query_cost ask exact
+#     pair queries. So no full single-source BFS (bfs_hops( or BfsScratch)
+#     may come back under src/routing/ or in src/lm/chlm.cpp, no per-call
+#     std::vector<bool> in src/routing/table.cpp, and the session workload
+#     may not read a path length (path.size()) back in src/traffic/sessions.cpp.
+full_bfs=$(grep -rnE 'bfs_hops\(|BfsScratch' "$root/src/routing" "$root/src/lm/chlm.cpp" || true)
+full_bfs="$full_bfs$(grep -nF 'std::vector<bool>' "$root/src/routing/table.cpp" || true)"
+full_bfs="$full_bfs$(grep -nF 'path.size()' "$root/src/traffic/sessions.cpp" || true)"
+[ -z "$full_bfs" ] ||
+    fail "a full BFS per route, stretch sample or query, or a path walk per \
+session packet, is back (session packets at route cost): $full_bfs"
+
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
 #    (GitHub-style: lowercase, punctuation stripped, spaces to dashes).

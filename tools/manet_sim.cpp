@@ -34,10 +34,13 @@ void print_ledger(const exp::CampaignRunner& runner, const std::vector<bool>* do
                                                            "status"}
                                 : std::vector<std::string>{"unit", "n", "block", "reps"});
   for (const auto& unit : runner.plan()) {
+    // Appended piecewise: GCC 12 misreads a chained "[" + std::string + ...
+    // as an overlapping copy (-Wrestrict) at -O3.
+    std::string reps = "[";
+    reps.append(std::to_string(unit.rep_begin)).append(",");
+    reps.append(std::to_string(unit.rep_end)).append(")");
     std::vector<std::string> row{unit.id(), std::to_string(unit.n),
-                                 std::to_string(unit.block),
-                                 "[" + std::to_string(unit.rep_begin) + "," +
-                                     std::to_string(unit.rep_end) + ")"};
+                                 std::to_string(unit.block), reps};
     if (done != nullptr) row.push_back((*done)[unit.index] ? "done" : "pending");
     table.add_row(row);
   }
