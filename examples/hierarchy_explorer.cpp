@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   cfg.seed = seed;
   cfg.mobility = exp::MobilityKind::kStatic;
   cfg.radius_policy = exp::RadiusPolicy::kMeanDegree;
-  cfg.shuffle_ids = true;  // ids are arbitrary, as in the paper
 
   auto scenario = exp::Scenario::materialize(cfg);
   net::UnitDiskBuilder disk(cfg.tx_radius(), /*ensure_connected=*/true);

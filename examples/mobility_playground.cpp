@@ -1,17 +1,13 @@
-/// Mobility model playground: runs each model over the same deployment,
+/// Mobility model playground: runs each model over the same deployment and
 /// reports link-dynamics statistics (f0 of paper eq. 4, mean degree,
-/// connectivity), and writes a replayable trace of the random waypoint run.
+/// connectivity).
 ///
-/// Usage: ./build/examples/mobility_playground [n] [trace_file]
+/// Usage: ./build/examples/mobility_playground [n]
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 #include "exp/scenario.hpp"
-#include "graph/components.hpp"
-#include "graph/metrics.hpp"
-#include "mobility/trace.hpp"
 #include "net/link_tracker.hpp"
 #include "net/unit_disk.hpp"
 
@@ -53,7 +49,6 @@ int main(int argc, char** argv) {
   using namespace manet;
 
   const Size n = argc > 1 ? static_cast<Size>(std::atoi(argv[1])) : 300;
-  const char* trace_path = argc > 2 ? argv[2] : nullptr;
 
   std::printf("mobility survey over %zu nodes, 60 s, 1 m/s class speeds\n\n", n);
   profile_model(exp::MobilityKind::kRandomWaypoint, "random_waypoint", n);
@@ -61,27 +56,5 @@ int main(int argc, char** argv) {
   profile_model(exp::MobilityKind::kGaussMarkov, "gauss_markov", n);
   profile_model(exp::MobilityKind::kStatic, "static", n);
 
-  // Record and replay a short random waypoint trace.
-  exp::ScenarioConfig cfg;
-  cfg.n = n;
-  cfg.seed = 11;
-  cfg.radius_policy = exp::RadiusPolicy::kMeanDegree;
-  auto scenario = exp::Scenario::materialize(cfg);
-  auto trace = mobility::Trace::record(*scenario.mobility, 30.0, 1.0);
-  std::printf("\nrecorded %zu trace frames; mean per-second displacement %.3f m\n",
-              trace.frame_count(), trace.mean_step_displacement());
-
-  mobility::TraceReplay replay(trace);
-  replay.advance_to(15.5);
-  std::printf("replay at t = 15.5 s: node 0 at (%.2f, %.2f)\n", replay.positions()[0].x,
-              replay.positions()[0].y);
-
-  if (trace_path != nullptr) {
-    std::ofstream out(trace_path);
-    trace.save(out);
-    std::printf("trace written to %s\n", trace_path);
-  } else {
-    std::printf("pass a second argument to save the trace to a file\n");
-  }
   return 0;
 }

@@ -1,6 +1,5 @@
 #include "analysis/csv.hpp"
 
-#include <cstdio>
 #include <ostream>
 
 #include "common/check.hpp"
@@ -36,17 +35,6 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   }
   os_ << '\n';
   ++rows_;
-}
-
-void CsvWriter::write_row_values(const std::vector<double>& values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (const double v : values) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    cells.emplace_back(buf);
-  }
-  write_row(cells);
 }
 
 }  // namespace manet::analysis

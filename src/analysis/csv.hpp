@@ -17,7 +17,6 @@ class CsvWriter {
   CsvWriter(std::ostream& os, std::vector<std::string> columns);
 
   void write_row(const std::vector<std::string>& cells);
-  void write_row_values(const std::vector<double>& values);
 
   std::size_t rows_written() const { return rows_; }
 

@@ -47,21 +47,6 @@ LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
   return fit;
 }
 
-LinearFit fit_proportional(std::span<const double> xs, std::span<const double> ys) {
-  MANET_CHECK(xs.size() == ys.size());
-  MANET_CHECK(!xs.empty());
-  double sxx = 0.0, sxy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  LinearFit fit;
-  fit.slope = sxx > 0.0 ? sxy / sxx : 0.0;
-  fit.intercept = 0.0;
-  finish(xs, ys, fit);
-  return fit;
-}
-
 LinearFit fit_power_law(std::span<const double> xs, std::span<const double> ys) {
   MANET_CHECK(xs.size() == ys.size());
   std::vector<double> lx, ly;

@@ -3,9 +3,8 @@
 #include <span>
 
 /// \file regression.hpp
-/// Ordinary least squares for the scaling fits: y = a + b x, the
-/// through-origin variant y = b x, and log-log power-law exponent
-/// estimation (used to classify measured growth orders).
+/// Ordinary least squares for the scaling fits: y = a + b x and log-log
+/// power-law exponent estimation (used to classify measured growth orders).
 
 namespace manet::analysis {
 
@@ -18,10 +17,6 @@ struct LinearFit {
 
 /// Least-squares y = a + b x. Requires xs.size() == ys.size() >= 2.
 LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys);
-
-/// Least-squares through the origin: y = b x. R^2 is computed against the
-/// mean-model baseline (can be negative when the origin constraint is bad).
-LinearFit fit_proportional(std::span<const double> xs, std::span<const double> ys);
 
 /// Power-law exponent: fits log y = a + e log x; returns e (slope) with the
 /// log-space R^2. Requires strictly positive data.

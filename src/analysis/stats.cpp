@@ -20,23 +20,6 @@ void Accumulator::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Accumulator::variance() const noexcept {
   return count_ >= 2 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }
@@ -48,13 +31,6 @@ double Accumulator::stderr_mean() const noexcept {
 }
 
 double Accumulator::ci95_halfwidth() const noexcept { return 1.96 * stderr_mean(); }
-
-Summary summarize(std::span<const double> xs) {
-  Accumulator acc;
-  for (const double x : xs) acc.add(x);
-  return Summary{acc.count(), acc.mean(), acc.stddev(), acc.ci95_halfwidth(), acc.min(),
-                 acc.max()};
-}
 
 double quantile(std::span<const double> xs, double q) {
   MANET_CHECK(!xs.empty());

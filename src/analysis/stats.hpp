@@ -13,7 +13,6 @@ namespace manet::analysis {
 class Accumulator {
  public:
   void add(double x) noexcept;
-  void merge(const Accumulator& other) noexcept;
 
   std::size_t count() const noexcept { return count_; }
   double mean() const noexcept { return mean_; }
@@ -43,8 +42,6 @@ struct Summary {
   double min = 0.0;
   double max = 0.0;
 };
-
-Summary summarize(std::span<const double> xs);
 
 /// Quantile by linear interpolation on the sorted copy, q in [0, 1].
 double quantile(std::span<const double> xs, double q);

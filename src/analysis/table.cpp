@@ -16,13 +16,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TextTable::add_row_values(const std::vector<double>& values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (const double v : values) cells.push_back(fmt(v));
-  add_row(std::move(cells));
-}
-
 std::string TextTable::fmt(double value, int precision) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.*g", precision, value);

@@ -17,9 +17,6 @@ class TextTable {
   /// Append a row; must match the header arity.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with %.5g.
-  void add_row_values(const std::vector<double>& values);
-
   std::size_t row_count() const { return rows_.size(); }
 
   /// Render with a title line, aligned columns and a rule under the header.

@@ -63,40 +63,48 @@ bool contains_sorted(std::span<const NodeId> sorted, NodeId id) {
   return std::binary_search(sorted.begin(), sorted.end(), id);
 }
 
-/// Ids of the level-(k-1) vertices affiliated with head id \p head in \p h
-/// (excluding the head itself). Empty if level k-1 or the head is absent.
-/// Counted first so the arena span is exact-sized.
-std::span<const NodeId> voter_ids(const Hierarchy& h, Level k, NodeId head,
-                                  common::ArenaScratch& arena) {
-  MANET_CHECK(k >= 1);
-  if (k - 1 >= h.level_count()) return {};
-  const auto& view = h.level(k - 1);
-  // Locate the head's dense vertex at level k-1.
-  NodeId head_dense = kInvalidNode;
-  for (NodeId u = 0; u < view.vertex_count(); ++u) {
-    if (view.ids[u] == head) {
-      head_dense = u;
-      break;
-    }
-  }
-  if (head_dense == kInvalidNode || view.election.head_of.empty()) return {};
-  Size count = 0;
-  for (NodeId u = 0; u < view.vertex_count(); ++u) {
-    if (u != head_dense && view.election.head_of[u] == head_dense) ++count;
-  }
-  auto out = arena.alloc_span<NodeId>(count);
-  Size i = 0;
-  for (NodeId u = 0; u < view.vertex_count(); ++u) {
-    if (u != head_dense && view.election.head_of[u] == head_dense) out[i++] = view.ids[u];
-  }
-  return out;
-}
-
 void record(HierarchyDelta& delta, ReorgEventType type, Level level, NodeId a, NodeId b) {
   delta.events.push_back(ReorgEvent{type, level, a, b});
   auto& per_level = delta.event_counts[static_cast<std::size_t>(type)];
   if (per_level.size() <= level) per_level.resize(level + 1, 0);
   ++per_level[level];
+}
+
+/// Records an election (iii)/(v) or rejection (iv)/(vi) event for each id in
+/// \p heads, the heads V_k gained or lost, judged in \p h, the snapshot where
+/// they are heads. A head's voters are the level-(k-1) vertices of its
+/// level-k cluster other than its own (head_of[h] == h): the cluster's
+/// children, ascending by dense vertex. The event is recursive when a voter
+/// is missing from \p other_heads, V_{k-1} of the other snapshot (sorted),
+/// and that voter is the witness; otherwise the first voter is. \p dense is
+/// scratch for the level's id -> dense map.
+void record_head_changes(HierarchyDelta& delta, const Hierarchy& h, Level k,
+                         std::span<const NodeId> heads, std::span<const NodeId> other_heads,
+                         ReorgEventType recursive_type, ReorgEventType migration_type,
+                         common::FlatMap<NodeId, NodeId>& dense) {
+  if (heads.empty()) return;
+  const auto& level = h.level(k);
+  const auto& voter_ids = h.level(k - 1).ids;
+  dense.clear();
+  dense.reserve(level.vertex_count());
+  for (NodeId c = 0; c < level.vertex_count(); ++c) dense.insert_or_assign(level.ids[c], c);
+  for (const NodeId head : heads) {
+    const NodeId* cluster = dense.find(head);
+    MANET_CHECK(cluster != nullptr);
+    bool recursive = false;
+    NodeId witness = kInvalidNode;
+    for (const NodeId u : h.children(k, *cluster)) {
+      const NodeId voter = voter_ids[u];
+      if (voter == head) continue;
+      if (witness == kInvalidNode) witness = voter;
+      if (k >= 2 && !contains_sorted(other_heads, voter)) {
+        recursive = true;
+        witness = voter;
+        break;
+      }
+    }
+    record(delta, recursive ? recursive_type : migration_type, k, head, witness);
+  }
 }
 
 }  // namespace
@@ -126,7 +134,7 @@ void diff_hierarchies(const Hierarchy& before, const Hierarchy& after, Hierarchy
   // contents never outlive the call, so thread_local reuse is safe and keeps
   // the per-tick diff allocation-free once the arena has sized itself.
   thread_local common::ArenaScratch arena;
-  thread_local common::FlatMap<NodeId, NodeId> dense;  // id -> dense, event (vii)
+  thread_local common::FlatMap<NodeId, NodeId> dense;  // id -> dense, events (iii)-(vii)
   arena.rewind();
   delta.migrations.clear();
   delta.events.clear();
@@ -202,38 +210,12 @@ void diff_hierarchies(const Hierarchy& before, const Hierarchy& after, Hierarchy
   // voter set changed through migration (iii). Rejection mirrors this with
   // the before-snapshot voters (iv)/(vi).
   for (Level k = 1; k <= top_any + 1; ++k) {
-    for (const NodeId h : delta.heads_gained[k]) {
-      const auto voters = voter_ids(after, k, h, arena);
-      bool recursive = false;
-      NodeId witness = kInvalidNode;
-      for (const NodeId u : voters) {
-        if (k >= 2 && !contains_sorted(heads_before[k - 1], u)) {
-          recursive = true;
-          witness = u;
-          break;
-        }
-      }
-      if (!recursive && !voters.empty()) witness = voters.front();
-      record(delta,
-             recursive ? ReorgEventType::kElectRecursive : ReorgEventType::kElectByMigration,
-             k, h, witness);
-    }
-    for (const NodeId h : delta.heads_lost[k]) {
-      const auto voters = voter_ids(before, k, h, arena);
-      bool recursive = false;
-      NodeId witness = kInvalidNode;
-      for (const NodeId u : voters) {
-        if (k >= 2 && !contains_sorted(heads_after[k - 1], u)) {
-          recursive = true;
-          witness = u;
-          break;
-        }
-      }
-      if (!recursive && !voters.empty()) witness = voters.front();
-      record(delta,
-             recursive ? ReorgEventType::kRejectRecursive : ReorgEventType::kRejectByMigration,
-             k, h, witness);
-    }
+    record_head_changes(delta, after, k, delta.heads_gained[k], heads_before[k - 1],
+                        ReorgEventType::kElectRecursive, ReorgEventType::kElectByMigration,
+                        dense);
+    record_head_changes(delta, before, k, delta.heads_lost[k], heads_after[k - 1],
+                        ReorgEventType::kRejectRecursive, ReorgEventType::kRejectByMigration,
+                        dense);
   }
 
   // --- Event (vii): a level-k neighbor promoted to level-(k+1) head ---

@@ -38,7 +38,6 @@ void RateMeter::mark(Time now, std::uint64_t events) {
     first_mark_ = now;
     any_ = true;
   }
-  last_mark_ = std::max(last_mark_, now);
   counts_[static_cast<Size>(head_index_ % static_cast<std::int64_t>(counts_.size()))] +=
       events;
   total_ += events;
@@ -56,22 +55,6 @@ double RateMeter::rate(Time now) const {
   }
   const double span = std::min(window_, std::max(now - first_mark_, bucket_width_));
   return static_cast<double>(in_window) / span;
-}
-
-void RateMeter::merge(const RateMeter& other) {
-  total_ += other.total_;
-  if (!other.any_) return;
-  if (!any_ || other.last_mark_ >= last_mark_) {
-    // Adopt the later shard's windowed state (deterministic: shards are
-    // folded in index order, so ties resolve to the higher index).
-    window_ = other.window_;
-    bucket_width_ = other.bucket_width_;
-    counts_ = other.counts_;
-    head_index_ = other.head_index_;
-    first_mark_ = any_ ? std::min(first_mark_, other.first_mark_) : other.first_mark_;
-    last_mark_ = other.last_mark_;
-    any_ = true;
-  }
 }
 
 // --- Histogram ---
@@ -108,14 +91,6 @@ double Histogram::quantile(double q) const {
     return lo + std::clamp(frac, 0.0, 1.0) * (hi - lo);
   }
   return max_;
-}
-
-void Histogram::merge(const Histogram& other) {
-  MANET_CHECK_MSG(bounds_ == other.bounds_, "histogram merge requires identical buckets");
-  for (Size i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  max_ = std::max(max_, other.max_);
 }
 
 // --- MetricsRegistry ---
@@ -155,27 +130,6 @@ const RateMeter* MetricsRegistry::find_rate_meter(const std::string& name) const
 const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  for (const auto& [name, c] : other.counters_) counters_[name].merge(c);
-  for (const auto& [name, g] : other.gauges_) gauges_[name].merge(g);
-  for (const auto& [name, r] : other.rate_meters_) {
-    const auto it = rate_meters_.find(name);
-    if (it == rate_meters_.end()) {
-      rate_meters_.emplace(name, r);
-    } else {
-      it->second.merge(r);
-    }
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, h);
-    } else {
-      it->second.merge(h);
-    }
-  }
 }
 
 Size MetricsRegistry::instrument_count() const {

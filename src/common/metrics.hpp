@@ -20,12 +20,9 @@
 ///   RateMeter  time-windowed event rates (events/s over a trailing window);
 ///   Histogram  fixed-bucket latency/size distributions (transfer hop counts).
 ///
-/// Determinism contract (matching montecarlo.hpp): a registry is single-
-/// threaded by design. Parallel work keeps one registry per task index,
-/// written without locks because indices partition the work, then merged in
-/// index order. Merging is a fold of exact integer adds and index-ordered
-/// gauge overwrites, so the merged aggregate is bit-identical regardless of
-/// thread count or completion order.
+/// Determinism contract: a registry belongs to one run, and only the tick's
+/// serial code writes it, so its contents are a function of the run alone,
+/// whatever the thread or shard count.
 
 namespace manet::common {
 
@@ -35,32 +32,19 @@ class Counter {
  public:
   void add(std::uint64_t delta = 1) noexcept { value_ += delta; }
   std::uint64_t value() const noexcept { return value_; }
-  void merge(const Counter& other) noexcept { value_ += other.value_; }
 
  private:
   std::uint64_t value_ = 0;
 };
 
-/// Last-written value. merge() keeps the higher shard index's write (the
-/// merge caller folds shards in index order), so the result is deterministic.
+/// Last-written value.
 class Gauge {
  public:
-  void set(double value) noexcept {
-    value_ = value;
-    written_ = true;
-  }
+  void set(double value) noexcept { value_ = value; }
   double value() const noexcept { return value_; }
-  bool written() const noexcept { return written_; }
-  void merge(const Gauge& other) noexcept {
-    if (other.written_) {
-      value_ = other.value_;
-      written_ = true;
-    }
-  }
 
  private:
   double value_ = 0.0;
-  bool written_ = false;
 };
 
 /// Event rate over a trailing time window, bucketed so old events age out
@@ -78,10 +62,6 @@ class RateMeter {
 
   std::uint64_t total() const noexcept { return total_; }
 
-  /// Shard merge: totals add; the windowed state adopts whichever shard has
-  /// marked later (ties keep the later-merged shard — index order).
-  void merge(const RateMeter& other);
-
  private:
   void advance_to(Time now);
 
@@ -90,14 +70,13 @@ class RateMeter {
   std::vector<std::uint64_t> counts_;
   std::int64_t head_index_ = 0;  ///< absolute bucket index of counts_ head
   Time first_mark_ = 0.0;
-  Time last_mark_ = 0.0;
   bool any_ = false;
   std::uint64_t total_ = 0;
 };
 
 /// Fixed-boundary histogram: observe(x) increments the bucket of the first
 /// boundary >= x (last bucket is the +inf overflow). Bucket layout is fixed
-/// at construction so shard merges are exact integer adds.
+/// at construction.
 class Histogram {
  public:
   explicit Histogram(std::span<const double> upper_bounds);
@@ -118,8 +97,6 @@ class Histogram {
   /// Quantile estimate by linear interpolation within the owning bucket.
   double quantile(double q) const;
 
-  void merge(const Histogram& other);
-
  private:
   std::vector<double> bounds_;  ///< ascending; last is +inf
   std::vector<std::uint64_t> buckets_;
@@ -130,8 +107,8 @@ class Histogram {
 
 /// Name -> instrument registry. Lookup returns a stable reference (std::map
 /// nodes never move), so producers resolve a name once and keep the pointer
-/// for the hot path. Iteration order is lexicographic — serialization and
-/// merging are deterministic by construction.
+/// for the hot path. Iteration order is lexicographic, so serialization is
+/// deterministic by construction.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -151,11 +128,6 @@ class MetricsRegistry {
   const Gauge* find_gauge(const std::string& name) const;
   const RateMeter* find_rate_meter(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
-
-  /// Fold \p other into this registry (see the determinism contract above).
-  /// Instruments present only in \p other are created; kind mismatches on
-  /// the same name are a programming error and abort.
-  void merge(const MetricsRegistry& other);
 
   Size instrument_count() const;
 

@@ -48,24 +48,6 @@ Xoshiro256::result_type Xoshiro256::operator()() noexcept {
   return result;
 }
 
-void Xoshiro256::long_jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {0x76E15D3EFEFDCBBFULL, 0xC5004E441C522FB3ULL,
-                                            0x77710069854EE241ULL, 0x39109BB02ACBE635ULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      (void)(*this)();
-    }
-  }
-  s_ = {s0, s1, s2, s3};
-}
-
 double uniform01(Xoshiro256& rng) noexcept {
   return static_cast<double>(rng() >> 11) * 0x1.0p-53;
 }

@@ -42,10 +42,6 @@ class Xoshiro256 {
 
   result_type operator()() noexcept;
 
-  /// Equivalent to 2^128 calls of operator(); used to partition one stream
-  /// into non-overlapping substreams.
-  void long_jump() noexcept;
-
  private:
   std::array<std::uint64_t, 4> s_;
 };

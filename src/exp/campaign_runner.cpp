@@ -9,6 +9,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -110,24 +111,29 @@ std::vector<WorkUnit> build_ledger(const CampaignSpec& spec) {
   return ledger;
 }
 
+/// A work unit's coordinates as checkpoints and the manifest name them, in
+/// file order.
+constexpr std::pair<const char*, Size WorkUnit::*> kUnitCoords[] = {
+    {"unit", &WorkUnit::index},         {"point", &WorkUnit::point},
+    {"n", &WorkUnit::n},                {"block", &WorkUnit::block},
+    {"rep_begin", &WorkUnit::rep_begin}, {"rep_end", &WorkUnit::rep_end}};
+
 void write_unit_coords(analysis::JsonWriter& w, const WorkUnit& unit) {
-  w.field("unit", static_cast<std::uint64_t>(unit.index));
-  w.field("point", static_cast<std::uint64_t>(unit.point));
-  w.field("n", static_cast<std::uint64_t>(unit.n));
-  w.field("block", static_cast<std::uint64_t>(unit.block));
-  w.field("rep_begin", static_cast<std::uint64_t>(unit.rep_begin));
-  w.field("rep_end", static_cast<std::uint64_t>(unit.rep_end));
+  for (const auto& [key, member] : kUnitCoords) {
+    w.field(key, static_cast<std::uint64_t>(unit.*member));
+  }
 }
 
-WorkUnit read_unit_coords(const analysis::JsonValue& v) {
-  WorkUnit unit;
-  unit.index = static_cast<Size>(v.number_or("unit", 0.0));
-  unit.point = static_cast<Size>(v.number_or("point", 0.0));
-  unit.n = static_cast<Size>(v.number_or("n", 0.0));
-  unit.block = static_cast<Size>(v.number_or("block", 0.0));
-  unit.rep_begin = static_cast<Size>(v.number_or("rep_begin", 0.0));
-  unit.rep_end = static_cast<Size>(v.number_or("rep_end", 0.0));
-  return unit;
+/// Reads every coordinate of \p v into \p unit. Returns the key of the first
+/// one that is missing or not a whole number a Size holds (nullptr when all
+/// are), checked before any cast.
+const char* read_unit_coords(const analysis::JsonValue& v, WorkUnit& unit) {
+  for (const auto& [key, member] : kUnitCoords) {
+    const auto* field = v.find(key);
+    if (field == nullptr || !field->is_number() || !is_count(field->number)) return key;
+    unit.*member = static_cast<Size>(field->number);
+  }
+  return nullptr;
 }
 
 bool same_coords(const WorkUnit& a, const WorkUnit& b) {
@@ -356,7 +362,10 @@ bool read_unit_checkpoint(const std::string& path, const CampaignSpec& spec,
     return false;
   }
   out = UnitRecord{};
-  out.unit = read_unit_coords(v);
+  if (const char* bad = read_unit_coords(v, out.unit)) {
+    error = path + ": unit field '" + bad + "' must be a non-negative integer";
+    return false;
+  }
   out.wall_seconds = v.number_or("wall_seconds", 0.0);
   if (out.unit.rep_end <= out.unit.rep_begin) {
     error = path + ": empty replication range";

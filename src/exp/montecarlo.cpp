@@ -15,11 +15,6 @@ void AggregatedMetrics::add(const RunMetrics& metrics) {
   ++replications_;
 }
 
-void AggregatedMetrics::merge(const AggregatedMetrics& other) {
-  for (const auto& [name, acc] : other.acc_) acc_[name].merge(acc);
-  replications_ += other.replications_;
-}
-
 bool AggregatedMetrics::has(const std::string& name) const { return acc_.contains(name); }
 
 double AggregatedMetrics::mean(const std::string& name) const {

@@ -11,7 +11,7 @@
 /// \file montecarlo.hpp
 /// Monte-Carlo replication driver. Replications are embarrassingly parallel:
 /// replication r runs with seed derive_seed(base, r) and the results are
-/// merged in index order, so the aggregate is bit-identical regardless of
+/// added in index order, so the aggregate is bit-identical regardless of
 /// thread count (the HPC-guide determinism requirement).
 
 namespace manet::exp {
@@ -20,7 +20,6 @@ namespace manet::exp {
 class AggregatedMetrics {
  public:
   void add(const RunMetrics& metrics);
-  void merge(const AggregatedMetrics& other);
 
   bool has(const std::string& name) const;
   double mean(const std::string& name) const;  ///< NaN when absent

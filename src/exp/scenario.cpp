@@ -46,9 +46,6 @@ std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
   positive("density", density);
   // Every moving model needs a positive speed; a static field ignores it.
   if (mobility != MobilityKind::kStatic) positive("mu", mu);
-  if (mobility == MobilityKind::kGroup && group_size < 1) {
-    errors.push_back({"group_size", "must be >= 1"});
-  }
   // Each radius knob must leave R_TX positive under its own policy; the
   // other policy ignores it.
   if (radius_policy == RadiusPolicy::kMeanDegree) positive("target_degree", target_degree);
@@ -76,7 +73,6 @@ std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
   positive("session.packets_per_sec", session.packets_per_sec);
   positive("handover.timeout", handover.timeout);
   at_least_one("handover.backoff", handover.backoff);
-  positive("handover.holdoff", handover.holdoff);
   return errors;
 }
 
@@ -124,7 +120,6 @@ Scenario Scenario::materialize(const ScenarioConfig& config) {
       break;
     case MobilityKind::kGroup: {
       mobility::ReferencePointGroup::Params params;
-      params.group_size = config.group_size;
       params.leader_speed = config.mu;
       params.member_speed = 0.5 * config.mu;
       scenario.mobility = std::make_unique<mobility::ReferencePointGroup>(
@@ -139,10 +134,10 @@ Scenario Scenario::materialize(const ScenarioConfig& config) {
 
   scenario.ids.resize(config.n);
   for (NodeId v = 0; v < config.n; ++v) scenario.ids[v] = v;
-  if (config.shuffle_ids) {
-    common::Xoshiro256 rng(common::derive_seed(config.seed, 0xC2D3));
-    common::shuffle(rng, scenario.ids.data(), scenario.ids.size());
-  }
+  // Ids are arbitrary in the paper: shuffle them so spatial position and
+  // election priority are independent.
+  common::Xoshiro256 rng(common::derive_seed(config.seed, 0xC2D3));
+  common::shuffle(rng, scenario.ids.data(), scenario.ids.size());
   return scenario;
 }
 

@@ -46,7 +46,6 @@ struct ScenarioConfig {
   double density = 1.0;      ///< nodes per m^2 (held constant across n)
   double mu = 1.0;           ///< node speed, m/s
   MobilityKind mobility = MobilityKind::kRandomWaypoint;
-  Size group_size = 16;      ///< nodes per group for MobilityKind::kGroup
   RadiusPolicy radius_policy = RadiusPolicy::kConnectivity;
   double target_degree = 9.0;       ///< used by kMeanDegree
   double connectivity_margin = 3.5; ///< additive constant in the log term
@@ -68,10 +67,6 @@ struct ScenarioConfig {
   Level max_levels = 32;
 
   std::uint64_t seed = 1;
-
-  /// Shuffle node ids (so spatial position and election priority are
-  /// independent, as in the paper where ids are arbitrary).
-  bool shuffle_ids = true;
 
   lm::HandoffConfig handoff;
 
@@ -103,7 +98,7 @@ struct ScenarioConfig {
   };
   /// Every violated constraint, in this order (empty = valid):
   ///   n >= 2; tick > 0; warmup >= 0; duration >= 0; density > 0;
-  ///   mu > 0 unless mobility is kStatic; group_size >= 1 under kGroup;
+  ///   mu > 0 unless mobility is kStatic;
   ///   target_degree > 0 under kMeanDegree;
   ///   connectivity_margin > -ln(n) under kConnectivity;
   ///   fault.loss, fault.burst_loss, fault.burst_on in [0, 1];
@@ -114,7 +109,7 @@ struct ScenarioConfig {
   ///   session.sessions_per_node_per_sec > 0;
   ///   session.packets_per_session >= 1; session.mean_duration > 0;
   ///   session.packets_per_sec > 0;
-  ///   handover.timeout > 0; handover.backoff >= 1; handover.holdoff > 0.
+  ///   handover.timeout > 0; handover.backoff >= 1.
   /// NaN fails every rule. This is the only place a scenario rule is
   /// written: run_simulation() refuses an invalid config, and the CLI
   /// reports each error under the flag that sets its field.

@@ -346,13 +346,15 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   std::vector<Size> ek_ticks;           // ticks where level k existed
   std::vector<Size> level_link_events;  // level-k link up+down counts
   std::vector<double> nk_time_sum;      // sum over ticks of |V_k|
-  std::vector<double> levels_sum;       // clustered level count per tick
+  double levels_sum = 0.0;              // sum over ticks of the clustered level count
+  Size levels_ticks = 0;                // ticks summed into levels_sum
   std::array<std::vector<Size>, cluster::kReorgEventTypeCount> event_counts;
   Size ticks = 0;
   Size augmented_edges = 0;
 
   auto accumulate_shape = [&](const cluster::Hierarchy& h) {
-    levels_sum.push_back(static_cast<double>(h.top_level()));
+    levels_sum += static_cast<double>(h.top_level());
+    ++levels_ticks;
     for (Level k = 1; k <= h.top_level(); ++k) {
       if (ek_time_sum.size() <= k) {
         ek_time_sum.resize(k + 1, 0.0);
@@ -646,11 +648,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     }
   }
 
-  if (!levels_sum.empty()) {
-    double sum = 0.0;
-    for (const double l : levels_sum) sum += l;
-    out.set("levels", sum / static_cast<double>(levels_sum.size()));
-  }
+  if (levels_ticks > 0) out.set("levels", levels_sum / static_cast<double>(levels_ticks));
 
   if (options.track_events && window > 0.0) {
     static const char* kEventKeys[cluster::kReorgEventTypeCount] = {

@@ -1,6 +1,5 @@
 #include "geom/region.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -38,35 +37,6 @@ Vec2 DiskRegion::clamp(Vec2 p) const {
   const double n = d.norm();
   if (n <= radius_) return p;
   return center_ + d * (radius_ / n);
-}
-
-SquareRegion::SquareRegion(Vec2 origin, double side) : origin_(origin), side_(side) {
-  MANET_CHECK(side > 0.0);
-}
-
-SquareRegion SquareRegion::with_density(std::size_t n_nodes, double density) {
-  MANET_CHECK(n_nodes > 0);
-  MANET_CHECK(density > 0.0);
-  const double area = static_cast<double>(n_nodes) / density;
-  return SquareRegion({0.0, 0.0}, std::sqrt(area));
-}
-
-bool SquareRegion::contains(Vec2 p) const {
-  return p.x >= origin_.x && p.x <= origin_.x + side_ && p.y >= origin_.y &&
-         p.y <= origin_.y + side_;
-}
-
-Vec2 SquareRegion::sample(common::Xoshiro256& rng) const {
-  return origin_ + Vec2{common::uniform(rng, 0.0, side_), common::uniform(rng, 0.0, side_)};
-}
-
-double SquareRegion::area() const { return side_ * side_; }
-
-Vec2 SquareRegion::center() const { return origin_ + Vec2{side_ / 2.0, side_ / 2.0}; }
-
-Vec2 SquareRegion::clamp(Vec2 p) const {
-  return {std::clamp(p.x, origin_.x, origin_.x + side_),
-          std::clamp(p.y, origin_.y, origin_.y + side_)};
 }
 
 }  // namespace manet::geom

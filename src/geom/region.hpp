@@ -6,9 +6,7 @@
 /// \file region.hpp
 /// Deployment regions. The paper assumes nodes uniformly distributed over a
 /// circular area whose size grows linearly with |V| so that node density is
-/// constant (Section 1.2). DiskRegion implements exactly that; SquareRegion
-/// exists for the GLS grid baseline (Section 3.1), whose hierarchy is defined
-/// over a square.
+/// constant (Section 1.2). DiskRegion implements exactly that.
 
 namespace manet::geom {
 
@@ -54,27 +52,6 @@ class DiskRegion final : public Region {
  private:
   Vec2 center_;
   double radius_;
-};
-
-/// Axis-aligned square region [origin, origin + side]^2.
-class SquareRegion final : public Region {
- public:
-  SquareRegion(Vec2 origin, double side);
-
-  static SquareRegion with_density(std::size_t n_nodes, double density);
-
-  bool contains(Vec2 p) const override;
-  Vec2 sample(common::Xoshiro256& rng) const override;
-  double area() const override;
-  Vec2 center() const override;
-  Vec2 clamp(Vec2 p) const override;
-
-  Vec2 origin() const { return origin_; }
-  double side() const { return side_; }
-
- private:
-  Vec2 origin_;
-  double side_;
 };
 
 }  // namespace manet::geom

@@ -2,38 +2,8 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
 
 namespace manet::graph {
-
-UnionFind::UnionFind(Size n)
-    : parent_(n), size_(n, 1), components_(n) {
-  for (Size i = 0; i < n; ++i) parent_[i] = static_cast<NodeId>(i);
-}
-
-NodeId UnionFind::find(NodeId v) {
-  MANET_CHECK(v < parent_.size());
-  while (parent_[v] != v) {
-    parent_[v] = parent_[parent_[v]];  // path halving
-    v = parent_[v];
-  }
-  return v;
-}
-
-bool UnionFind::unite(NodeId u, NodeId v) {
-  NodeId ru = find(u);
-  NodeId rv = find(v);
-  if (ru == rv) return false;
-  if (size_[ru] < size_[rv]) std::swap(ru, rv);
-  parent_[rv] = ru;
-  size_[ru] += size_[rv];
-  --components_;
-  return true;
-}
-
-bool UnionFind::connected(NodeId u, NodeId v) { return find(u) == find(v); }
-
-Size UnionFind::component_size(NodeId v) { return size_[find(v)]; }
 
 std::vector<std::uint32_t> component_labels(const Graph& g) {
   const Size n = g.vertex_count();
@@ -66,23 +36,6 @@ Size component_count(const Graph& g) {
 
 bool is_connected(const Graph& g) {
   return g.vertex_count() > 0 && component_count(g) == 1;
-}
-
-std::vector<NodeId> giant_component(const Graph& g) {
-  const auto labels = component_labels(g);
-  if (labels.empty()) return {};
-  const std::uint32_t n_comp =
-      1 + *std::max_element(labels.begin(), labels.end());
-  std::vector<Size> count(n_comp, 0);
-  for (const auto l : labels) ++count[l];
-  const std::uint32_t best = static_cast<std::uint32_t>(
-      std::max_element(count.begin(), count.end()) - count.begin());
-  std::vector<NodeId> out;
-  out.reserve(count[best]);
-  for (Size v = 0; v < labels.size(); ++v) {
-    if (labels[v] == best) out.push_back(static_cast<NodeId>(v));
-  }
-  return out;
 }
 
 }  // namespace manet::graph

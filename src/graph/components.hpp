@@ -6,28 +6,10 @@
 
 /// \file components.hpp
 /// Connectivity analysis. The paper assumes G is connected (Section 1.2);
-/// scenario setup verifies this and, where a sampled deployment is
-/// disconnected, resamples or restricts to the giant component.
+/// the unit-disk builder checks this and, where a sampled deployment is
+/// disconnected, bridges its components.
 
 namespace manet::graph {
-
-/// Union-find over [0, n) with union by size and path halving.
-class UnionFind {
- public:
-  explicit UnionFind(Size n);
-
-  NodeId find(NodeId v);
-  /// Returns true iff u and v were in different sets.
-  bool unite(NodeId u, NodeId v);
-  bool connected(NodeId u, NodeId v);
-  Size component_count() const noexcept { return components_; }
-  Size component_size(NodeId v);
-
- private:
-  std::vector<NodeId> parent_;
-  std::vector<std::uint32_t> size_;
-  Size components_;
-};
 
 /// Component label (0-based, by discovery order) for each vertex.
 std::vector<std::uint32_t> component_labels(const Graph& g);
@@ -37,8 +19,5 @@ Size component_count(const Graph& g);
 
 /// True iff the graph has exactly one component (and at least one vertex).
 bool is_connected(const Graph& g);
-
-/// Vertex ids of the largest component (ties broken by smallest label).
-std::vector<NodeId> giant_component(const Graph& g);
 
 }  // namespace manet::graph

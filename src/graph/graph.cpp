@@ -60,22 +60,4 @@ double Graph::average_degree() const noexcept {
   return 2.0 * static_cast<double>(edge_count()) / static_cast<double>(n);
 }
 
-Subgraph induced_subgraph(const Graph& g, const std::vector<bool>& keep) {
-  MANET_CHECK(keep.size() == g.vertex_count());
-  Subgraph out;
-  out.to_new.assign(g.vertex_count(), kInvalidNode);
-  for (NodeId v = 0; v < g.vertex_count(); ++v) {
-    if (keep[v]) {
-      out.to_new[v] = static_cast<NodeId>(out.to_original.size());
-      out.to_original.push_back(v);
-    }
-  }
-  std::vector<Edge> edges;
-  for (const auto& [u, v] : g.edges()) {
-    if (keep[u] && keep[v]) edges.emplace_back(out.to_new[u], out.to_new[v]);
-  }
-  out.graph = Graph(out.to_original.size(), edges);
-  return out;
-}
-
 }  // namespace manet::graph

@@ -59,15 +59,4 @@ class Graph {
   std::vector<Edge> edges_;             // canonical sorted edge list
 };
 
-/// Induced subgraph over the vertices with keep[v] == true, densely
-/// relabeled. Used by the failure-injection experiments: killing a node set
-/// is exactly taking the induced subgraph of the survivors.
-struct Subgraph {
-  Graph graph;                      ///< relabeled to [0, kept)
-  std::vector<NodeId> to_original;  ///< new dense id -> original id
-  std::vector<NodeId> to_new;       ///< original id -> new id (kInvalidNode if dropped)
-};
-
-Subgraph induced_subgraph(const Graph& g, const std::vector<bool>& keep);
-
 }  // namespace manet::graph

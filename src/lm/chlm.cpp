@@ -26,11 +26,6 @@ NodeId ChlmService::server_of(NodeId owner, Level k) const {
   return servers_[owner * width_ + (k - kFirstServedLevel)];
 }
 
-std::span<const NodeId> ChlmService::servers_of(NodeId owner) const {
-  MANET_CHECK(owner < node_count());
-  return std::span<const NodeId>(servers_).subspan(owner * width_, width_);
-}
-
 PacketCount ChlmService::query_cost(const cluster::Hierarchy& h, const graph::Graph& g,
                                     NodeId requester, NodeId target) const {
   MANET_CHECK(requester < g.vertex_count() && target < g.vertex_count());

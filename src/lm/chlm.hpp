@@ -34,9 +34,6 @@ class ChlmService {
   /// Level-k server of \p owner, or kInvalidNode when k is outside [2, top].
   NodeId server_of(NodeId owner, Level k) const;
 
-  /// Flat view: servers_of(owner)[k - 2] is the level-k server.
-  std::span<const NodeId> servers_of(NodeId owner) const;
-
   /// Number of distinct served levels (top - 1 when top >= 2, else 0).
   Size served_levels() const { return width_; }
 

@@ -29,7 +29,6 @@ HandoverManager::HandoverManager(HandoverFsmConfig config, std::uint64_t seed)
     : config_(config), rng_(seed) {
   MANET_CHECK(config_.timeout > 0.0);
   MANET_CHECK(config_.backoff >= 1.0);
-  MANET_CHECK(config_.holdoff > 0.0);
 }
 
 void HandoverManager::set_metrics(common::MetricsRegistry* registry) {
@@ -81,7 +80,7 @@ bool HandoverManager::rollback(Flight& flight, Time now, bool target_crash) {
     return false;
   }
   flight.state = HandoverState::kRolledBack;
-  flight.deadline = now + config_.holdoff;
+  flight.deadline = now + kHandoverHoldoff;
   flight.awaiting = false;
   flight.attempts = 0;
   trace(sim::TraceEventType::kHandoverRollback, flight, now, 0.0);

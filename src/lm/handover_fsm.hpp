@@ -67,8 +67,10 @@ struct HandoverFsmConfig {
   double backoff = 2.0;       ///< timeout multiplier per retry (>= 1)
   double signal_loss = -1.0;  ///< per-hop signalling loss; < 0 = inherit the
                               ///< fault plane's Bernoulli loss
-  Time holdoff = 1.0;         ///< rolled-back -> re-attempt delay, s
 };
+
+/// Rolled-back -> re-attempt delay (the holdoff), s.
+inline constexpr Time kHandoverHoldoff = 1.0;
 
 /// Accumulated FSM edge counts (every failure edge is a named counter so
 /// seeded fault tests can assert each one was exercised).

@@ -45,35 +45,4 @@ NodeId rendezvous_pick(std::uint64_t salt, NodeId owner, std::span<const NodeId>
   return best;
 }
 
-Size rendezvous_pick_index(std::uint64_t salt, NodeId owner, Size n) {
-  MANET_CHECK(n > 0);
-  Size best = 0;
-  std::uint64_t best_score = rendezvous_score(salt, owner, 0);
-  for (Size i = 1; i < n; ++i) {
-    const std::uint64_t score = rendezvous_score(salt, owner, static_cast<NodeId>(i));
-    if (score > best_score) {
-      best = i;
-      best_score = score;
-    }
-  }
-  return best;
-}
-
-NodeId rendezvous_pick_weighted(std::uint64_t salt, NodeId owner,
-                                std::span<const NodeId> candidates,
-                                std::span<const double> weights) {
-  MANET_CHECK_MSG(!candidates.empty(), "rendezvous over empty candidate set");
-  MANET_CHECK(candidates.size() == weights.size());
-  NodeId best = candidates[0];
-  double best_score = rendezvous_weighted_score(salt, owner, best, weights[0]);
-  for (Size i = 1; i < candidates.size(); ++i) {
-    const double score = rendezvous_weighted_score(salt, owner, candidates[i], weights[i]);
-    if (score > best_score || (score == best_score && candidates[i] < best)) {
-      best = candidates[i];
-      best_score = score;
-    }
-  }
-  return best;
-}
-
 }  // namespace manet::lm

@@ -36,14 +36,4 @@ double rendezvous_weighted_score(std::uint64_t salt, NodeId owner, NodeId candid
 /// Deterministic: ties (probability ~2^-64) break toward the smaller id.
 NodeId rendezvous_pick(std::uint64_t salt, NodeId owner, std::span<const NodeId> candidates);
 
-/// Winner among the *indices* [0, n): convenience when candidates are dense.
-Size rendezvous_pick_index(std::uint64_t salt, NodeId owner, Size n);
-
-/// Weighted winner among \p candidates (parallel \p weights span, all > 0);
-/// ties break toward the smaller id. Matches the weighted-descent rule in
-/// server_select exactly (same score, same tie-break).
-NodeId rendezvous_pick_weighted(std::uint64_t salt, NodeId owner,
-                                std::span<const NodeId> candidates,
-                                std::span<const double> weights);
-
 }  // namespace manet::lm

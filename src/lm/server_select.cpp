@@ -20,9 +20,12 @@ const char* to_string(SelectStrategy strategy) {
 
 namespace {
 
-/// Salt for one descent step, independent per (base, target level, depth).
-std::uint64_t step_salt(std::uint64_t base, Level k, Level depth) {
-  return common::hash_combine(base, (static_cast<std::uint64_t>(k) << 32) | depth);
+/// Base salt of the descent strategies' rendezvous hashing.
+constexpr std::uint64_t kSelectSalt = 0x53554345435F4C4DULL;  // "SUCEC_LM"
+
+/// Salt for one descent step, independent per (target level, depth).
+std::uint64_t step_salt(Level k, Level depth) {
+  return common::hash_combine(kSelectSalt, (static_cast<std::uint64_t>(k) << 32) | depth);
 }
 
 /// Successor-ID rule over the level-k cluster's flat member set: the member
@@ -58,19 +61,11 @@ NodeId descend(const cluster::Hierarchy& h, NodeId cluster, Level k, NodeId owne
     const auto& kids = h.children(lvl, cluster);  // dense at lvl-1
     MANET_CHECK(!kids.empty());
 
-    // Optionally skip the child hosting the owner itself (GLS sibling-region
-    // flavor) when an alternative exists and the owner is inside `cluster`.
-    NodeId own_branch = kInvalidNode;
-    if (config.exclude_own_branch && kids.size() > 1 && h.ancestor(owner, lvl) == cluster) {
-      own_branch = h.ancestor(owner, lvl - 1);
-    }
-
-    const std::uint64_t salt = step_salt(config.salt, k, lvl);
+    const std::uint64_t salt = step_salt(k, lvl);
     const auto& child_ids = h.level(lvl - 1).ids;
     NodeId best = kInvalidNode;
     double best_score = 0.0;
     for (const NodeId child : kids) {
-      if (child == own_branch) continue;
       double weight = 1.0;
       if (weighted && lvl >= 2) {
         weight = static_cast<double>(h.members0(lvl - 1, child).size());
@@ -85,7 +80,6 @@ NodeId descend(const cluster::Hierarchy& h, NodeId cluster, Level k, NodeId owne
         best_score = score;
       }
     }
-    MANET_CHECK(best != kInvalidNode);
     cluster = best;
   }
   return cluster;  // dense level-0 vertex index

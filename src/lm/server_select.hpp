@@ -53,16 +53,6 @@ const char* to_string(SelectStrategy strategy);
 
 struct ServerSelectConfig {
   SelectStrategy strategy = SelectStrategy::kFlatSuccessor;
-
-  /// Base salt; vary to re-key the whole server mapping (epoch changes).
-  std::uint64_t salt = 0x53554345435F4C4DULL;  // "SUCEC_LM"
-
-  /// When true, the descent at each step excludes the child the owner itself
-  /// belongs to, provided another child exists. This reproduces GLS's
-  /// "server sits in a *sibling* region" flavor and spreads v's servers
-  /// across the cluster; when false the hash ranges over all children.
-  bool exclude_own_branch = false;
-
 };
 
 /// Level-k LM server (a dense level-0 vertex) for \p owner, selected inside

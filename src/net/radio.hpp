@@ -9,10 +9,6 @@
 
 namespace manet::net {
 
-struct RadioParams {
-  double tx_radius = 1.0;  ///< R_TX in meters
-};
-
 /// Transmission radius that keeps a constant-density random deployment
 /// asymptotically connected. Gupta & Kumar (paper ref [3]): for n nodes in a
 /// unit-area disk, connectivity w.h.p. requires pi r^2 >= (ln n + c)/n.

@@ -59,12 +59,7 @@ bool FaultInjector::in_outage(double x, double y, Time t) const {
   if (t < config_.outage_start || t >= config_.outage_start + config_.outage_duration) {
     return false;
   }
-  const Time dt = t - config_.outage_start;
-  const double cx = config_.outage_x + config_.outage_vx * dt;
-  const double cy = config_.outage_y + config_.outage_vy * dt;
-  const double dx = x - cx;
-  const double dy = y - cy;
-  return dx * dx + dy * dy <= config_.outage_radius * config_.outage_radius;
+  return x * x + y * y <= config_.outage_radius * config_.outage_radius;
 }
 
 Size FaultInjector::scheduled_crashes() const {

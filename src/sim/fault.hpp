@@ -15,7 +15,7 @@
 /// effect is not evaluated"). This module supplies the machinery to stress
 /// that idealization: a seeded, replayable *plan* of faults — per-packet
 /// control-plane loss (Bernoulli and Gilbert-Elliott bursty), node
-/// crash/rejoin intervals, and a movable regional-outage disk — all derived
+/// crash/rejoin intervals, and a regional-outage disk — all derived
 /// from the scenario seed, so identical (seed, config) pairs give identical
 /// faulted runs at any thread count.
 ///
@@ -50,15 +50,12 @@ struct FaultConfig {
   Time mean_downtime = 10.0;
 
   // --- Regional outage ---
-  /// Radius of the outage disk in meters (0 = off). Nodes inside the disk
-  /// while the outage is active behave exactly like crashed nodes.
+  /// Radius of the outage disk in meters (0 = off). The disk sits at the
+  /// deployment centre, the origin (geom::DiskRegion::with_density). Nodes
+  /// inside it while the outage is active behave exactly like crashed nodes.
   double outage_radius = 0.0;
   Time outage_start = 0.0;
   Time outage_duration = 0.0;
-  double outage_x = 0.0;   ///< disk center at outage_start
-  double outage_y = 0.0;
-  double outage_vx = 0.0;  ///< center drift velocity, m/s
-  double outage_vy = 0.0;
 
   // --- ARQ / repair policy (only consulted when a fault process is on) ---
   Size retry_budget = 4;      ///< retransmissions after the first attempt
@@ -114,7 +111,8 @@ class FaultInjector {
   /// evaluated separately because it needs the node's position).
   bool crashed(NodeId v, Time t) const;
 
-  /// True when the outage disk is active at \p t and covers (x, y).
+  /// True when the outage disk is active at \p t and covers (x, y): within
+  /// outage_radius of the origin.
   bool in_outage(double x, double y, Time t) const;
 
   /// Total crash intervals scheduled within the run window.

@@ -10,8 +10,6 @@ const char* to_string(TraceEventType type) {
     case TraceEventType::kHandoffPhi: return "handoff_phi";
     case TraceEventType::kHandoffGamma: return "handoff_gamma";
     case TraceEventType::kLevelChurn: return "level_churn";
-    case TraceEventType::kRegistration: return "registration";
-    case TraceEventType::kLookup: return "lookup";
     case TraceEventType::kReorgLinkUp: return "reorg_link_up";
     case TraceEventType::kReorgLinkDown: return "reorg_link_down";
     case TraceEventType::kReorgElectMigration: return "reorg_elect_migration";
@@ -60,13 +58,6 @@ std::vector<TraceEvent> TraceSink::snapshot() const {
     out.push_back(ring_[(start + i) % ring_.size()]);
   }
   return out;
-}
-
-void TraceSink::clear() {
-  next_ = 0;
-  stored_ = 0;
-  seen_ = 0;
-  type_counts_.fill(0);
 }
 
 }  // namespace manet::sim

@@ -8,9 +8,9 @@
 
 /// \file trace.hpp
 /// Structured event tracing for simulation runs. Producers (the handoff
-/// engine, the snapshot differ bridge in exp::run_simulation, registration)
-/// emit typed TraceEvents; a TraceSink stores them in a bounded ring buffer,
-/// optionally sampling 1-in-N so long runs stay cheap.
+/// engine, the handover FSM and the snapshot differ bridge in
+/// exp::run_simulation) emit typed TraceEvents; a TraceSink stores them in a
+/// bounded ring buffer, optionally sampling 1-in-N so long runs stay cheap.
 ///
 /// Tracing is opt-in and zero-cost when off: producers hold a TraceSink
 /// pointer that defaults to nullptr, so the disabled path is one predictable
@@ -18,8 +18,7 @@
 ///
 /// Event vocabulary: the paper's Section 5.2 reorganization taxonomy
 /// (i)-(vii) maps 1:1 onto kReorg* values; migration, handoff transfer
-/// (phi/gamma attribution), level churn, registration and lookup events
-/// cover the LM plane.
+/// (phi/gamma attribution) and level churn events cover the LM plane.
 
 namespace manet::sim {
 
@@ -29,8 +28,6 @@ enum class TraceEventType : std::uint8_t {
   kHandoffPhi,        ///< entry transfer attributed to migration (phi_k)
   kHandoffGamma,      ///< entry transfer attributed to reorganization (gamma_k)
   kLevelChurn,        ///< entry created/retired because level k appeared/vanished
-  kRegistration,      ///< owner-driven location update
-  kLookup,            ///< location query served
   // Paper Section 5.2 reorganization taxonomy (i)-(vii).
   kReorgLinkUp,            ///< (i)
   kReorgLinkDown,          ///< (ii)
@@ -56,7 +53,9 @@ enum class TraceEventType : std::uint8_t {
   kHandoverFail,      ///< rollback impossible (old server also dark)
 };
 
-inline constexpr std::size_t kTraceEventTypeCount = 23;
+inline constexpr std::size_t kTraceEventTypeCount = 21;
+static_assert(static_cast<std::size_t>(TraceEventType::kHandoverFail) + 1 ==
+              kTraceEventTypeCount);
 
 const char* to_string(TraceEventType type);
 
@@ -102,8 +101,6 @@ class TraceSink {
   const std::array<Size, kTraceEventTypeCount>& type_counts() const noexcept {
     return type_counts_;
   }
-
-  void clear();
 
  private:
   std::vector<TraceEvent> ring_;

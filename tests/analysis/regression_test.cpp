@@ -43,25 +43,6 @@ TEST(FitLinear, ConstantXGivesZeroSlope) {
   EXPECT_DOUBLE_EQ(fit.intercept, 2.0);  // mean of y
 }
 
-TEST(FitProportional, RecoversSlopeThroughOrigin) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{2, 4, 6, 8};
-  const auto fit = fit_proportional(xs, ys);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(fit.intercept, 0.0);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
-TEST(FitProportional, BadOriginConstraintLowersR2) {
-  // Data with a large intercept: constrained fit must score worse than free.
-  const std::vector<double> xs{1, 2, 3, 4};
-  std::vector<double> ys;
-  for (const double x : xs) ys.push_back(100.0 + 0.1 * x);
-  const auto constrained = fit_proportional(xs, ys);
-  const auto free = fit_linear(xs, ys);
-  EXPECT_LT(constrained.r2, free.r2);
-}
-
 TEST(FitPowerLaw, RecoversExponent) {
   std::vector<double> xs, ys;
   for (const double x : {10.0, 20.0, 40.0, 80.0, 160.0}) {

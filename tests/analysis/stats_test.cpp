@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace manet::analysis {
@@ -35,48 +34,11 @@ TEST(Accumulator, KnownMeanAndVariance) {
   EXPECT_DOUBLE_EQ(acc.max(), 9.0);
 }
 
-TEST(Accumulator, MergeEqualsSequentialAdd) {
-  Accumulator a, b, combined;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.37) * 10.0;
-    combined.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), combined.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(a.min(), combined.min());
-  EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
-
-TEST(Accumulator, MergeWithEmptyIsIdentity) {
-  Accumulator a, empty;
-  a.add(3.0);
-  a.add(7.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  Accumulator b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
-}
-
 TEST(Accumulator, Ci95ShrinksWithSamples) {
   Accumulator small, large;
   for (int i = 0; i < 10; ++i) small.add(i % 3);
   for (int i = 0; i < 1000; ++i) large.add(i % 3);
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
-}
-
-TEST(Summarize, MatchesAccumulator) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const auto s = summarize(xs);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(5.0 / 3.0), 1e-12);
 }
 
 TEST(Quantile, MedianAndExtremes) {

@@ -9,25 +9,13 @@
 namespace manet::common {
 namespace {
 
-TEST(Counter, AddsAndMerges) {
+TEST(Counter, AddsDeltas) {
   Counter a, b;
   a.add();
   a.add(4);
   b.add(10);
   EXPECT_EQ(a.value(), 5u);
-  a.merge(b);
-  EXPECT_EQ(a.value(), 15u);
-}
-
-TEST(Gauge, MergeKeepsLaterWrittenShard) {
-  Gauge a, b, untouched;
-  a.set(1.0);
-  b.set(2.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.value(), 2.0);  // later shard wins in fold order
-  a.merge(untouched);
-  EXPECT_DOUBLE_EQ(a.value(), 2.0);  // unwritten shard leaves the value alone
-  EXPECT_FALSE(untouched.written());
+  EXPECT_EQ(b.value(), 10u);
 }
 
 TEST(RateMeter, WindowedRateAgesOut) {
@@ -39,15 +27,6 @@ TEST(RateMeter, WindowedRateAgesOut) {
   // Far in the future every bucket has aged out of the window.
   EXPECT_DOUBLE_EQ(meter.rate(1000.0), 0.0);
   EXPECT_EQ(meter.total(), 50u);  // totals never age
-}
-
-TEST(RateMeter, MergeAddsTotals) {
-  RateMeter a(10.0, 10), b(10.0, 10);
-  a.mark(1.0, 3);
-  b.mark(5.0, 7);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 10u);
-  EXPECT_GT(a.rate(5.0), 0.0);  // adopted the later shard's window
 }
 
 TEST(Histogram, BucketsAndQuantiles) {
@@ -90,14 +69,6 @@ TEST(MetricsRegistry, EntriesAreSortedByName) {
   EXPECT_EQ(entries[0].name, "aa");
   EXPECT_EQ(entries[1].name, "mm");
   EXPECT_EQ(entries[2].name, "zz");
-}
-
-TEST(MetricsRegistry, MergeCreatesMissingInstruments) {
-  MetricsRegistry a, b;
-  b.counter("only_in_b").add(3);
-  a.merge(b);
-  ASSERT_NE(a.find_counter("only_in_b"), nullptr);
-  EXPECT_EQ(a.find_counter("only_in_b")->value(), 3u);
 }
 
 }  // namespace

@@ -51,12 +51,6 @@ TEST(Xoshiro256, DifferentSeedsDiverge) {
   EXPECT_LE(equal, 1);
 }
 
-TEST(Xoshiro256, LongJumpChangesStream) {
-  Xoshiro256 a(7), b(7);
-  b.long_jump();
-  EXPECT_NE(a(), b());
-}
-
 TEST(Uniform01, StaysInHalfOpenUnitInterval) {
   Xoshiro256 rng(3);
   for (int i = 0; i < 10000; ++i) {

@@ -224,6 +224,58 @@ TEST(CampaignCheckpoint, ForeignFingerprintRejected) {
   EXPECT_NE(error.find("fingerprint"), std::string::npos);
 }
 
+TEST(CampaignCheckpoint, InvalidUnitCoordinatesAreRefused) {
+  // Each coordinate is checked before its cast to Size: a value out of
+  // range, negative, fractional or missing refuses the file and names the
+  // field, so completed_units() counts the unit as incomplete and merge()
+  // fails on it.
+  const auto spec = tiny_spec();
+  const std::string dir = fresh_dir("ckpt_coords");
+  CampaignRunner runner(spec, dir);
+  ASSERT_TRUE(runner.run(CampaignRunner::RunConfig{}).ok);
+  ASSERT_TRUE(runner.merge().ok);
+
+  const auto& unit = runner.plan()[0];
+  const std::string path = unit_checkpoint_path(dir, unit);
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  in.close();
+  const std::string original = buffer.str();
+
+  struct Case {
+    std::string from, to, field;
+  };
+  const std::string rep_end = "\"rep_end\": " + std::to_string(unit.rep_end);
+  const Case cases[] = {
+      {rep_end, "\"rep_end\": 1e30", "rep_end"},
+      {rep_end, "\"rep_end\": -1", "rep_end"},
+      {rep_end, "\"rep_end\": 2.5", "rep_end"},
+      {"\"unit\": " + std::to_string(unit.index) + ",", "", "unit"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.from + " -> " + c.to);
+    std::string text = original;
+    const auto pos = text.find(c.from);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, c.from.size(), c.to);
+    std::ofstream(path) << text;
+
+    UnitRecord loaded;
+    std::string error;
+    EXPECT_FALSE(read_unit_checkpoint(path, spec, loaded, error));
+    EXPECT_NE(error.find("'" + c.field + "'"), std::string::npos) << error;
+    EXPECT_FALSE(runner.completed_units()[unit.index]);
+    const auto merged = runner.merge();
+    EXPECT_FALSE(merged.ok);
+    EXPECT_NE(merged.error.find("'" + c.field + "'"), std::string::npos) << merged.error;
+  }
+
+  std::ofstream(path) << original;
+  EXPECT_TRUE(runner.completed_units()[unit.index]);
+  EXPECT_TRUE(runner.merge().ok);
+}
+
 TEST(CampaignManifest, RoundTripAndTamperDetection) {
   const auto spec = tiny_spec();
   const std::string dir = fresh_dir("manifest");

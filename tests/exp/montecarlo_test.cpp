@@ -49,18 +49,6 @@ TEST(AggregatedMetrics, MissingMetricIsNan) {
   EXPECT_EQ(agg.summary("nope").count, 0u);
 }
 
-TEST(AggregatedMetrics, MergeCombines) {
-  AggregatedMetrics a, b;
-  RunMetrics m1, m2;
-  m1.set("x", 2.0);
-  m2.set("x", 4.0);
-  a.add(m1);
-  b.add(m2);
-  a.merge(b);
-  EXPECT_EQ(a.replication_count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean("x"), 3.0);
-}
-
 TEST(RunReplications, SerialAndPooledAgree) {
   const auto cfg = quick_config();
   const auto serial = run_replications(cfg, 3, light_options(), nullptr);

@@ -153,26 +153,8 @@ TEST(ScenarioConfig, ValidateHandoverTimersPositive) {
   const double tiny = std::numeric_limits<double>::denorm_min();
   expect_rule([](ScenarioConfig& c, double v) { c.handover.timeout = v; }, "handover.timeout",
               "must be > 0", {0.0}, tiny);
-  expect_rule([](ScenarioConfig& c, double v) { c.handover.holdoff = v; }, "handover.holdoff",
-              "must be > 0", {0.0}, tiny);
   expect_rule([](ScenarioConfig& c, double v) { c.handover.backoff = v; }, "handover.backoff",
               "must be >= 1", {std::nextafter(1.0, 0.0)}, 1.0);
-}
-
-TEST(ScenarioConfig, ValidateGroupSizeUnderRpgm) {
-  // ReferencePointGroup aborts on empty groups; other models ignore the size.
-  ScenarioConfig cfg;
-  cfg.mobility = MobilityKind::kGroup;
-  cfg.group_size = 0;
-  const auto errors = cfg.validate();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors[0].field, "group_size");
-  EXPECT_EQ(errors[0].rule, "must be >= 1");
-  cfg.group_size = 1;
-  EXPECT_TRUE(cfg.validate().empty());
-  cfg.group_size = 0;
-  cfg.mobility = MobilityKind::kRandomWaypoint;
-  EXPECT_TRUE(cfg.validate().empty());
 }
 
 TEST(ScenarioConfig, ValidateMuPositiveUnlessStatic) {
@@ -239,21 +221,12 @@ TEST(Scenario, PositionsInsideRegion) {
 TEST(Scenario, ShuffledIdsAreAPermutation) {
   ScenarioConfig cfg;
   cfg.n = 100;
-  cfg.shuffle_ids = true;
   const auto scenario = Scenario::materialize(cfg);
   auto ids = scenario.ids;
   std::sort(ids.begin(), ids.end());
   for (NodeId v = 0; v < 100; ++v) EXPECT_EQ(ids[v], v);
-  // With shuffling on, identity order is (overwhelmingly) broken.
+  // Ids are always shuffled: identity order is (overwhelmingly) broken.
   EXPECT_NE(scenario.ids, ids);
-}
-
-TEST(Scenario, UnshuffledIdsAreIdentity) {
-  ScenarioConfig cfg;
-  cfg.n = 20;
-  cfg.shuffle_ids = false;
-  const auto scenario = Scenario::materialize(cfg);
-  for (NodeId v = 0; v < 20; ++v) EXPECT_EQ(scenario.ids[v], v);
 }
 
 TEST(Scenario, SameSeedSameWorld) {

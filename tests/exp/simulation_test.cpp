@@ -215,7 +215,6 @@ TEST(RunSimulation, TickCountExactOnLongFractionalHorizons) {
 TEST(RunSimulation, GroupMobilityRuns) {
   auto cfg = quick_config(160, 24);
   cfg.mobility = MobilityKind::kGroup;
-  cfg.group_size = 20;
   const auto m = run_simulation(cfg);
   EXPECT_GT(m.get("total_rate"), 0.0);
   EXPECT_GT(m.get("f0"), 0.0);
@@ -277,8 +276,8 @@ TEST(RunSimulationDeath, RejectsThreadsAboveShardCeiling) {
 
 TEST(RunSimulationDeath, NamesFieldsThePlanesWouldAbortOn) {
   // Each of these used to pass validate() and then abort on an unnamed check
-  // inside FaultInjector (common::exponential), SessionWorkload,
-  // HandoverManager or ReferencePointGroup.
+  // inside FaultInjector (common::exponential), SessionWorkload or
+  // HandoverManager.
   struct Case {
     const char* pattern;
     void (*set)(ScenarioConfig&);
@@ -298,12 +297,6 @@ TEST(RunSimulationDeath, NamesFieldsThePlanesWouldAbortOn) {
       {"session\\.packets_per_session must be >= 1",
        [](ScenarioConfig& c) { c.session.packets_per_session = 0; }},
       {"handover\\.timeout must be > 0", [](ScenarioConfig& c) { c.handover.timeout = 0.0; }},
-      {"handover\\.holdoff must be > 0", [](ScenarioConfig& c) { c.handover.holdoff = 0.0; }},
-      {"group_size must be >= 1",
-       [](ScenarioConfig& c) {
-         c.mobility = MobilityKind::kGroup;
-         c.group_size = 0;
-       }},
   };
   for (const auto& c : cases) {
     auto cfg = quick_config();

@@ -50,32 +50,5 @@ TEST(DiskRegion, ClampProjectsToBoundary) {
   EXPECT_EQ(disk.clamp({0.3, 0.2}), (Vec2{0.3, 0.2}));  // inside untouched
 }
 
-TEST(SquareRegion, ContainsAndArea) {
-  const SquareRegion sq({0, 0}, 10.0);
-  EXPECT_TRUE(sq.contains({0, 0}));
-  EXPECT_TRUE(sq.contains({10, 10}));
-  EXPECT_FALSE(sq.contains({10.01, 5}));
-  EXPECT_FALSE(sq.contains({-0.01, 5}));
-  EXPECT_DOUBLE_EQ(sq.area(), 100.0);
-  EXPECT_EQ(sq.center(), (Vec2{5.0, 5.0}));
-}
-
-TEST(SquareRegion, SamplesStayInside) {
-  const SquareRegion sq({-3, 4}, 2.0);
-  common::Xoshiro256 rng(3);
-  for (int i = 0; i < 5000; ++i) EXPECT_TRUE(sq.contains(sq.sample(rng)));
-}
-
-TEST(SquareRegion, ClampProjectsComponentwise) {
-  const SquareRegion sq({0, 0}, 1.0);
-  EXPECT_EQ(sq.clamp({2.0, -1.0}), (Vec2{1.0, 0.0}));
-  EXPECT_EQ(sq.clamp({0.5, 0.5}), (Vec2{0.5, 0.5}));
-}
-
-TEST(SquareRegion, WithDensityGivesRequestedArea) {
-  const auto sq = SquareRegion::with_density(400, 4.0);
-  EXPECT_NEAR(sq.area(), 100.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace manet::geom

@@ -7,33 +7,6 @@
 namespace manet::graph {
 namespace {
 
-TEST(UnionFind, InitiallyAllSeparate) {
-  UnionFind uf(4);
-  EXPECT_EQ(uf.component_count(), 4u);
-  EXPECT_FALSE(uf.connected(0, 1));
-}
-
-TEST(UnionFind, UniteMerges) {
-  UnionFind uf(4);
-  EXPECT_TRUE(uf.unite(0, 1));
-  EXPECT_TRUE(uf.connected(0, 1));
-  EXPECT_EQ(uf.component_count(), 3u);
-  EXPECT_FALSE(uf.unite(1, 0));  // already joined
-  EXPECT_EQ(uf.component_count(), 3u);
-}
-
-TEST(UnionFind, TransitiveConnectivityAndSizes) {
-  UnionFind uf(6);
-  uf.unite(0, 1);
-  uf.unite(1, 2);
-  uf.unite(4, 5);
-  EXPECT_TRUE(uf.connected(0, 2));
-  EXPECT_FALSE(uf.connected(2, 4));
-  EXPECT_EQ(uf.component_size(0), 3u);
-  EXPECT_EQ(uf.component_size(4), 2u);
-  EXPECT_EQ(uf.component_size(3), 1u);
-}
-
 TEST(Components, LabelsPartitionTheGraph) {
   const Graph g(6, std::vector<Edge>{{0, 1}, {1, 2}, {3, 4}});
   const auto labels = component_labels(g);
@@ -51,16 +24,6 @@ TEST(Components, ConnectedDetection) {
   EXPECT_FALSE(is_connected(Graph(3, std::vector<Edge>{{0, 1}})));
   EXPECT_FALSE(is_connected(Graph(0)));
   EXPECT_TRUE(is_connected(Graph(1)));
-}
-
-TEST(Components, GiantComponentFindsLargest) {
-  const Graph g(7, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {4, 5}});
-  const auto giant = giant_component(g);
-  EXPECT_EQ(giant, (std::vector<NodeId>{0, 1, 2, 3}));
-}
-
-TEST(Components, GiantComponentOfEmptyGraph) {
-  EXPECT_TRUE(giant_component(Graph(0)).empty());
 }
 
 }  // namespace

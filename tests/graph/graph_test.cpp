@@ -65,54 +65,6 @@ TEST(Graph, AverageDegreeOfCompleteGraph) {
   }
 }
 
-TEST(InducedSubgraph, KeepAllIsIdentity) {
-  const Graph g(4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}});
-  const auto sub = induced_subgraph(g, {true, true, true, true});
-  EXPECT_EQ(sub.graph.vertex_count(), 4u);
-  EXPECT_EQ(sub.graph.edge_count(), 3u);
-  for (NodeId v = 0; v < 4; ++v) {
-    EXPECT_EQ(sub.to_original[v], v);
-    EXPECT_EQ(sub.to_new[v], v);
-  }
-}
-
-TEST(InducedSubgraph, DropsVertexAndIncidentEdges) {
-  const Graph g(4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}});
-  const auto sub = induced_subgraph(g, {true, false, true, true});
-  EXPECT_EQ(sub.graph.vertex_count(), 3u);
-  EXPECT_EQ(sub.graph.edge_count(), 1u);  // only (2,3) survives
-  EXPECT_EQ(sub.to_new[1], kInvalidNode);
-  // Relabeled: original 2 -> new 1, original 3 -> new 2.
-  EXPECT_TRUE(sub.graph.has_edge(sub.to_new[2], sub.to_new[3]));
-  EXPECT_EQ(sub.to_original[sub.to_new[3]], 3u);
-}
-
-TEST(InducedSubgraph, KeepNoneIsEmpty) {
-  const Graph g(3, std::vector<Edge>{{0, 1}});
-  const auto sub = induced_subgraph(g, {false, false, false});
-  EXPECT_EQ(sub.graph.vertex_count(), 0u);
-  EXPECT_TRUE(sub.to_original.empty());
-}
-
-TEST(InducedSubgraph, PreservesAdjacencyOnSurvivors) {
-  std::vector<Edge> edges;
-  const NodeId n = 8;
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      if ((u + v) % 3 != 0) edges.push_back({u, v});
-    }
-  }
-  const Graph g(n, edges);
-  std::vector<bool> keep{true, false, true, true, false, true, true, true};
-  const auto sub = induced_subgraph(g, keep);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v || !keep[u] || !keep[v]) continue;
-      EXPECT_EQ(sub.graph.has_edge(sub.to_new[u], sub.to_new[v]), g.has_edge(u, v));
-    }
-  }
-}
-
 TEST(GraphDeath, RejectsNonCanonicalEdges) {
   EXPECT_DEATH((Graph(3, std::vector<Edge>{{1, 0}})), "canonical");
   EXPECT_DEATH((Graph(3, std::vector<Edge>{{1, 1}})), "canonical");

@@ -73,7 +73,6 @@ TEST(TickPipeline, IncrementalMatchesFullStatic) {
 TEST(TickPipeline, IncrementalMatchesFullGroupMobility) {
   auto cfg = base_config(160, 14);
   cfg.mobility = MobilityKind::kGroup;
-  cfg.group_size = 20;
   run_both_and_compare(cfg);
 }
 

@@ -258,7 +258,8 @@ struct CommitModel {
 };
 
 struct CommitRig {
-  sim::TraceSink sink{sim::TraceSink::Config{1 << 15, 1}};
+  static constexpr sim::TraceSink::Config kSinkConfig{1 << 15, 1};
+  sim::TraceSink sink{kSinkConfig};
   SinkObserver observer{sink};
   net::LossyChannel channel;
   ReliableTransfer arq;
@@ -281,7 +282,7 @@ struct CommitRig {
 
   void step(const cluster::Hierarchy& prev, const cluster::Hierarchy& next,
             const graph::Graph& g, Time t) {
-    sink.clear();
+    sink = sim::TraceSink{kSinkConfig};  // this step's events only
     engine.update(next, g, t);
     model.tick(prev, next, g, t);
     const auto got = sink.snapshot();

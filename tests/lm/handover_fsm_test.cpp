@@ -17,7 +17,6 @@ lm::HandoverFsmConfig config(double signal_loss) {
   cfg.max_retries = 2;
   cfg.backoff = 2.0;
   cfg.signal_loss = signal_loss;
-  cfg.holdoff = 1.0;
   return cfg;
 }
 
@@ -85,6 +84,7 @@ TEST(HandoverFsm, TargetServerCrashRollsBackThenRecoversAfterHoldoff) {
   ASSERT_TRUE(manager.has_flight(2, 2));
   EXPECT_EQ(manager.state_of(2, 2), lm::HandoverState::kRolledBack);
 
+  static_assert(lm::kHandoverHoldoff == 1.0);
   manager.tick(0.5);  // holdoff not yet expired
   EXPECT_EQ(manager.state_of(2, 2), lm::HandoverState::kRolledBack);
 

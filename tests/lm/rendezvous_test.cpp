@@ -71,16 +71,24 @@ TEST(Rendezvous, SingleCandidateAlwaysWins) {
   }
 }
 
-TEST(Rendezvous, PickIndexCoversRange) {
-  std::vector<int> counts(4, 0);
-  for (NodeId owner = 0; owner < 4000; ++owner) {
-    ++counts[rendezvous_pick_index(21, owner, 4)];
-  }
-  for (const int c : counts) EXPECT_GT(c, 700);
-}
-
 TEST(Rendezvous, ScoreIsOwnerSensitive) {
   EXPECT_NE(rendezvous_score(1, 10, 5), rendezvous_score(1, 11, 5));
+}
+
+/// Argmax of rendezvous_weighted_score over \p candidates, ties toward the
+/// smaller id: the rule weighted descent applies to a cluster's children.
+NodeId weighted_argmax(std::uint64_t salt, NodeId owner, const std::vector<NodeId>& candidates,
+                       const std::vector<double>& weights) {
+  NodeId best = candidates[0];
+  double best_score = rendezvous_weighted_score(salt, owner, best, weights[0]);
+  for (Size i = 1; i < candidates.size(); ++i) {
+    const double score = rendezvous_weighted_score(salt, owner, candidates[i], weights[i]);
+    if (score > best_score || (score == best_score && candidates[i] < best)) {
+      best = candidates[i];
+      best_score = score;
+    }
+  }
+  return best;
 }
 
 TEST(RendezvousWeighted, ScalarPickHonorsWeights) {
@@ -91,7 +99,7 @@ TEST(RendezvousWeighted, ScalarPickHonorsWeights) {
   int heavy = 0;
   const int owners = 20000;
   for (NodeId owner = 0; owner < owners; ++owner) {
-    if (rendezvous_pick_weighted(99, owner, candidates, weights) == 2) ++heavy;
+    if (weighted_argmax(99, owner, candidates, weights) == 2) ++heavy;
   }
   EXPECT_NEAR(static_cast<double>(heavy) / owners, 0.75, 0.02);
 }
@@ -103,7 +111,7 @@ TEST(RendezvousWeighted, EqualWeightsMatchScoreOrdering) {
   const std::vector<NodeId> candidates{5, 9, 14, 77, 120};
   const std::vector<double> weights(candidates.size(), 1.0);
   for (NodeId owner = 0; owner < 300; ++owner) {
-    EXPECT_EQ(rendezvous_pick_weighted(7, owner, candidates, weights),
+    EXPECT_EQ(weighted_argmax(7, owner, candidates, weights),
               rendezvous_pick(7, owner, candidates));
   }
 }

@@ -159,41 +159,6 @@ TEST(FlatSuccessor, SingletonClusterSelfServes) {
   }
 }
 
-TEST(Descent, ExcludeOwnBranchAvoidsOwnersLevel1Cluster) {
-  const auto f = make(300, 5);
-  ServerSelectConfig cfg;
-  cfg.strategy = SelectStrategy::kWeightedDescent;
-  cfg.exclude_own_branch = true;
-  Size checked = 0;
-  for (NodeId owner = 0; owner < f.n && checked < 100; ++owner) {
-    const Level k = kFirstServedLevel;
-    if (k > f.h.top_level()) break;
-    // Only meaningful when the owner's level-k cluster has > 1 child.
-    const NodeId cluster = f.h.ancestor(owner, k);
-    if (f.h.children(k, cluster).size() < 2) continue;
-    const NodeId server = select_server(f.h, owner, k, cfg);
-    EXPECT_NE(f.h.ancestor(server, k - 1), f.h.ancestor(owner, k - 1))
-        << "server landed in the owner's own level-" << (k - 1) << " branch";
-    ++checked;
-  }
-  EXPECT_GT(checked, 10u);
-}
-
-TEST(Descent, SaltRekeysAssignments) {
-  const auto f = make(300, 6);
-  ServerSelectConfig a, b;
-  a.strategy = b.strategy = SelectStrategy::kWeightedDescent;
-  b.salt = a.salt + 1;
-  Size moved = 0, total = 0;
-  for (NodeId owner = 0; owner < f.n; ++owner) {
-    for (Level k = kFirstServedLevel; k <= f.h.top_level(); ++k) {
-      if (select_server(f.h, owner, k, a) != select_server(f.h, owner, k, b)) ++moved;
-      ++total;
-    }
-  }
-  EXPECT_GT(moved, total / 3);
-}
-
 TEST(SelectServerIn, AgreesWithSelectServerForOwnCluster) {
   const auto f = make(200, 7);
   ServerSelectConfig cfg;

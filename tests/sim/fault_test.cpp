@@ -110,22 +110,27 @@ TEST(FaultInjector, CrashedFollowsThePlan) {
   EXPECT_FALSE(inj.crashed(500, 10.0));  // out-of-range node id
 }
 
-TEST(FaultInjector, OutageDiskDriftsWithTime) {
+TEST(FaultInjector, OutageDiskIsFixedAtTheOrigin) {
   FaultConfig cfg;
   cfg.outage_radius = 2.0;
   cfg.outage_start = 10.0;
   cfg.outage_duration = 10.0;
-  cfg.outage_x = 0.0;
-  cfg.outage_y = 0.0;
-  cfg.outage_vx = 1.0;  // center moves +1 m/s in x
   const FaultInjector inj(cfg, 4, 0.0, 100.0, 1);
 
-  EXPECT_FALSE(inj.in_outage(0.0, 0.0, 9.9));   // before onset
-  EXPECT_TRUE(inj.in_outage(0.0, 0.0, 10.0));   // at onset, at center
-  EXPECT_TRUE(inj.in_outage(5.0, 0.0, 15.0));   // center has drifted to x=5
-  EXPECT_FALSE(inj.in_outage(0.0, 0.0, 15.0));  // origin now 5 m from center
-  EXPECT_FALSE(inj.in_outage(0.0, 0.0, 20.0));  // after the outage ends
-  EXPECT_FALSE(inj.in_outage(9.9, 0.0, 25.0));
+  // Inside and outside the radius while the outage is active, in [10, 20).
+  for (const Time t : {10.0, 15.0, 19.9}) {
+    EXPECT_TRUE(inj.in_outage(0.0, 0.0, t)) << t;
+    EXPECT_TRUE(inj.in_outage(2.0, 0.0, t)) << t;  // on the boundary
+    EXPECT_TRUE(inj.in_outage(-1.2, 1.5, t)) << t;
+    EXPECT_FALSE(inj.in_outage(2.01, 0.0, t)) << t;
+    EXPECT_FALSE(inj.in_outage(1.5, -1.5, t)) << t;
+    EXPECT_FALSE(inj.in_outage(5.0, 0.0, t)) << t;  // the disk does not drift
+  }
+  // Before onset and from the end of the window on, nothing is covered.
+  for (const Time t : {0.0, 9.9, 20.0, 25.0}) {
+    EXPECT_FALSE(inj.in_outage(0.0, 0.0, t)) << t;
+    EXPECT_FALSE(inj.in_outage(1.0, 1.0, t)) << t;
+  }
 }
 
 TEST(FaultInjector, DisabledOutageNeverTriggers) {

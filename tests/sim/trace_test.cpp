@@ -73,19 +73,6 @@ TEST(TraceSink, TypeCountsSurviveWraparound) {
   EXPECT_EQ(sink.size(), 2u);  // ring only holds the newest two
 }
 
-TEST(TraceSink, ClearResetsEverything) {
-  TraceSink sink(TraceSink::Config{4, 1});
-  for (int i = 0; i < 10; ++i) sink.record(event_at(static_cast<Time>(i)));
-  sink.clear();
-  EXPECT_EQ(sink.seen(), 0u);
-  EXPECT_EQ(sink.size(), 0u);
-  EXPECT_EQ(sink.dropped(), 0u);
-  EXPECT_TRUE(sink.snapshot().empty());
-  sink.record(event_at(42.0));
-  ASSERT_EQ(sink.snapshot().size(), 1u);
-  EXPECT_DOUBLE_EQ(sink.snapshot().front().t, 42.0);
-}
-
 TEST(TraceSink, EveryEventTypeHasAName) {
   for (Size i = 0; i < kTraceEventTypeCount; ++i) {
     const char* name = to_string(static_cast<TraceEventType>(i));

@@ -357,6 +357,27 @@ full_bfs="$full_bfs$(grep -nF 'path.size()' "$root/src/traffic/sessions.cpp" || 
     fail "a full BFS per route, stretch sample or query, or a path walk per \
 session packet, is back (session packets at route cost): $full_bfs"
 
+# 8l. Only what a program reaches: the metrics registry's merge layer,
+#     library API only its own tests called, trace event types no producer
+#     emitted and config fields only tests set were deleted, so none of them
+#     may come back under src/, tools/, bench/ or examples/, and neither may
+#     the graph-metrics and mobility-trace modules. ReferencePointGroup keeps
+#     its own group_size; ScenarioConfig's may not return under src/exp/ or a
+#     program.
+unreached=$(grep -rnE --exclude=check_docs.sh \
+    '\b(HopStats|sample_hop_stats|exact_hop_stats|DegreeStats|degree_stats|UnionFind|giant_component|induced_subgraph|Subgraph|SquareRegion|TraceFrame|TraceReplay|RadioParams|rendezvous_pick_index|rendezvous_pick_weighted|servers_of|long_jump|fit_proportional|summarize|add_row_values|write_row_values|kRegistration|kLookup|last_mark_|exclude_own_branch|outage_x|outage_y|outage_vx|outage_vy|shuffle_ids)\b|graph/metrics\.hpp|mobility/trace\.hpp|mobility::Trace\b|(Counter|Gauge|RateMeter|Histogram|MetricsRegistry|Accumulator|AggregatedMetrics)::merge\(|void merge\(const (Counter|Gauge|RateMeter|Histogram|MetricsRegistry|Accumulator|AggregatedMetrics)&|bool written\(\)|\.holdoff\b|Time holdoff\b|\.salt\b' \
+    "$root/src" "$root/tools" "$root/bench" "$root/examples" || true)
+unreached="$unreached$(grep -rnw --exclude=check_docs.sh group_size \
+    "$root/src/exp" "$root/tools" "$root/bench" "$root/examples" || true)"
+unreached="$unreached$(grep -nE 'void clear\(\)' "$root/src/sim/trace.hpp" || true)"
+unreached="$unreached$(grep -nE 'uint64_t salt\b' "$root/src/lm/server_select.hpp" || true)"
+for f in src/graph/metrics.hpp src/graph/metrics.cpp src/mobility/trace.hpp \
+         src/mobility/trace.cpp tests/graph/metrics_test.cpp tests/mobility/trace_test.cpp; do
+    if [ -e "$root/$f" ]; then unreached="$unreached $f"; fi
+done
+[ -z "$unreached" ] ||
+    fail "deleted code no program reached is back (only what a program reaches): $unreached"
+
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
 #    (GitHub-style: lowercase, punctuation stripped, spaces to dashes).
