@@ -1,7 +1,8 @@
 /// E15: microbenchmarks of the simulator's hot paths (google-benchmark).
 /// These are the costs that bound how large a scenario one core can carry:
 /// unit-disk graph construction, BFS, recursive ALCA hierarchy build,
-/// snapshot diffing, handoff accounting, and the hashing primitives.
+/// snapshot diffing, handoff accounting, landmark hop queries, and the
+/// hashing primitives.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,8 @@
 #include "graph/bfs.hpp"
 #include "lm/handoff.hpp"
 #include "lm/rendezvous.hpp"
+#include "net/hop_oracle.hpp"
+#include "net/radio.hpp"
 #include "net/unit_disk.hpp"
 
 namespace manet {
@@ -117,6 +120,36 @@ void BM_HandoffUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HandoffUpdate)->Arg(256)->Arg(1024);
+
+void BM_HopOracle(benchmark::State& state) {
+  // One exact hops() query per iteration on an armed oracle: a connected
+  // deployment at the simulator's default connectivity radius is deep
+  // enough for both depth probes of prepare(). Pairs at least 4 hops apart
+  // (the oracle's near cutoff) keep the timed queries on the landmark A*
+  // route instead of bidirectional BFS.
+  const auto n = static_cast<Size>(state.range(0));
+  net::UnitDiskBuilder builder(net::connectivity_radius(n, 1.0, 3.5), true);
+  const auto g = builder.build(sample_points(n, 8));
+  net::HopOracle oracle;
+  oracle.prepare(g);
+  constexpr std::uint32_t kMinHops = 4;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  graph::BfsPairScratch ref;
+  common::Xoshiro256 rng(9);
+  while (pairs.size() < 1024) {
+    const auto s = static_cast<NodeId>(common::uniform_index(rng, n));
+    const auto t = static_cast<NodeId>(common::uniform_index(rng, n));
+    if (ref.hops(g, s, t) >= kMinHops) pairs.emplace_back(s, t);
+  }
+  Size i = 0;
+  for (auto _ : state) {
+    const auto [s, t] = pairs[i];
+    benchmark::DoNotOptimize(oracle.hops(s, t));
+    i = (i + 1) % pairs.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HopOracle)->Arg(4096)->Arg(16384);
 
 void BM_RendezvousPick(benchmark::State& state) {
   const auto n_candidates = static_cast<Size>(state.range(0));

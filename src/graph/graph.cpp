@@ -40,14 +40,6 @@ void Graph::assign(Size n, std::span<const Edge> edges) {
   }
 }
 
-std::span<const NodeId> Graph::neighbors(NodeId v) const {
-  MANET_CHECK(v < vertex_count());
-  return {adjacency_.data() + offsets_[v],
-          static_cast<std::size_t>(offsets_[v + 1] - offsets_[v])};
-}
-
-Size Graph::degree(NodeId v) const { return neighbors(v).size(); }
-
 bool Graph::has_edge(NodeId u, NodeId v) const {
   if (u == v) return false;
   const auto nbrs = neighbors(u);

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 
 /// \file graph.hpp
@@ -39,10 +40,15 @@ class Graph {
   Size vertex_count() const noexcept { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   Size edge_count() const noexcept { return edges_.size(); }
 
-  /// Neighbors of \p v in ascending id order.
-  std::span<const NodeId> neighbors(NodeId v) const;
+  /// Neighbors of \p v in ascending id order. Defined here so the BFS,
+  /// A*, repair and routing loops inline it once per expanded vertex.
+  std::span<const NodeId> neighbors(NodeId v) const {
+    MANET_CHECK(v < vertex_count());
+    return {adjacency_.data() + offsets_[v],
+            static_cast<std::size_t>(offsets_[v + 1] - offsets_[v])};
+  }
 
-  Size degree(NodeId v) const;
+  Size degree(NodeId v) const { return neighbors(v).size(); }
 
   /// O(log degree) membership test.
   bool has_edge(NodeId u, NodeId v) const;

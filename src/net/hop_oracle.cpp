@@ -10,6 +10,7 @@ namespace manet::net {
 void HopOracle::prepare(const graph::Graph& g) {
   g_ = &g;
   n_ = g.vertex_count();
+  active_ = false;
   const Size k_count = std::min<Size>(kLandmarks, n_);
   land_.resize(n_ * kLandmarks);
   if (sweep_dist_.size() < n_) {
@@ -18,14 +19,19 @@ void HopOracle::prepare(const graph::Graph& g) {
   }
   min_dist_.assign(n_, graph::kUnreachable);
 
-  // Farthest-point sampling from vertex 0: each landmark is the vertex
-  // maximizing the distance to all previous ones (ties -> lowest id), which
-  // spreads them toward the deployment boundary where the bounds are
-  // tightest. Vertices outside landmark 0's component report kUnreachable
-  // and are never promoted — minor components keep h = 0 and degrade to
-  // plain BFS, which their size makes cheap anyway.
+  // Farthest-point sampling: each landmark is the vertex maximizing the
+  // distance to all previous ones (ties -> lowest id), which spreads them
+  // toward the deployment boundary where the bounds are tightest. It starts
+  // from the highest-degree vertex (lowest id on ties), never a crashed
+  // vertex the fault plane stripped to degree 0 while any edge exists: a
+  // sweep from one of those would read eccentricity 0 and disarm the tick.
+  // Vertices outside landmark 0's component report kUnreachable and are
+  // never promoted — minor components keep h = 0 and degrade to plain BFS,
+  // which their size makes cheap anyway.
   NodeId next = 0;
-  active_ = false;
+  for (NodeId v = 1; v < n_; ++v) {
+    if (g.degree(v) > g.degree(next)) next = v;
+  }
   for (Size k = 0; k < kLandmarks; ++k) {
     if (k >= k_count) {
       // Fewer vertices than table slots: duplicate the last sweep so every
@@ -47,30 +53,34 @@ void HopOracle::prepare(const graph::Graph& g) {
         sweep_queue_[tail++] = w;
       }
     }
-    std::uint32_t ecc = 0;
+    // BFS dequeues in distance order, so the last vertex is the farthest.
+    const std::uint32_t ecc = sweep_dist_[sweep_queue_[tail - 1]];
+    // The 16-bit rows reserve kFar for "unreachable": a deeper sweep cannot
+    // be stored, so the oracle stays in pass-through mode.
+    if (ecc >= kFar) return;
+    // Shallow-graph gate, decided on the cheapest usable depth estimates.
+    // Sweep 0 starts from the highest-degree vertex, whose eccentricity
+    // only brackets the diameter within [D/2, D] — a conclusive lower
+    // reading stops after one sweep. Sweep 1 starts from the graph's
+    // first landmark (the vertex farthest from the start, necessarily
+    // peripheral), whose eccentricity is a tight diameter estimate — it
+    // cleanly separates mid-size deployments (D ~ 20, where bidirectional
+    // BFS wins at every distance) from large ones (D ~ 40+) regardless of
+    // where the start landed. Below the cutoffs the remaining sweeps would
+    // be pure overhead: stop, leave the oracle in pass-through mode, and
+    // every query routes to bidirectional BFS.
+    if (k == 0 && ecc < kMinEccentricity) return;
+    if (k == 1 && ecc < kMinDiameter) return;
     for (NodeId v = 0; v < n_; ++v) {
-      land_[v * kLandmarks + k] = sweep_dist_[v];
-      const std::uint32_t dv = sweep_dist_[v] == graph::kUnreachable ? 0 : sweep_dist_[v];
-      if (dv > ecc) ecc = dv;
-      if (dv < min_dist_[v]) min_dist_[v] = dv;
+      const std::uint32_t dv = sweep_dist_[v];
+      land_[v * kLandmarks + k] = static_cast<std::uint16_t>(dv == graph::kUnreachable ? kFar : dv);
+      const std::uint32_t reach = dv == graph::kUnreachable ? 0 : dv;
+      if (reach < min_dist_[v]) min_dist_[v] = reach;
     }
     next = 0;
     for (NodeId v = 1; v < n_; ++v) {
-      if (min_dist_[v] != graph::kUnreachable && min_dist_[v] > min_dist_[next]) next = v;
+      if (min_dist_[v] > min_dist_[next]) next = v;
     }
-    // Shallow-graph gate, decided on the cheapest usable depth estimates.
-    // Sweep 0 starts from the arbitrary vertex 0, whose eccentricity only
-    // brackets the diameter within [D/2, D] — a conclusive lower reading
-    // stops after one sweep. Sweep 1 starts from the graph's first landmark
-    // (the vertex farthest from vertex 0, necessarily peripheral), whose
-    // eccentricity is a tight diameter estimate — it cleanly separates
-    // mid-size deployments (D ~ 20, where bidirectional BFS wins at every
-    // distance) from large ones (D ~ 40+) regardless of where vertex 0
-    // landed. Below the cutoffs the remaining sweeps would be pure overhead:
-    // stop, leave the oracle in pass-through mode, and every query routes to
-    // bidirectional BFS.
-    if (k == 0 && ecc < kMinEccentricity) return;
-    if (k == 1 && ecc < kMinDiameter) return;
   }
   active_ = true;
 }
@@ -82,20 +92,20 @@ std::uint32_t HopOracle::hops(NodeId s, NodeId t, Scratch& scratch) const {
   const graph::Graph& g = *g_;
   if (!active_) return scratch.pair_bfs.hops(g, s, t);  // shallow graph: prep skipped
 
-  const std::uint32_t* lt = &land_[static_cast<Size>(t) * kLandmarks];
-  const std::uint32_t* ls = &land_[static_cast<Size>(s) * kLandmarks];
+  const std::uint16_t* lt = &land_[static_cast<Size>(t) * kLandmarks];
+  const std::uint16_t* ls = &land_[static_cast<Size>(s) * kLandmarks];
   // Component screen and landmark bounds in one pass. By the triangle
   // inequality each landmark L yields |d(L,s) - d(L,t)| <= d(s,t) <=
   // d(L,s) + d(L,t). A landmark reaching exactly one endpoint separates
   // them; all landmarks share a component by construction, so a vertex's
-  // row is either all-finite or all-unreachable — one unreachable entry
-  // (with the screen already passed) means both endpoints sit in a minor
-  // component about which the table knows nothing.
+  // row is either all-finite or all-kFar — one kFar entry (with the screen
+  // already passed) means both endpoints sit in a minor component about
+  // which the table knows nothing.
   std::uint32_t lb = 0, ub = graph::kUnreachable;
   for (Size k = 0; k < kLandmarks; ++k) {
     const std::uint32_t a = ls[k], b = lt[k];
-    if ((a == graph::kUnreachable) != (b == graph::kUnreachable)) return graph::kUnreachable;
-    if (a == graph::kUnreachable) break;
+    if ((a == kFar) != (b == kFar)) return graph::kUnreachable;
+    if (a == kFar) break;
     const std::uint32_t d = a > b ? a - b : b - a;
     if (d > lb) lb = d;
     if (a + b < ub) ub = a + b;
@@ -105,74 +115,71 @@ std::uint32_t HopOracle::hops(NodeId s, NodeId t, Scratch& scratch) const {
   if (lb == ub) return lb;
   // Near-query dispatch: a small lower bound means the endpoints are close
   // enough that bidirectional BFS meets in a couple of rings — cheaper than
-  // A*'s per-vertex h() work.
+  // A*'s per-vertex h() work. Minor-component pairs (lb 0) land here too.
   if (lb < kNearCut) return scratch.pair_bfs.hops(g, s, t);
 
+  // From here s and t share the landmarks' component, and so does every
+  // vertex A* reaches: each row it reads is all-finite.
   const auto h = [&](NodeId u) -> std::uint32_t {
-    const std::uint32_t* lu = &land_[static_cast<Size>(u) * kLandmarks];
+    const std::uint16_t* lu = &land_[static_cast<Size>(u) * kLandmarks];
     std::uint32_t best = 0;
     for (Size k = 0; k < kLandmarks; ++k) {
       const std::uint32_t a = lu[k], b = lt[k];
-      // Unreachable entries only occur when u, t and all landmarks of that
-      // slot share the "unseen" state (the screen above handled the rest),
-      // in which case a == b and the term is 0 — no special case needed.
       const std::uint32_t d = a > b ? a - b : b - a;
       if (d > best) best = d;
     }
     return best;
   };
 
-  auto& mark = scratch.mark;
-  auto& dist = scratch.dist;
-  auto& done = scratch.done;
+  auto& slot = scratch.slot;
   auto& buckets = scratch.buckets;
-  if (mark.size() < n_) {
-    mark.assign(n_, 0);
-    dist.resize(n_);
-    done.resize(n_);
-  }
-  if (++scratch.epoch == 0) {  // stamp wraparound: old stamps become ambiguous
-    std::fill(mark.begin(), mark.end(), 0u);
+  if (slot.size() < n_) slot.resize(n_, Scratch::Slot{0, 0});
+  // Stamps 2e (open) and 2e + 1 (settled) must not wrap: restart the epochs
+  // before 2e overflows, clearing every stamp an older query left behind.
+  if (++scratch.epoch == kEpochRestart) {
+    std::fill(slot.begin(), slot.end(), Scratch::Slot{0, 0});
     scratch.epoch = 1;
   }
-  const std::uint32_t epoch = scratch.epoch;
+  const std::uint32_t open = 2 * scratch.epoch, settled = open + 1;
 
   for (auto& b : buckets) b.clear();
-  mark[s] = epoch;
-  dist[s] = 0;
-  done[s] = 0;
+  slot[s] = {open, 0};
   std::uint32_t f = h(s);
   buckets[f % 3].push_back(s);
 
   // Unit edges + consistent h keep every pushed key in [f, f + 2], so three
-  // rotating buckets form a complete priority queue. Entries are settled
-  // lazily: a vertex re-pushed with an improved distance leaves its stale
-  // copy behind, skipped via done_ when popped.
+  // rotating buckets form a complete priority queue. The current bucket pops
+  // LIFO: a same-key vertex pushed while expanding is the next one expanded,
+  // so the search dives along the f = d(s, t) band toward t instead of
+  // sweeping the whole tie band breadth-first. Any order inside the minimum
+  // bucket is exact — under a consistent h a vertex popped at the minimum
+  // key already holds its true distance. Entries are settled lazily: a
+  // vertex re-pushed with an improved distance leaves its stale copy
+  // behind, skipped by its settled stamp when popped.
   while (true) {
     auto& bucket = buckets[f % 3];
-    // Index loop: expanding a key-f vertex may push same-key entries.
-    for (Size i = 0; i < bucket.size(); ++i) {
-      const NodeId u = bucket[i];
-      if (done[u]) continue;
-      if (u == t) return dist[u];
-      done[u] = 1;
-      const std::uint32_t ng = dist[u] + 1;
+    while (!bucket.empty()) {
+      const NodeId u = bucket.back();
+      bucket.pop_back();
+      Scratch::Slot& su = slot[u];
+      if (su.stamp == settled) continue;
+      if (u == t) return su.dist;
+      su.stamp = settled;
+      const std::uint32_t ng = su.dist + 1;
       for (const NodeId w : g.neighbors(u)) {
-        if (mark[w] == epoch && (done[w] || dist[w] <= ng)) continue;
-        const std::uint32_t hw = h(w);
-        mark[w] = epoch;
-        dist[w] = ng;
-        done[w] = 0;
+        Scratch::Slot& sw = slot[w];
+        if (sw.stamp == settled || (sw.stamp == open && sw.dist <= ng)) continue;
+        sw = {open, ng};
         // Upper-bound prune: any s-t path through w is at least ng + h(w)
         // long, so when that exceeds the certified upper bound, w cannot lie
         // on a shortest path — record the tentative distance (so equal-or-
         // worse revisits are skipped cheaply above) but skip the push. A
         // strictly shorter prefix found later re-tests the prune.
-        if (ng + hw > ub) continue;
-        buckets[(ng + hw) % 3].push_back(w);
+        const std::uint32_t key = ng + h(w);
+        if (key > ub) continue;
+        buckets[key % 3].push_back(w);
       }
     }
-    bucket.clear();
     ++f;
     if (buckets[0].empty() && buckets[1].empty() && buckets[2].empty()) {
       return graph::kUnreachable;

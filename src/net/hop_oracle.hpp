@@ -41,6 +41,17 @@
 /// f = g + h change by at most +2 per expansion, so a 3-slot rotating bucket
 /// queue replaces the heap with O(1) push/pop.
 ///
+/// Tie order: on a hop-metric unit-disk graph most vertices near the s-t
+/// corridor share the minimum key f = d(s, t). The current bucket pops LIFO,
+/// so the vertex just pushed at that key expands next and the search dives
+/// along the band to t instead of sweeping it breadth-first (on four
+/// n = 16 384, mu 1 ticks: 2.4-3.0 M expansions per tick, against 5.3-6.5 M
+/// for a FIFO pop). The order inside the minimum bucket cannot change a
+/// result: if a popped vertex u held g(u) > d(s, u), the first unsettled
+/// vertex v on a shortest s-u path would be open with g(v) + h(v) =
+/// d(s, v) + h(v) <= d(s, u) + h(u) < g(u) + h(u), below the minimum key —
+/// a contradiction whatever the ties.
+///
 /// Disconnected graphs: a landmark that reaches exactly one of the endpoints
 /// proves they lie in different components (kUnreachable without any
 /// search); landmarks reaching neither contribute no bound and are skipped.
@@ -49,13 +60,22 @@ namespace manet::net {
 /// Exact point-to-point hop distances on one prepared graph snapshot.
 ///
 /// prepare(g) selects landmarks and runs K BFS sweeps (O(K (V + E)), about
-/// 3 ms at n = 4096 — amortized over thousands of same-tick queries);
-/// hops(s, t) answers one query. The landmark table is stored interleaved
-/// (all K distances of a vertex in one cache line) because the A* inner loop
-/// reads all K entries of each touched vertex.
+/// 3 ms at n = 4096 and 12-21 ms at n = 16 384 on one core — amortized over
+/// thousands of same-tick queries); hops(s, t) answers one query. The
+/// landmark table is stored interleaved, all K distances of a vertex in one
+/// 16-bit row of 32 bytes (two rows per cache line), because the A* inner
+/// loop reads all K entries of each touched vertex. A sweep that reaches
+/// 65 535 hops does not fit the row; prepare() then leaves the oracle in
+/// pass-through mode.
+///
+/// Farthest-point sampling starts from the highest-degree vertex (lowest id
+/// on ties): one pass over the degrees that lands in the main component on
+/// the simulator's topologies, and never on an isolated vertex while any
+/// edge exists. The fault plane strips crashed vertices to degree 0, and a
+/// start on one of them would read eccentricity 0 and disarm the whole tick.
 ///
 /// The oracle is cost-adaptive, because goal-directed search only pays off
-/// when there is distance to direct across (measured crossover ~8 hops):
+/// when there is distance to direct across:
 ///
 ///   * Shallow graphs: prepare() estimates the diameter from its first one
 ///     or two sweeps (see kMinEccentricity / kMinDiameter) and, below the
@@ -71,18 +91,21 @@ namespace manet::net {
 /// Every route is exact, so the dispatch never changes a returned value.
 class HopOracle {
  public:
-  /// Per-caller query state: the A* visit marks / bucket queue plus the
+  /// Per-caller query state: the A* vertex slots / bucket queue plus the
   /// bidirectional-BFS scratch the near/shallow routes dispatch to. The
   /// prepared landmark table is shared-read, so concurrent queries against
   /// one prepared oracle are safe as long as each thread brings its own
   /// Scratch — the sharded pricing pass in lm::HandoffEngine keeps one per
-  /// shard.
+  /// executing thread.
   struct Scratch {
     graph::BfsPairScratch pair_bfs;  ///< near-query + shallow-graph route
-    // A* scratch: epoch-stamped visit marks plus the rotating bucket queue.
-    std::vector<std::uint32_t> mark, dist;
-    std::vector<std::uint8_t> done;
-    std::vector<NodeId> buckets[3];
+    /// A* state of one vertex in query epoch e: stamp 2e marks it open with
+    /// tentative distance dist, 2e + 1 settled; older stamps mean unseen.
+    struct Slot {
+      std::uint32_t stamp, dist;
+    };
+    std::vector<Slot> slot;
+    std::vector<NodeId> buckets[3];  ///< rotating bucket queue, keys mod 3
     std::uint32_t epoch = 0;
   };
 
@@ -106,21 +129,29 @@ class HopOracle {
 
  private:
   static constexpr Size kLandmarks = 16;
-  /// Below this first-sweep (vertex 0) eccentricity the whole graph is
-  /// within a few bidirectional-BFS rings of anywhere and landmark prep
-  /// cannot earn its sweeps back. Vertex 0's eccentricity can read as low as
-  /// half the diameter, so this cutoff is intentionally conservative...
+  /// Row entry for a vertex the landmark's sweep never reached.
+  static constexpr std::uint32_t kFar = 0xFFFF;
+  /// Epoch at which the A* stamps (2e, 2e + 1) restart from a cleared array.
+  static constexpr std::uint32_t kEpochRestart = 1u << 31;
+  /// Below this first-sweep eccentricity the whole graph is within a few
+  /// bidirectional-BFS rings of anywhere and landmark prep cannot earn its
+  /// sweeps back. The start vertex's eccentricity can read as low as half
+  /// the diameter, so this cutoff is intentionally conservative...
   static constexpr std::uint32_t kMinEccentricity = 13;
   /// ...and the second sweep (from the farthest-point landmark, a peripheral
   /// vertex) measures the diameter nearly exactly, deciding the rest.
   static constexpr std::uint32_t kMinDiameter = 27;
-  /// Landmark lower bounds under this route to bidirectional BFS.
-  static constexpr std::uint32_t kNearCut = 8;
+  /// Landmark lower bounds under this route to bidirectional BFS. Measured
+  /// under the LIFO tie order on four mobile ticks (n = 16 384, mu 1, about
+  /// 30 k pairs each, one core): every cutoff from 2 to 8 priced them within
+  /// the run-to-run spread (summed medians 2.64-2.77 s; 4 read 2.65 s and
+  /// 8 read 2.68 s).
+  static constexpr std::uint32_t kNearCut = 4;
 
   const graph::Graph* g_ = nullptr;
   Size n_ = 0;
   bool active_ = false;              ///< landmark table populated this bind
-  std::vector<std::uint32_t> land_;  ///< interleaved: land_[v * K + k]
+  std::vector<std::uint16_t> land_;  ///< interleaved: land_[v * K + k], kFar unreached
 
   // Landmark-selection scratch (farthest-point sampling).
   std::vector<std::uint32_t> min_dist_;

@@ -119,6 +119,25 @@ TEST(TickPipeline, IncrementalMatchesFullUnderHeavyFaultChurn) {
   run_both_and_compare(cfg);
 }
 
+TEST(TickPipeline, IncrementalMatchesFullOnADeepDeployment) {
+  // The other arms run at n <= 180, where HopOracle::prepare() reads a
+  // shallow graph and every query passes through to pair BFS. At n = 2048 on
+  // the connectivity radius both depth probes arm the landmark table on
+  // every measured tick, so the incremental arms price through landmark A*
+  // while the full-tick arm prices through pair BFS.
+  ScenarioConfig cfg;
+  cfg.n = 2048;
+  cfg.seed = 23;
+  cfg.warmup = 2.0;
+  cfg.duration = 3.0;
+  run_both_and_compare(cfg);
+  SCOPED_TRACE("loss and crashes");
+  cfg.fault.loss = 0.05;
+  cfg.fault.crash_rate = 0.03;
+  cfg.fault.mean_downtime = 2.0;
+  run_both_and_compare(cfg);
+}
+
 TEST(TickPipeline, IncrementalMatchesFullMaxMin1) {
   // MaxMin-d has no incremental election: every changed tick of the
   // incremental path rebuilds with the builder.

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "geom/region.hpp"
 #include "graph/bfs.hpp"
+#include "net/radio.hpp"
 #include "net/unit_disk.hpp"
 
 namespace manet::net {
@@ -36,6 +37,36 @@ Graph random_deployment(Size n, double radius, bool ensure_connected,
   for (auto& p : positions) p = region.sample(rng);
   UnitDiskBuilder builder(radius, ensure_connected);
   return builder.build(positions);
+}
+
+/// A connected n = 4096 deployment at the simulator's default connectivity
+/// radius (margin 3.5). Its diameter (about 45 hops) clears both depth
+/// probes of prepare(), so hops() runs landmark A* for every pair whose
+/// lower bound reaches the near cutoff.
+Graph deep_deployment() {
+  const Size n = 4096;
+  return random_deployment(n, connectivity_radius(n, 1.0, 3.5), /*ensure_connected=*/true, 23);
+}
+
+/// Oracle vs reference over uniform pairs plus, for a sample of sources,
+/// the farthest vertex of each — near-diameter pairs whose A* searches
+/// cross the whole f = d tie band.
+void expect_matches_bfs_with_far_pairs(HopOracle& oracle, const Graph& g,
+                                       std::uint64_t seed, Size pairs, Size far_sources) {
+  expect_matches_bfs(oracle, g, seed, pairs);
+  graph::BfsScratch sweep;
+  graph::BfsPairScratch ref;
+  common::Xoshiro256 rng(seed + 1);
+  for (Size i = 0; i < far_sources; ++i) {
+    const auto s = static_cast<NodeId>(common::uniform_index(rng, g.vertex_count()));
+    const auto dist = sweep.run(g, s);
+    NodeId far = s;
+    for (NodeId v = 0; v < dist.size(); ++v) {
+      if (dist[v] != graph::kUnreachable && dist[v] > dist[far]) far = v;
+    }
+    ASSERT_EQ(oracle.hops(s, far), dist[far]) << "s=" << s << " far=" << far;
+    ASSERT_EQ(oracle.hops(far, s), ref.hops(g, far, s)) << "far=" << far << " s=" << s;
+  }
 }
 
 TEST(HopOracle, MatchesPairBfsOnRandomDeployments) {
@@ -75,6 +106,60 @@ TEST(HopOracle, ExactInActiveModeOnDeepGraph) {
   }
   EXPECT_EQ(oracle.hops(0, n - 1), n - 1);
   EXPECT_EQ(oracle.hops(5, 5), 0u);
+}
+
+TEST(HopOracle, ExactWhereHopDistancesTieOnADeepDeployment) {
+  // On a unit-disk graph most vertices near an s-t corridor share the
+  // minimum A* key, so the order in which the bucket queue pops them is
+  // exercised on every far query. Any order must return the BFS distance.
+  const Graph g = deep_deployment();
+  HopOracle oracle;
+  oracle.prepare(g);
+  expect_matches_bfs_with_far_pairs(oracle, g, 24, 2000, 200);
+}
+
+TEST(HopOracle, ExactWithVertexZeroAndMinorComponentsStripped) {
+  // The fault plane strips crashed vertices to degree 0, vertex 0 included.
+  // Cut every edge between a 5 % subset (vertex 0 among them) and the rest:
+  // the subset falls apart into isolated vertices and minor components. The
+  // landmarks start in the main component, and every cross-component pair
+  // reads kUnreachable.
+  const Graph deep = deep_deployment();
+  const Size n = deep.vertex_count();
+  std::vector<std::uint8_t> cut(n, 0);
+  cut[0] = 1;
+  common::Xoshiro256 rng(25);
+  for (Size i = 0; i < n / 20; ++i) cut[common::uniform_index(rng, n)] = 1;
+  std::vector<Edge> edges;
+  for (const auto& [u, v] : deep.edges()) {
+    if (cut[u] == cut[v]) edges.emplace_back(u, v);
+  }
+  const Graph g(n, edges);
+  ASSERT_EQ(g.degree(0), 0u);
+  HopOracle oracle;
+  oracle.prepare(g);
+  expect_matches_bfs_with_far_pairs(oracle, g, 26, 2000, 200);
+  graph::BfsPairScratch ref;
+  for (NodeId v = 0; v < n; v += 97) {
+    ASSERT_EQ(oracle.hops(0, v), ref.hops(g, 0, v)) << "v=" << v;
+  }
+}
+
+TEST(HopOracle, ExactOnAPathTooDeepForSixteenBitRows) {
+  // A 70 000-vertex path: the first sweep (from vertex 1, the lowest-id
+  // vertex of the highest degree) reaches 69 998 hops, which a 16-bit
+  // landmark row cannot hold, so prepare() leaves the oracle in pass-through
+  // mode and each query runs bidirectional BFS.
+  const Size n = 70000;
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  const Graph g(n, edges);
+  HopOracle oracle;
+  oracle.prepare(g);
+  EXPECT_EQ(oracle.hops(0, n - 1), n - 1);
+  EXPECT_EQ(oracle.hops(n - 1, 1), n - 2);
+  EXPECT_EQ(oracle.hops(65535, 0), 65535u);
+  expect_matches_bfs(oracle, g, 27, 40);
 }
 
 TEST(HopOracle, UnreachableAcrossComponents) {
