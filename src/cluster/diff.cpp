@@ -4,9 +4,7 @@
 #include <span>
 #include <utility>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
-#include "common/flat_map.hpp"
 
 namespace manet::cluster {
 
@@ -32,31 +30,30 @@ namespace {
 
 using IdPair = std::pair<NodeId, NodeId>;
 
-/// Sorted original ids of V_k; empty when the hierarchy lacks level k.
-/// Arena-backed: the span lives until the caller's next rewind().
-std::span<NodeId> sorted_head_ids(const Hierarchy& h, Level k, common::ArenaScratch& arena) {
-  if (k >= h.level_count()) return {};
+/// Fill \p out with the sorted original ids of V_k; empty when the hierarchy
+/// lacks level k.
+void sorted_head_ids(const Hierarchy& h, Level k, std::vector<NodeId>& out) {
+  out.clear();
+  if (k >= h.level_count()) return;
   const auto& ids = h.level(k).ids;
-  auto out = arena.alloc_span<NodeId>(ids.size());
-  std::copy(ids.begin(), ids.end(), out.begin());
+  out.assign(ids.begin(), ids.end());
   std::sort(out.begin(), out.end());
-  return out;
 }
 
-/// Canonical sorted id-pair list of E_k; empty when level k is absent.
-std::span<IdPair> sorted_link_ids(const Hierarchy& h, Level k, common::ArenaScratch& arena) {
-  if (k >= h.level_count()) return {};
+/// Fill \p out with the canonical sorted id-pair list of E_k; empty when
+/// level k is absent.
+void sorted_link_ids(const Hierarchy& h, Level k, std::vector<IdPair>& out) {
+  out.clear();
+  if (k >= h.level_count()) return;
   const auto& view = h.level(k);
-  auto out = arena.alloc_span<IdPair>(view.topo.edge_count());
-  Size i = 0;
+  out.reserve(view.topo.edge_count());
   for (const auto& [a, b] : view.topo.edges()) {
     NodeId ia = view.ids[a];
     NodeId ib = view.ids[b];
     if (ia > ib) std::swap(ia, ib);
-    out[i++] = IdPair{ia, ib};
+    out.emplace_back(ia, ib);
   }
   std::sort(out.begin(), out.end());
-  return out;
 }
 
 bool contains_sorted(std::span<const NodeId> sorted, NodeId id) {
@@ -77,23 +74,20 @@ void record(HierarchyDelta& delta, ReorgEventType type, Level level, NodeId a, N
 /// children, ascending by dense vertex. The event is recursive when a voter
 /// is missing from \p other_heads, V_{k-1} of the other snapshot (sorted),
 /// and that voter is the witness; otherwise the first voter is. \p dense is
-/// scratch for the level's id -> dense map.
+/// scratch for the level's id -> dense index.
 void record_head_changes(HierarchyDelta& delta, const Hierarchy& h, Level k,
                          std::span<const NodeId> heads, std::span<const NodeId> other_heads,
                          ReorgEventType recursive_type, ReorgEventType migration_type,
-                         common::FlatMap<NodeId, NodeId>& dense) {
+                         IdIndex& dense) {
   if (heads.empty()) return;
-  const auto& level = h.level(k);
   const auto& voter_ids = h.level(k - 1).ids;
-  dense.clear();
-  dense.reserve(level.vertex_count());
-  for (NodeId c = 0; c < level.vertex_count(); ++c) dense.insert_or_assign(level.ids[c], c);
+  index_ids(h.level(k).ids, dense);
   for (const NodeId head : heads) {
-    const NodeId* cluster = dense.find(head);
-    MANET_CHECK(cluster != nullptr);
+    const NodeId cluster = vertex_of(dense, head);
+    MANET_CHECK(cluster != kInvalidNode);
     bool recursive = false;
     NodeId witness = kInvalidNode;
-    for (const NodeId u : h.children(k, *cluster)) {
+    for (const NodeId u : h.children(k, cluster)) {
       const NodeId voter = voter_ids[u];
       if (voter == head) continue;
       if (witness == kInvalidNode) witness = voter;
@@ -132,10 +126,10 @@ void diff_hierarchies(const Hierarchy& before, const Hierarchy& after, Hierarchy
                   "hierarchy diff requires identical node populations");
   // Per-thread scratch: campaign workers diff disjoint runs, and the scratch
   // contents never outlive the call, so thread_local reuse is safe and keeps
-  // the per-tick diff allocation-free once the arena has sized itself.
-  thread_local common::ArenaScratch arena;
-  thread_local common::FlatMap<NodeId, NodeId> dense;  // id -> dense, events (iii)-(vii)
-  arena.rewind();
+  // the per-tick diff allocation-free once the vectors have sized themselves.
+  thread_local std::vector<std::vector<NodeId>> heads_before, heads_after;
+  thread_local std::vector<IdPair> before_links, after_links;
+  thread_local IdIndex dense;  // id -> dense, events (iii)-(vii)
   delta.migrations.clear();
   delta.events.clear();
   for (auto& per_level : delta.event_counts) per_level.clear();
@@ -161,11 +155,11 @@ void diff_hierarchies(const Hierarchy& before, const Hierarchy& after, Hierarchy
   reset_levels(delta.links_up, top_any + 1);
   reset_levels(delta.links_down, top_any + 1);
 
-  auto heads_before = arena.alloc_span<std::span<NodeId>>(top_any + 2);
-  auto heads_after = arena.alloc_span<std::span<NodeId>>(top_any + 2);
+  if (heads_before.size() < top_any + 2) heads_before.resize(top_any + 2);
+  if (heads_after.size() < top_any + 2) heads_after.resize(top_any + 2);
   for (Level k = 0; k <= top_any + 1; ++k) {
-    heads_before[k] = sorted_head_ids(before, k, arena);
-    heads_after[k] = sorted_head_ids(after, k, arena);
+    sorted_head_ids(before, k, heads_before[k]);
+    sorted_head_ids(after, k, heads_after[k]);
   }
 
   for (Level k = 1; k <= top_any + 1; ++k) {
@@ -176,8 +170,8 @@ void diff_hierarchies(const Hierarchy& before, const Hierarchy& after, Hierarchy
   }
 
   for (Level k = 1; k <= top_any; ++k) {
-    const auto before_links = sorted_link_ids(before, k, arena);
-    const auto after_links = sorted_link_ids(after, k, arena);
+    sorted_link_ids(before, k, before_links);
+    sorted_link_ids(after, k, after_links);
     std::set_difference(after_links.begin(), after_links.end(), before_links.begin(),
                         before_links.end(), std::back_inserter(delta.links_up[k]));
     std::set_difference(before_links.begin(), before_links.end(), after_links.begin(),
@@ -225,14 +219,11 @@ void diff_hierarchies(const Hierarchy& before, const Hierarchy& after, Hierarchy
     if (k + 1 >= delta.heads_gained.size()) break;
     if (k >= after.level_count()) break;
     const auto& view = after.level(k);
-    // id -> dense map for this level (cleared per level, capacity retained).
-    dense.clear();
-    dense.reserve(view.vertex_count());
-    for (NodeId u = 0; u < view.vertex_count(); ++u) dense.insert_or_assign(view.ids[u], u);
+    index_ids(view.ids, dense);
     for (const NodeId h : delta.heads_gained[k + 1]) {
-      const NodeId* found = dense.find(h);
-      if (found == nullptr) continue;
-      for (const NodeId u : view.topo.neighbors(*found)) {
+      const NodeId found = vertex_of(dense, h);
+      if (found == kInvalidNode) continue;
+      for (const NodeId u : view.topo.neighbors(found)) {
         record(delta, ReorgEventType::kNeighborPromoted, k, view.ids[u], h);
       }
     }

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -31,6 +33,24 @@ struct ElectionResult {
 
   Size cluster_count() const { return clusterheads.size(); }
 };
+
+/// (id, dense vertex) pairs sorted by id: the id -> vertex lookup of one
+/// level. Ids are unique but not dense, so the lookup is a binary search.
+using IdIndex = std::vector<std::pair<NodeId, NodeId>>;
+
+/// Fill \p out with the sorted index of \p ids (capacity kept).
+inline void index_ids(std::span<const NodeId> ids, IdIndex& out) {
+  out.clear();
+  out.reserve(ids.size());
+  for (NodeId v = 0; v < ids.size(); ++v) out.emplace_back(ids[v], v);
+  std::sort(out.begin(), out.end());
+}
+
+/// Dense vertex of \p id in \p index; kInvalidNode when absent.
+inline NodeId vertex_of(const IdIndex& index, NodeId id) {
+  const auto it = std::lower_bound(index.begin(), index.end(), std::pair{id, NodeId{0}});
+  return it != index.end() && it->first == id ? it->second : kInvalidNode;
+}
 
 /// Abstract election algorithm, applied recursively per hierarchy level.
 class ElectionAlgorithm {

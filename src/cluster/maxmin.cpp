@@ -1,7 +1,6 @@
 #include "cluster/maxmin.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/check.hpp"
 
@@ -66,19 +65,18 @@ ElectionResult MaxMinDCluster::elect(const graph::Graph& g,
   // must itself be a head (Amis et al. prove this for connected graphs; the
   // promotion below also covers degenerate cases so the partition is always
   // well formed).
-  std::unordered_map<NodeId, NodeId> id_to_vertex;
-  id_to_vertex.reserve(n);
-  for (NodeId v = 0; v < n; ++v) id_to_vertex.emplace(ids[v], v);
+  IdIndex id_to_vertex;
+  index_ids(ids, id_to_vertex);
 
   ElectionResult result;
   result.head_of.resize(n);
   result.votes.assign(n, 0);
   std::vector<bool> is_head(n, false);
   for (NodeId v = 0; v < n; ++v) {
-    const auto it = id_to_vertex.find(chosen_id[v]);
-    MANET_CHECK_MSG(it != id_to_vertex.end(), "max-min elected an unknown id");
-    result.head_of[v] = it->second;
-    is_head[it->second] = true;
+    const NodeId head = vertex_of(id_to_vertex, chosen_id[v]);
+    MANET_CHECK_MSG(head != kInvalidNode, "max-min elected an unknown id");
+    result.head_of[v] = head;
+    is_head[head] = true;
   }
   for (NodeId v = 0; v < n; ++v) {
     if (is_head[v]) {

@@ -16,31 +16,35 @@ void HeadLifetimeTracker::observe(const Hierarchy& h, Time t) {
     LevelState& state = levels_[k - 1];
     const auto& ids = h.level(k).ids;
 
-    // Mark current heads; births for new ones.
-    present_.clear();
-    present_.reserve(ids.size());
-    for (const NodeId id : ids) {
-      present_.insert(id);
-      if (!state.alive.contains(id)) state.alive.insert_or_assign(id, t);
-    }
-    // Deaths: heads that vanished complete a tenure. Erasure is deferred —
-    // FlatMap iteration must not race its own compaction.
-    doomed_.clear();
-    for (const auto& e : state.alive) {
-      if (present_.contains(e.key)) continue;
-      const double lifetime = t - e.value;
+    present_.assign(ids.begin(), ids.end());
+    std::sort(present_.begin(), present_.end());
+    born_.clear();
+    for (const auto& [id, birth] : state.alive) born_.push_back(id);
+    std::sort(born_.begin(), born_.end());
+    // Deaths: heads that vanished complete a tenure; survivors keep their
+    // order.
+    Size kept = 0;
+    for (const auto& entry : state.alive) {
+      if (std::binary_search(present_.begin(), present_.end(), entry.first)) {
+        state.alive[kept++] = entry;
+        continue;
+      }
+      const double lifetime = t - entry.second;
       state.lifetime_sum += lifetime;
       state.lifetime_max = std::max(state.lifetime_max, lifetime);
       ++state.completed;
-      doomed_.push_back(e.key);
     }
-    for (const NodeId id : doomed_) state.alive.erase(id);
+    state.alive.resize(kept);
+    // Births, in the level's id order.
+    for (const NodeId id : ids) {
+      if (!std::binary_search(born_.begin(), born_.end(), id)) state.alive.emplace_back(id, t);
+    }
   }
   // Levels beyond the current top: everything alive there dies now.
   for (Level k = top + 1; k <= levels_.size(); ++k) {
     LevelState& state = levels_[k - 1];
-    for (const auto& e : state.alive) {
-      const double lifetime = t - e.value;
+    for (const auto& [id, birth] : state.alive) {
+      const double lifetime = t - birth;
       state.lifetime_sum += lifetime;
       state.lifetime_max = std::max(state.lifetime_max, lifetime);
       ++state.completed;
@@ -65,7 +69,7 @@ TenureStats HeadLifetimeTracker::stats(Level k) const {
   out.ongoing = state.alive.size();
   if (!state.alive.empty()) {
     double age_sum = 0.0;
-    for (const auto& e : state.alive) age_sum += last_time_ - e.value;
+    for (const auto& [id, birth] : state.alive) age_sum += last_time_ - birth;
     out.mean_ongoing_age = age_sum / static_cast<double>(state.alive.size());
   }
   return out;

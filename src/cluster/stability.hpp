@@ -1,10 +1,9 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "cluster/hierarchy.hpp"
-#include "common/flat_map.hpp"
-#include "common/flat_set.hpp"
 
 /// \file stability.hpp
 /// Clusterhead tenure tracking — the temporal side of the paper's Section
@@ -44,15 +43,20 @@ class HeadLifetimeTracker {
 
  private:
   struct LevelState {
-    common::FlatMap<NodeId, Time> alive;  ///< head id -> birth time
+    /// (head id, birth time) in birth order: survivors keep their place and
+    /// a re-born head goes to the back, so the lifetime and age sums add in
+    /// one fixed order.
+    std::vector<std::pair<NodeId, Time>> alive;
     double lifetime_sum = 0.0;
     double lifetime_max = 0.0;
     Size completed = 0;
   };
 
   std::vector<LevelState> levels_;  ///< index: level - 1
-  common::FlatSet<NodeId> present_;   ///< per-observe scratch (capacity retained)
-  std::vector<NodeId> doomed_;        ///< per-observe scratch: heads to erase
+  /// Per-observe scratch, sorted for lower_bound (capacity retained): ids
+  /// are unique but not dense, so membership is a search, not an index.
+  std::vector<NodeId> present_;  ///< the level's current head ids
+  std::vector<NodeId> born_;     ///< ids alive before this observe
   Time last_time_ = 0.0;
   bool started_ = false;
 };

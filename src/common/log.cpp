@@ -1,6 +1,5 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
@@ -8,36 +7,13 @@ namespace manet::common {
 
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::Warn};
 std::mutex g_io_mutex;
-
-const char* level_name(LogLevel level) noexcept {
-  switch (level) {
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
-    case LogLevel::Warn: return "WARN";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
-  }
-  return "?";
-}
 
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel log_level() noexcept { return g_level.load(std::memory_order_relaxed); }
-
-void log(LogLevel level, std::string_view message) {
-  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
+void log_warn(std::string_view message) {
   const std::lock_guard<std::mutex> lock(g_io_mutex);
-  std::fprintf(stderr, "[%s] %.*s\n", level_name(level), static_cast<int>(message.size()),
-               message.data());
+  std::fprintf(stderr, "[WARN] %.*s\n", static_cast<int>(message.size()), message.data());
 }
-
-void log_debug(std::string_view message) { log(LogLevel::Debug, message); }
-void log_info(std::string_view message) { log(LogLevel::Info, message); }
-void log_warn(std::string_view message) { log(LogLevel::Warn, message); }
-void log_error(std::string_view message) { log(LogLevel::Error, message); }
 
 }  // namespace manet::common

@@ -3,23 +3,12 @@
 #include <string_view>
 
 /// \file log.hpp
-/// Minimal leveled logging to stderr. Experiment binaries run quietly by
-/// default (level Warn); examples raise the level to Info for narration.
+/// Warnings to stderr. Experiment binaries otherwise run quietly; the only
+/// messages are warnings about input the program skips.
 
 namespace manet::common {
 
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-/// Sets the global threshold; messages below it are dropped.
-void set_log_level(LogLevel level) noexcept;
-LogLevel log_level() noexcept;
-
-/// Emits "[LEVEL] message\n" to stderr if \p level passes the threshold.
-void log(LogLevel level, std::string_view message);
-
-void log_debug(std::string_view message);
-void log_info(std::string_view message);
+/// Emits "[WARN] message\n" to stderr; concurrent calls do not interleave.
 void log_warn(std::string_view message);
-void log_error(std::string_view message);
 
 }  // namespace manet::common

@@ -55,19 +55,4 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                              const std::function<void(std::size_t)>& on_complete) {
-  if (!on_complete) {
-    parallel_for(n, fn);
-    return;
-  }
-  std::mutex done_mutex;
-  std::size_t done = 0;
-  parallel_for(n, [&fn, &on_complete, &done_mutex, &done](std::size_t i) {
-    fn(i);
-    const std::lock_guard<std::mutex> lock(done_mutex);
-    on_complete(++done);
-  });
-}
-
 }  // namespace manet::common

@@ -53,14 +53,6 @@ class ThreadPool {
   /// order) after all tasks finish.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// parallel_for with a work-unit progress hook: after each fn(i) returns,
-  /// on_complete(done) fires with the number of completed iterations so far.
-  /// Calls are serialized (one at a time, monotone done counts), so the hook
-  /// may write checkpoints or print progress without its own locking; keep it
-  /// cheap — it runs on a worker thread while siblings wait on the lock.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                    const std::function<void(std::size_t)>& on_complete);
-
  private:
   void worker_loop();
 

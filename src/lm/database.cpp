@@ -9,41 +9,69 @@ namespace manet::lm {
 LmDatabase::LmDatabase(Size n_nodes) { reset(n_nodes); }
 
 void LmDatabase::reset(Size n_nodes) {
-  stores_.assign(n_nodes, {});
+  for (auto& slots : levels_) slots.clear();
+  counts_.assign(n_nodes, 0);
   total_ = 0;
 }
 
+const LmDatabase::Slot* LmDatabase::slot(NodeId owner, Level level) const {
+  if (level >= levels_.size() || owner >= levels_[level].size()) return nullptr;
+  return &levels_[level][owner];
+}
+
 void LmDatabase::put(NodeId server, LocationRecord record) {
-  MANET_CHECK(server < stores_.size());
-  MANET_CHECK(record.owner != kInvalidNode);
-  if (stores_[server].insert_or_assign(key(record.owner, record.level), record)) ++total_;
+  MANET_CHECK(server < counts_.size());
+  MANET_CHECK(record.owner < counts_.size());
+  MANET_CHECK_MSG(record.level < kLevelBound, "level out of range");
+  if (levels_.size() <= record.level) levels_.resize(record.level + 1);
+  auto& slots = levels_[record.level];
+  if (slots.empty()) slots.resize(counts_.size());
+  Slot& s = slots[record.owner];
+  MANET_CHECK_MSG(s.holder == kInvalidNode || s.holder == server,
+                  "entry already held by another server");
+  if (s.holder == kInvalidNode) {
+    s.holder = server;
+    ++counts_[server];
+    ++total_;
+  }
+  s.record = record;
 }
 
 LocationRecord LmDatabase::take(NodeId server, NodeId owner, Level level) {
-  MANET_CHECK(server < stores_.size());
-  auto& store = stores_[server];
-  const std::uint64_t k = key(owner, level);
-  const LocationRecord* found = store.find(k);
-  if (found == nullptr) return LocationRecord{};
-  LocationRecord record = *found;
-  store.erase(k);
+  MANET_CHECK(server < counts_.size());
+  const Slot* found = slot(owner, level);
+  if (found == nullptr || found->holder != server) return LocationRecord{};
+  Slot& s = levels_[level][owner];
+  s.holder = kInvalidNode;
+  --counts_[server];
   --total_;
-  return record;
+  return s.record;
 }
 
 const LocationRecord* LmDatabase::find(NodeId server, NodeId owner, Level level) const {
-  MANET_CHECK(server < stores_.size());
-  return stores_[server].find(key(owner, level));
+  MANET_CHECK(server < counts_.size());
+  const Slot* s = slot(owner, level);
+  return s != nullptr && s->holder == server ? &s->record : nullptr;
+}
+
+NodeId LmDatabase::holder(NodeId owner, Level level) const {
+  const Slot* s = slot(owner, level);
+  return s != nullptr ? s->holder : kInvalidNode;
 }
 
 std::vector<LocationRecord> LmDatabase::drop_all(NodeId server) {
-  MANET_CHECK(server < stores_.size());
-  auto& store = stores_[server];
+  MANET_CHECK(server < counts_.size());
   std::vector<LocationRecord> out;
-  out.reserve(store.size());
-  for (const auto& e : store) out.push_back(e.value);
-  total_ -= store.size();
-  store.clear();
+  out.reserve(counts_[server]);
+  for (auto& slots : levels_) {
+    for (Slot& s : slots) {
+      if (s.holder != server) continue;
+      s.holder = kInvalidNode;
+      out.push_back(s.record);
+    }
+  }
+  total_ -= out.size();
+  counts_[server] = 0;
   std::sort(out.begin(), out.end(), [](const LocationRecord& a, const LocationRecord& b) {
     return a.owner != b.owner ? a.owner < b.owner : a.level < b.level;
   });
@@ -51,14 +79,8 @@ std::vector<LocationRecord> LmDatabase::drop_all(NodeId server) {
 }
 
 Size LmDatabase::entry_count(NodeId server) const {
-  MANET_CHECK(server < stores_.size());
-  return stores_[server].size();
-}
-
-std::vector<Size> LmDatabase::load_vector() const {
-  std::vector<Size> out(stores_.size());
-  for (Size v = 0; v < stores_.size(); ++v) out[v] = stores_[v].size();
-  return out;
+  MANET_CHECK(server < counts_.size());
+  return counts_[server];
 }
 
 LoadStats load_stats(const std::vector<Size>& loads) {

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/check.hpp"
-#include "common/flat_map.hpp"
 #include "common/types.hpp"
 
 /// \file database.hpp
@@ -24,22 +22,36 @@ struct LocationRecord {
   std::uint64_t version = 0;    ///< monotone per-entry version
 };
 
-/// Per-node entry stores, keyed by (owner, level).
+/// The (owner, level) entry table. In CHLM every owner has exactly one
+/// level-k server per level k (Section 3.2), so the database is a function
+/// of (owner, level): each level holds one slot per owner, naming the server
+/// that holds the entry. One holder per entry is structural, and put()
+/// refuses an entry that another server holds.
 class LmDatabase {
  public:
+  /// Levels at or above this bound are refused (hierarchy depth is
+  /// Theta(log |V|), so only a corrupted argument can reach it).
+  static constexpr Level kLevelBound = Level{1} << 16;
+
   explicit LmDatabase(Size n_nodes = 0);
 
+  /// Empty the table for \p n_nodes servers and owners; the level arrays
+  /// keep their capacity.
   void reset(Size n_nodes);
 
-  /// Insert or overwrite the (owner, level) record at \p server.
+  /// Insert or overwrite the (owner, level) record at \p server. The entry
+  /// must be held by nobody or by \p server already.
   void put(NodeId server, LocationRecord record);
 
   /// Remove the (owner, level) record from \p server; returns the record or
-  /// a default one with owner == kInvalidNode if absent.
+  /// a default one with owner == kInvalidNode if \p server does not hold it.
   LocationRecord take(NodeId server, NodeId owner, Level level);
 
-  /// Lookup without removal; nullptr when absent.
+  /// Lookup without removal; nullptr when \p server does not hold it.
   const LocationRecord* find(NodeId server, NodeId owner, Level level) const;
+
+  /// Server holding the (owner, level) entry; kInvalidNode when none does.
+  NodeId holder(NodeId owner, Level level) const;
 
   /// Remove and return every record stored at \p server (a node crash wipes
   /// its store). Records are returned sorted by (owner, level) so callers
@@ -50,23 +62,23 @@ class LmDatabase {
   Size entry_count(NodeId server) const;
 
   Size total_entries() const { return total_; }
-  Size node_count() const { return stores_.size(); }
+  Size node_count() const { return counts_.size(); }
 
   /// Entry counts for every node (the load histogram source).
-  std::vector<Size> load_vector() const;
+  std::vector<Size> load_vector() const { return counts_; }
 
  private:
-  /// Packed (owner, level) store key. The low 16 bits carry the level, so a
-  /// level at or above 2^16 would silently alias another owner's entry —
-  /// guard the range (hierarchy depth is Theta(log |V|), i.e. tiny, so the
-  /// check can never fire on real input, only on corrupted arguments).
-  static std::uint64_t key(NodeId owner, Level level) {
-    static_assert(sizeof(NodeId) * 8 <= 48, "owner<<16 must fit the packed u64");
-    MANET_CHECK_MSG(level < (Level{1} << 16), "level out of packed-key range");
-    return (static_cast<std::uint64_t>(owner) << 16) | level;
-  }
+  struct Slot {
+    NodeId holder = kInvalidNode;
+    LocationRecord record;
+  };
+  /// The (owner, level) slot; nullptr when level \p level has no array yet
+  /// or \p owner is out of range.
+  const Slot* slot(NodeId owner, Level level) const;
 
-  std::vector<common::FlatMap<std::uint64_t, LocationRecord>> stores_;
+  /// levels_[k][owner]; a level's array is sized on its first put().
+  std::vector<std::vector<Slot>> levels_;
+  std::vector<Size> counts_;  ///< entries held per server
   Size total_ = 0;
 };
 

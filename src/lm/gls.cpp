@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -35,15 +36,14 @@ std::pair<std::int32_t, std::int32_t> GridHierarchy::cell(geom::Vec2 p, Level k)
   return {static_cast<std::int32_t>(x / s), static_cast<std::int32_t>(y / s)};
 }
 
-std::uint64_t GridHierarchy::cell_key(geom::Vec2 p, Level k) const {
-  const auto [cx, cy] = cell(p, k);
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-         static_cast<std::uint32_t>(cy);
-}
-
 GlsService::GlsService(GridHierarchy grid) : grid_(grid) {}
 
 namespace {
+
+/// Level-k cells along one side of the square: 2^(L+1-k).
+Size cells_per_side(const GridHierarchy& grid, Level k) {
+  return Size{1} << (grid.levels() + 1 - k);
+}
 
 /// Successor-ID rule of the paper's eq. (5): pick z in \p candidates
 /// minimizing (id_z - id_v - 1) mod 2^32 — the least id greater than the
@@ -77,26 +77,31 @@ void GlsService::rebuild(const std::vector<geom::Vec2>& positions, std::span<con
   }
   MANET_CHECK(ids.size() == n);
 
-  // Bucket nodes per level-(k-1) cell, for k-1 in [1, L]. One exact map per
-  // level, keyed by the packed (cx, cy) cell coordinates.
-  if (buckets_.size() < static_cast<Size>(grid_.levels()) + 1) {
-    buckets_.resize(grid_.levels() + 1);
-  }
+  // Bucket nodes per level-(k-1) cell, for k-1 in [1, L]: one dense grid
+  // per level, cell (cx, cy) at cx * cells_per_side + cy.
+  buckets_.resize(static_cast<Size>(grid_.levels()) + 1);
   for (Level lvl = 1; lvl <= grid_.levels(); ++lvl) {
-    buckets_[lvl].clear();
+    const Size side = cells_per_side(grid_, lvl);
+    auto& cells = buckets_[lvl];
+    for (Bucket& bucket : cells) bucket.clear();
+    cells.resize(side * side);
     for (NodeId v = 0; v < n; ++v) {
-      buckets_[lvl][grid_.cell_key(positions[v], lvl)].push_back({v, ids[v]});
+      const auto [cx, cy] = grid_.cell(positions[v], lvl);
+      cells[static_cast<Size>(cx) * side + static_cast<Size>(cy)].push_back({v, ids[v]});
     }
   }
 
   const Level top = grid_.top_level();
-  assignments_.assign(n, std::vector<NodeId>((top - 1) * kGlsSiblings, kInvalidNode));
+  const Size width = row_width();
+  node_count_ = n;
+  assignments_.assign(n * width, kInvalidNode);
 
   for (NodeId v = 0; v < n; ++v) {
     for (Level k = 2; k <= top; ++k) {
       // The 4 level-(k-1) children of v's level-k square; the 3 that differ
       // from v's own child square are the sibling slots.
       const Level child = k - 1;
+      const Size side = cells_per_side(grid_, child);
       const auto [pcx, pcy] = grid_.cell(positions[v], k);
       const auto [own_cx, own_cy] = grid_.cell(positions[v], child);
       Size slot = 0;
@@ -105,13 +110,10 @@ void GlsService::rebuild(const std::vector<geom::Vec2>& positions, std::span<con
           const std::int32_t cx = pcx * 2 + dx;
           const std::int32_t cy = pcy * 2 + dy;
           if (cx == own_cx && cy == own_cy) continue;
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-              static_cast<std::uint32_t>(cy);
-          const Bucket* cell_bucket = buckets_[child].find(key);
-          NodeId server = kInvalidNode;
-          if (cell_bucket != nullptr) server = successor_pick(ids[v], *cell_bucket);
-          assignments_[v][(k - 2) * kGlsSiblings + slot] = server;
+          const Bucket& bucket =
+              buckets_[child][static_cast<Size>(cx) * side + static_cast<Size>(cy)];
+          assignments_[v * width + (k - 2) * kGlsSiblings + slot] =
+              successor_pick(ids[v], bucket);
           ++slot;
         }
       }
@@ -121,18 +123,16 @@ void GlsService::rebuild(const std::vector<geom::Vec2>& positions, std::span<con
 }
 
 NodeId GlsService::server_of(NodeId owner, Level k, Size sibling) const {
-  MANET_CHECK(owner < assignments_.size());
+  MANET_CHECK(owner < node_count_);
   MANET_CHECK(k >= 2 && k <= grid_.top_level());
   MANET_CHECK(sibling < kGlsSiblings);
-  return assignments_[owner][(k - 2) * kGlsSiblings + sibling];
+  return assignments_[owner * row_width() + (k - 2) * kGlsSiblings + sibling];
 }
 
 std::vector<Size> GlsService::load_vector() const {
   std::vector<Size> loads(node_count(), 0);
-  for (const auto& row : assignments_) {
-    for (const NodeId s : row) {
-      if (s != kInvalidNode) ++loads[s];
-    }
+  for (const NodeId s : assignments_) {
+    if (s != kInvalidNode) ++loads[s];
   }
   return loads;
 }
@@ -150,11 +150,7 @@ void GlsHandoffTracker::prime(const std::vector<geom::Vec2>& positions,
 PacketCount GlsHandoffTracker::price(const graph::Graph& g0, NodeId from, NodeId to) {
   if (from == to) return 0;
   const std::uint32_t hops = pair_bfs_.hops(g0, from, to);
-  if (hops == graph::kUnreachable) {
-    ++unreachable_;
-    return 0;
-  }
-  return hops;
+  return hops == graph::kUnreachable ? 0 : hops;
 }
 
 GlsHandoffTracker::TickResult GlsHandoffTracker::update(
@@ -167,11 +163,11 @@ GlsHandoffTracker::TickResult GlsHandoffTracker::update(
   TickResult tick;
   const auto& next = service_.assignments_;
   MANET_CHECK(next.size() == prev_.size());
-  for (NodeId v = 0; v < next.size(); ++v) {
-    MANET_CHECK(next[v].size() == prev_[v].size());
-    for (Size i = 0; i < next[v].size(); ++i) {
-      const NodeId s_old = prev_[v][i];
-      const NodeId s_new = next[v][i];
+  const Size width = service_.row_width();
+  for (NodeId v = 0; v < service_.node_count(); ++v) {
+    for (Size i = 0; i < width; ++i) {
+      const NodeId s_old = prev_[v * width + i];
+      const NodeId s_new = next[v * width + i];
       if (s_old == s_new) continue;
       if (s_old != kInvalidNode && s_new != kInvalidNode) {
         tick.handoff_packets += price(g0, s_old, s_new);
@@ -186,7 +182,9 @@ GlsHandoffTracker::TickResult GlsHandoffTracker::update(
   }
   total_handoff_ += tick.handoff_packets;
   total_update_ += tick.update_packets;
-  prev_ = next;
+  // Swapped, not copied: the next rebuild() overwrites every slot of the
+  // buffer the service gets back.
+  std::swap(prev_, service_.assignments_);
   last_time_ = t;
   return tick;
 }

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "geom/region.hpp"
 #include "graph/bfs.hpp"
 #include "lm/database.hpp"
@@ -41,9 +40,6 @@ class GridHierarchy {
   /// Integer cell coordinates of \p p at level k in [1, L+1].
   std::pair<std::int32_t, std::int32_t> cell(geom::Vec2 p, Level k) const;
 
-  /// Packed key for a level-k cell.
-  std::uint64_t cell_key(geom::Vec2 p, Level k) const;
-
   geom::Vec2 origin() const { return origin_; }
   double side() const { return side_; }
 
@@ -65,7 +61,7 @@ class GlsService {
   void rebuild(const std::vector<geom::Vec2>& positions, std::span<const NodeId> ids = {},
                Time now = 0.0);
 
-  Size node_count() const { return assignments_.size(); }
+  Size node_count() const { return node_count_; }
 
   /// Server of \p owner at level k (in [2, L+1]) in sibling slot
   /// \p sibling (0..2); kInvalidNode when the sibling square holds no node.
@@ -82,12 +78,16 @@ class GlsService {
   /// Nodes of one grid cell, paired with their successor-rule ids.
   using Bucket = std::vector<std::pair<NodeId, NodeId>>;
 
+  /// Assignment slots per owner: (k - 2) * 3 + sibling for k in [2, L+1].
+  Size row_width() const { return (grid_.top_level() - 1) * kGlsSiblings; }
+
   GridHierarchy grid_;
-  /// assignments_[owner][(k-2)*3 + sibling].
-  std::vector<std::vector<NodeId>> assignments_;
-  /// Per-level cell buckets, reused across rebuild() calls (the slot tables
-  /// keep their capacity; only the entries are dropped per tick).
-  std::vector<common::FlatMap<std::uint64_t, Bucket>> buckets_;
+  Size node_count_ = 0;
+  /// assignments_[owner * row_width() + (k-2)*3 + sibling].
+  std::vector<NodeId> assignments_;
+  /// buckets_[k][cx * cells_per_side + cy] for the level-k cells, k in
+  /// [1, L]; every rebuild() clears the buckets in place (capacity kept).
+  std::vector<std::vector<Bucket>> buckets_;
 };
 
 /// Handoff/update accounting for GLS under mobility, with the same pricing
@@ -124,13 +124,12 @@ class GlsHandoffTracker {
   PacketCount price(const graph::Graph& g0, NodeId from, NodeId to);
 
   GlsService service_;
-  std::vector<std::vector<NodeId>> prev_;
+  std::vector<NodeId> prev_;  ///< the previous tick's assignments_, swapped in
   Time start_time_ = 0.0;
   Time last_time_ = 0.0;
   bool primed_ = false;
   PacketCount total_handoff_ = 0;
   PacketCount total_update_ = 0;
-  Size unreachable_ = 0;
   graph::BfsPairScratch pair_bfs_;
 };
 

@@ -191,9 +191,7 @@ void HandoffEngine::on_node_down(NodeId v, Time t) {
   for (const auto& rec : dropped) {
     // The entry is gone; if it was already stale keep the original
     // stale-since timestamp (repair latency is measured from first loss).
-    const auto [it, inserted] =
-        stale_.try_emplace(stale_key(rec.owner, rec.level), StaleEntry{kInvalidNode, t});
-    if (!inserted) it->second.holder = kInvalidNode;
+    stale_.try_emplace(stale_key(rec.owner, rec.level), t);
     if (observer_ != nullptr) observer_->on_entry_stale(rec.owner, rec.level, kInvalidNode, t);
   }
   if (trace_ != nullptr) {
@@ -218,14 +216,15 @@ void HandoffEngine::on_node_up(const graph::Graph& g0, NodeId v, Time t) {
     const TransferOutcome out = attempt_transfer(g0, v, s);
     resil_.repair_packets += out.packets;
     if (out.delivered) {
-      db_.put(s, LocationRecord{v, k, t, version_counter_++});
+      // A stale copy elsewhere goes before the refresh lands: the database
+      // holds one copy per entry.
       const auto st = stale_.find(stale_key(v, k));
+      const NodeId holder = db_.holder(v, k);
+      if (st != stale_.end() && holder != kInvalidNode && holder != s) db_.take(holder, v, k);
+      db_.put(s, LocationRecord{v, k, t, version_counter_++});
       if (st != stale_.end()) {
-        if (st->second.holder != kInvalidNode && st->second.holder != s) {
-          db_.take(st->second.holder, v, k);
-        }
         ++resil_.repairs;
-        resil_.repair_time_sum += t - st->second.since;
+        resil_.repair_time_sum += t - st->second;
         stale_.erase(st);
         if (observer_ != nullptr) observer_->on_entry_repaired(v, k, s, t);
         if (trace_ != nullptr) {
@@ -234,7 +233,7 @@ void HandoffEngine::on_node_up(const graph::Graph& g0, NodeId v, Time t) {
         }
       }
     } else if (db_.find(s, v, k) == nullptr) {
-      const bool fresh = stale_.try_emplace(stale_key(v, k), StaleEntry{kInvalidNode, t}).second;
+      const bool fresh = stale_.try_emplace(stale_key(v, k), t).second;
       if (fresh && observer_ != nullptr) observer_->on_entry_stale(v, k, kInvalidNode, t);
     }
   }
@@ -252,7 +251,8 @@ HandoffEngine::RepairResult HandoffEngine::audit_repair(const graph::Graph& g0, 
     if (k > prev_.top || owner >= node_count_ ||
         static_cast<Size>(k - kFirstServedLevel) >= prev_.served_width) {
       // Level no longer served: discard the residue, nothing to repair.
-      if (it->second.holder != kInvalidNode) db_.take(it->second.holder, owner, k);
+      const NodeId holder = db_.holder(owner, k);
+      if (holder != kInvalidNode) db_.take(holder, owner, k);
       it = stale_.erase(it);
       if (observer_ != nullptr) observer_->on_entry_retired(owner, k, t);
       continue;
@@ -269,12 +269,11 @@ HandoffEngine::RepairResult HandoffEngine::audit_repair(const graph::Graph& g0, 
       ++it;  // stays stale; retried at the next audit
       continue;
     }
-    if (it->second.holder != kInvalidNode && it->second.holder != s) {
-      db_.take(it->second.holder, owner, k);
-    }
+    const NodeId holder = db_.holder(owner, k);
+    if (holder != kInvalidNode && holder != s) db_.take(holder, owner, k);
     db_.put(s, LocationRecord{owner, k, t, version_counter_++});
     ++resil_.repairs;
-    resil_.repair_time_sum += t - it->second.since;
+    resil_.repair_time_sum += t - it->second;
     ++result.repaired;
     if (observer_ != nullptr) observer_->on_entry_repaired(owner, k, s, t);
     if (trace_ != nullptr) {
@@ -372,9 +371,8 @@ HandoffEngine::TickResult HandoffEngine::update(const cluster::Hierarchy& h,
         const auto st = stale_.find(stale_key(v, k));
         if (st != stale_.end()) {
           if (m.kind == MoveKind::kRetire) {
-            const NodeId holder = st->second.holder;
             stale_.erase(st);
-            retire(holder);
+            retire(db_.holder(v, k));
           }
           return;
         }
@@ -393,7 +391,7 @@ HandoffEngine::TickResult HandoffEngine::update(const cluster::Hierarchy& h,
           // The entry stays stale until repaired: left at the old server by
           // a failed transfer, held nowhere after a failed registration.
           const NodeId holder = m.kind == MoveKind::kTransfer ? m.from : kInvalidNode;
-          const bool fresh = stale_.try_emplace(stale_key(v, k), StaleEntry{holder, t}).second;
+          const bool fresh = stale_.try_emplace(stale_key(v, k), t).second;
           if (fresh && observer_ != nullptr) observer_->on_entry_stale(v, k, holder, t);
         }
         if (trace_ != nullptr) {

@@ -165,8 +165,7 @@ class HandoffEngine {
   /// Node still holding the out-of-date copy of a stale entry, kInvalidNode
   /// when there is none (or the entry is not stale).
   NodeId stale_holder(NodeId owner, Level k) const {
-    const auto it = stale_.find(stale_key(owner, k));
-    return it != stale_.end() ? it->second.holder : kInvalidNode;
+    return is_stale(owner, k) ? db_.holder(owner, k) : kInvalidNode;
   }
 
   /// Route transfer pricing through the landmark hop oracle
@@ -320,18 +319,15 @@ class HandoffEngine {
   std::uint64_t version_counter_ = 0;
 
   // Resilience plane (inert until set_resilience attaches an ARQ layer).
-  struct StaleEntry {
-    NodeId holder = kInvalidNode;  ///< node still holding the entry, if any
-    Time since = 0.0;              ///< when the entry went stale
-  };
-  /// Same packed layout as LmDatabase::key (and the same aliasing hazard:
-  /// the level must fit the low 16 bits).
+  /// Packed (owner << 16) | k; the level must fit the low 16 bits.
   static std::uint64_t stale_key(NodeId owner, Level k) {
     MANET_CHECK_MSG(k < (Level{1} << 16), "level out of packed-key range");
     return (static_cast<std::uint64_t>(owner) << 16) | k;
   }
-  /// Ordered so audits iterate deterministically.
-  std::map<std::uint64_t, StaleEntry> stale_;
+  /// Stale entry -> when it went stale; the node still holding its copy,
+  /// if any, is the database's holder. Ordered so audits iterate
+  /// deterministically.
+  std::map<std::uint64_t, Time> stale_;
   ReliableTransfer* arq_ = nullptr;
   const std::vector<std::uint8_t>* down_ = nullptr;
   ResilienceStats resil_;

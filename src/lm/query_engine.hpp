@@ -14,7 +14,7 @@
 /// Read-optimized concurrent query front over the LM database.
 ///
 /// The simulator's write plane (HandoffEngine / ChlmService) mutates the
-/// FlatMap-backed LmDatabase during the tick's write phase; this engine turns
+/// (owner, level) LmDatabase table during the tick's write phase; this engine turns
 /// that state into a *serving* surface: many reader threads answering
 /// location lookups at memory speed while the handoff plane churns the
 /// hierarchy underneath (ROADMAP item 3, bench_query E31).

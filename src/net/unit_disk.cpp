@@ -30,21 +30,20 @@ UnitDiskBuilder::UnitDiskBuilder(double tx_radius, bool ensure_connected)
 
 void UnitDiskBuilder::compute_bridges(const std::vector<geom::Vec2>& positions,
                                       const graph::Graph& raw,
-                                      std::vector<graph::Edge>& bridges) const {
+                                      std::vector<graph::Edge>& bridges) {
   // Bridge every minor component to the giant one via the closest node pair
   // (checked against every giant-component node; component populations are
   // tiny in practice, so the quadratic scan is cheap and exact).
   const auto labels = graph::component_labels(raw);
   const std::uint32_t n_comp = 1 + *std::max_element(labels.begin(), labels.end());
-  auto comp_size = arena_.alloc_span<Size>(n_comp);
-  for (const auto l : labels) ++comp_size[l];
+  comp_size_.assign(n_comp, 0);
+  for (const auto l : labels) ++comp_size_[l];
   const std::uint32_t giant = static_cast<std::uint32_t>(
-      std::max_element(comp_size.begin(), comp_size.end()) - comp_size.begin());
+      std::max_element(comp_size_.begin(), comp_size_.end()) - comp_size_.begin());
 
-  auto giant_nodes = arena_.alloc_span<NodeId>(comp_size[giant]);
-  Size gi = 0;
+  giant_nodes_.clear();
   for (NodeId v = 0; v < labels.size(); ++v) {
-    if (labels[v] == giant) giant_nodes[gi++] = v;
+    if (labels[v] == giant) giant_nodes_.push_back(v);
   }
   for (std::uint32_t c = 0; c < n_comp; ++c) {
     if (c == giant) continue;
@@ -52,7 +51,7 @@ void UnitDiskBuilder::compute_bridges(const std::vector<geom::Vec2>& positions,
     NodeId best_u = kInvalidNode, best_v = kInvalidNode;
     for (NodeId u = 0; u < labels.size(); ++u) {
       if (labels[u] != c) continue;
-      for (const NodeId v : giant_nodes) {
+      for (const NodeId v : giant_nodes_) {
         const double d2 = geom::distance2(positions[u], positions[v]);
         if (d2 < best_d2) {
           best_d2 = d2;
@@ -68,7 +67,6 @@ void UnitDiskBuilder::compute_bridges(const std::vector<geom::Vec2>& positions,
 
 graph::Graph UnitDiskBuilder::build(const std::vector<geom::Vec2>& positions) {
   seeded_ = false;  // stateless path; next update() re-seeds
-  arena_.rewind();
   grid_.rebuild(positions);
   edge_buffer_.clear();
   // Each pair is seen from both ends; keep the canonical (u < v) one.
@@ -157,7 +155,6 @@ void UnitDiskBuilder::rescan(const std::vector<geom::Vec2>& positions) {
 
 const graph::Graph& UnitDiskBuilder::update(const std::vector<geom::Vec2>& positions) {
   const Size n = positions.size();
-  arena_.rewind();
   ups_.clear();
   downs_.clear();
   if (!seeded_ || last_pos_.size() != n) {

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/arena.hpp"
 #include "geom/spatial_grid.hpp"
 #include "geom/vec2.hpp"
 #include "graph/graph.hpp"
@@ -100,7 +99,7 @@ class UnitDiskBuilder {
   /// Append the component bridges for \p raw to \p bridges (closest-pair
   /// rule; shared by build() and update()).
   void compute_bridges(const std::vector<geom::Vec2>& positions, const graph::Graph& raw,
-                       std::vector<graph::Edge>& bridges) const;
+                       std::vector<graph::Edge>& bridges);
 
   double tx_radius_;
   bool ensure_connected_;
@@ -128,10 +127,10 @@ class UnitDiskBuilder {
   const sim::ShardExecutor* par_ = &sim::kInlineExecutor;
   std::vector<Size> shard_offsets_;  ///< per-shard edge_buffer_ offsets
   ShardedEdgeDiff diff_;
-  /// Bump arena for the augmentation path's transients (component sizes,
-  /// giant-component node list); rewound at the top of each build()/update().
-  /// Mutable because compute_bridges() is logically const.
-  mutable common::ArenaScratch arena_;
+  /// compute_bridges() scratch (capacity kept): nodes per component and the
+  /// giant component's nodes.
+  std::vector<Size> comp_size_;
+  std::vector<NodeId> giant_nodes_;
 };
 
 }  // namespace manet::net

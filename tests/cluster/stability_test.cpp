@@ -70,6 +70,26 @@ TEST(HeadLifetime, RebornHeadStartsFreshTenure) {
   EXPECT_DOUBLE_EQ(stats.max_lifetime, 3.0);
 }
 
+TEST(HeadLifetime, RebornHeadHasOneCompletedAndOneOngoingTenure) {
+  HeadLifetimeTracker tracker;
+  const auto two_heads = path_hierarchy({5, 1, 9});  // level-1 heads {5, 9}
+  const Graph g(3, std::vector<Edge>{{0, 1}, {1, 2}});
+  const auto one_head = HierarchyBuilder().build(g, std::vector<NodeId>{1, 9, 5});  // {9}
+  tracker.observe(two_heads, 0.0);
+  tracker.observe(one_head, 3.0);   // head 5 dies after 3 s
+  tracker.observe(two_heads, 5.0);  // head 5 is born again
+  auto stats = tracker.stats(1);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_DOUBLE_EQ(stats.mean_lifetime, 3.0);
+  EXPECT_EQ(stats.ongoing, 2u);                   // head 9 since 0, head 5 since 5
+  EXPECT_DOUBLE_EQ(stats.mean_ongoing_age, 2.5);  // (5 + 0) / 2
+  tracker.observe(two_heads, 7.0);
+  stats = tracker.stats(1);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.ongoing, 2u);
+  EXPECT_DOUBLE_EQ(stats.mean_ongoing_age, 4.5);  // (7 + 2) / 2
+}
+
 TEST(HeadLifetime, VanishingLevelCompletesEverything) {
   // Two-node graph has a level-1; single node has none.
   const Graph pair(2, std::vector<Edge>{{0, 1}});

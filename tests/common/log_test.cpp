@@ -2,33 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace manet::common {
 namespace {
 
-TEST(Log, LevelRoundTrips) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::Debug);
-  EXPECT_EQ(log_level(), LogLevel::Debug);
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  set_log_level(original);
-}
-
-TEST(Log, SuppressedMessagesDoNotCrash) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::Off);
-  log_debug("dropped");
-  log_info("dropped");
-  log_warn("dropped");
-  log_error("dropped");
-  set_log_level(original);
-}
-
-TEST(Log, EmittingMessagesDoesNotCrash) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::Debug);
-  log(LogLevel::Debug, "visible debug (expected in test stderr)");
-  set_log_level(original);
+TEST(Log, WarnWritesOneTaggedLineToStderr) {
+  testing::internal::CaptureStderr();
+  log_warn("checkpoint skipped");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), std::string("[WARN] checkpoint skipped\n"));
 }
 
 }  // namespace

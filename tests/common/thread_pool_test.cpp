@@ -43,13 +43,18 @@ TEST(ThreadPool, ResultsAreIndexAddressable) {
 }
 
 TEST(ThreadPool, PropagatesTaskException) {
+  // Two failing indices: the one with the smaller index is rethrown,
+  // whatever the completion order.
   ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(8,
-                        [](std::size_t i) {
-                          if (i == 3) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
+  try {
+    pool.parallel_for(16, [](std::size_t i) {
+      if (i == 11) throw std::runtime_error("late");
+      if (i == 5) throw std::logic_error("early");
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "early");
+  }
 }
 
 TEST(ThreadPool, ExceptionDoesNotPoisonPool) {
@@ -100,43 +105,6 @@ TEST(ThreadPool, ShutdownWhileDeeplyQueuedRunsEverything) {
   }  // most of the 64 are still queued here
   EXPECT_EQ(done.load(), 64);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
-}
-
-TEST(ThreadPool, ProgressHookSeesMonotoneCompleteCounts) {
-  ThreadPool pool(4);
-  std::vector<std::size_t> seen;
-  pool.parallel_for(
-      25, [](std::size_t) {},
-      [&seen](std::size_t completed) { seen.push_back(completed); });
-  // Hook calls are serialized, so no lock needed above; counts must be
-  // strictly increasing and end at n.
-  ASSERT_EQ(seen.size(), 25u);
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
-}
-
-TEST(ThreadPool, ProgressHookOverloadPropagatesFirstExceptionInIndexOrder) {
-  // Two failing indices: the one with the smaller index wins regardless of
-  // completion order, the hook keeps firing for successful units, and the
-  // pool stays usable afterwards.
-  ThreadPool pool(2);
-  std::atomic<int> hook_calls{0};
-  try {
-    pool.parallel_for(
-        16,
-        [](std::size_t i) {
-          if (i == 11) throw std::runtime_error("late");
-          if (i == 5) throw std::logic_error("early");
-        },
-        [&hook_calls](std::size_t) { hook_calls.fetch_add(1); });
-    FAIL() << "expected an exception";
-  } catch (const std::logic_error& e) {
-    EXPECT_STREQ(e.what(), "early");  // index 5 beats index 11
-  }
-  EXPECT_EQ(hook_calls.load(), 14);  // 16 units minus the two that threw
-
-  std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 10);
 }
 
 }  // namespace

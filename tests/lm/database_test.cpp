@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace manet::lm {
@@ -15,7 +16,7 @@ TEST(LmDatabase, StartsEmpty) {
 }
 
 TEST(LmDatabase, PutAndFind) {
-  LmDatabase db(4);
+  LmDatabase db(8);
   db.put(1, LocationRecord{7, 2, 3.5, 0});
   const auto* rec = db.find(1, 7, 2);
   ASSERT_NE(rec, nullptr);
@@ -51,7 +52,7 @@ TEST(LmDatabase, SameOwnerDifferentLevelsAreDistinct) {
 }
 
 TEST(LmDatabase, TakeRemovesAndReturns) {
-  LmDatabase db(4);
+  LmDatabase db(6);
   db.put(2, LocationRecord{5, 2, 1.0, 3});
   const auto rec = db.take(2, 5, 2);
   EXPECT_EQ(rec.owner, 5u);
@@ -83,27 +84,62 @@ TEST(LmDatabase, ResetClears) {
   EXPECT_EQ(db.node_count(), 5u);
 }
 
-/// The store key packs level into the low 16 bits of (owner << 16) | level:
-/// adjacent-but-distinct (owner, level) pairs must never collide, and a
-/// level outside the packed range must be rejected rather than aliased onto
-/// another owner's entry.
-TEST(LmDatabase, PackedKeyBoundaries) {
-  LmDatabase db(2);
-  // (owner=1, level=0xFFFF) and (owner=2, level=0) pack to adjacent keys
-  // 0x1FFFF and 0x20000 — both must round-trip independently.
-  db.put(0, LocationRecord{1, 0xFFFF, 1.0, 10});
-  db.put(0, LocationRecord{2, 0, 2.0, 20});
-  ASSERT_NE(db.find(0, 1, 0xFFFF), nullptr);
-  ASSERT_NE(db.find(0, 2, 0), nullptr);
-  EXPECT_EQ(db.find(0, 1, 0xFFFF)->version, 10u);
-  EXPECT_EQ(db.find(0, 2, 0)->version, 20u);
+/// Level 2 and the highest level below the bound live in separate arrays
+/// and round-trip independently; the bound itself is refused.
+TEST(LmDatabaseDeathTest, LevelBoundRoundTripsAndRefuses) {
+  LmDatabase db(3);
+  constexpr Level kTop = LmDatabase::kLevelBound - 1;
+  db.put(0, LocationRecord{1, 2, 1.0, 10});
+  db.put(2, LocationRecord{1, kTop, 2.0, 20});
+  ASSERT_NE(db.find(0, 1, 2), nullptr);
+  ASSERT_NE(db.find(2, 1, kTop), nullptr);
+  EXPECT_EQ(db.find(0, 1, 2)->version, 10u);
+  EXPECT_EQ(db.find(2, 1, kTop)->version, 20u);
   EXPECT_EQ(db.total_entries(), 2u);
+  EXPECT_DEATH(db.put(0, LocationRecord{1, LmDatabase::kLevelBound, 0.0, 0}),
+               "level out of range");
 }
 
-TEST(LmDatabaseDeathTest, LevelBeyondPackedRangeIsRejected) {
-  LmDatabase db(2);
-  EXPECT_DEATH(db.put(0, LocationRecord{1, 0x10000, 0.0, 0}), "packed-key range");
-  EXPECT_DEATH(db.find(0, 1, 0x10000), "packed-key range");
+TEST(LmDatabaseDeathTest, PutRefusesASecondHolder) {
+  LmDatabase db(4);
+  db.put(1, LocationRecord{2, 3, 0.0, 0});
+  EXPECT_DEATH(db.put(0, LocationRecord{2, 3, 0.0, 1}), "held by another server");
+  db.put(1, LocationRecord{2, 3, 1.0, 1});  // the holder may overwrite
+  EXPECT_EQ(db.total_entries(), 1u);
+}
+
+TEST(LmDatabase, HolderReadsTheTable) {
+  LmDatabase db(4);
+  EXPECT_EQ(db.holder(2, 3), kInvalidNode);  // no level-3 array yet
+  db.put(1, LocationRecord{2, 3, 0.0, 0});
+  EXPECT_EQ(db.holder(2, 3), 1u);
+  EXPECT_EQ(db.holder(3, 3), kInvalidNode);  // same level, other owner
+  EXPECT_EQ(db.holder(2, 2), kInvalidNode);  // same owner, other level
+  db.take(1, 2, 3);
+  EXPECT_EQ(db.holder(2, 3), kInvalidNode);
+  db.put(0, LocationRecord{2, 3, 1.0, 1});  // free again, so any server may hold it
+  EXPECT_EQ(db.holder(2, 3), 0u);
+}
+
+TEST(LmDatabase, DropAllReturnsOwnerLevelOrderAndEmptiesTheServer) {
+  LmDatabase db(5);
+  db.put(1, LocationRecord{4, 2, 0.0, 0});
+  db.put(1, LocationRecord{0, 3, 0.0, 1});
+  db.put(2, LocationRecord{0, 2, 0.0, 2});
+  db.put(1, LocationRecord{0, 4, 0.0, 3});
+  db.put(1, LocationRecord{3, 2, 0.0, 4});
+  const auto dropped = db.drop_all(1);
+  ASSERT_EQ(dropped.size(), 4u);
+  const std::vector<std::pair<NodeId, Level>> expect = {{0, 3}, {0, 4}, {3, 2}, {4, 2}};
+  for (Size i = 0; i < dropped.size(); ++i) {
+    EXPECT_EQ(dropped[i].owner, expect[i].first);
+    EXPECT_EQ(dropped[i].level, expect[i].second);
+    EXPECT_EQ(db.holder(expect[i].first, expect[i].second), kInvalidNode);
+  }
+  EXPECT_EQ(db.entry_count(1), 0u);
+  EXPECT_EQ(db.total_entries(), 1u);  // server 2's entry stays
+  EXPECT_EQ(db.holder(0, 2), 2u);
+  EXPECT_TRUE(db.drop_all(1).empty());
 }
 
 TEST(LoadStats, UniformLoadHasZeroGini) {

@@ -123,7 +123,7 @@ fi
 #    bench_memory acceptance gate (E27) keeps its baseline + scalars.
 grep -q '^## Memory layer' "$arch" ||
     fail "docs/ARCHITECTURE.md lost its 'Memory layer' chapter"
-for sym in FlatMap ArenaScratch MANET_PROFILE_ALLOC max_allocs_per_tick; do
+for sym in LmDatabase MANET_PROFILE_ALLOC max_allocs_per_tick; do
     grep -q "$sym" "$arch" ||
         fail "docs/ARCHITECTURE.md memory chapter no longer mentions $sym"
 done
@@ -377,6 +377,21 @@ for f in src/graph/metrics.hpp src/graph/metrics.cpp src/mobility/trace.hpp \
 done
 [ -z "$unreached" ] ||
     fail "deleted code no program reached is back (only what a program reaches): $unreached"
+
+# 8m. Flat tables for dense keys: the LM database is one (owner, level)
+#     table, and every other integer key is a flat array or a sorted
+#     vector, so the general-purpose hash map, hash set and bump arena (and
+#     the log levels no program raised) may not come back under src/,
+#     tools/, bench/, examples/ or tests/.
+containers=$(grep -rnE --exclude=check_docs.sh \
+    '\b(FlatMap|FlatSet|ArenaScratch|LogLevel|set_log_level)\b' \
+    "$root/src" "$root/tools" "$root/bench" "$root/examples" "$root/tests" || true)
+for f in src/common/flat_map.hpp src/common/flat_set.hpp src/common/arena.hpp \
+         src/common/arena.cpp tests/common/flat_map_test.cpp tests/common/arena_test.cpp; do
+    if [ -e "$root/$f" ]; then containers="$containers $f"; fi
+done
+[ -z "$containers" ] ||
+    fail "a deleted hash container, arena or log level is back (flat tables for dense keys): $containers"
 
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
