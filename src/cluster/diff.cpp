@@ -155,9 +155,12 @@ void diff_hierarchies(const Hierarchy& before, const Hierarchy& after, Hierarchy
   reset_levels(delta.links_up, top_any + 1);
   reset_levels(delta.links_down, top_any + 1);
 
+  // V_0 (all n ids) is never read: the set differences start at k = 1,
+  // events (i)/(ii) read level k + 1 >= 2, and record_head_changes reads
+  // V_{k-1} only at k >= 2. So level 0 is left empty, not sorted.
   if (heads_before.size() < top_any + 2) heads_before.resize(top_any + 2);
   if (heads_after.size() < top_any + 2) heads_after.resize(top_any + 2);
-  for (Level k = 0; k <= top_any + 1; ++k) {
+  for (Level k = 1; k <= top_any + 1; ++k) {
     sorted_head_ids(before, k, heads_before[k]);
     sorted_head_ids(after, k, heads_after[k]);
   }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "geom/spatial_grid.hpp"
 
 namespace manet::cluster {
 
@@ -49,15 +50,23 @@ graph::Graph link_next_level(const LevelView& cur, const LevelView& next, Size n
     // beta * R_TX * sqrt(mean aggregation) of one another are neighbors.
     const double mean_ck = static_cast<double>(n) / static_cast<double>(n_next);
     const double range = options.beta * options.tx_radius * std::sqrt(mean_ck);
-    const double range2 = range * range;
-    for (NodeId a = 0; a < n_next; ++a) {
-      const geom::Vec2 pa = positions[next.node0[a]];
-      for (NodeId b = a + 1; b < n_next; ++b) {
-        if (geom::distance2(pa, positions[next.node0[b]]) <= range2) {
-          next_edges.emplace_back(a, b);
-        }
-      }
-    }
+    // Candidate pairs come from a grid over the heads' level-0 positions:
+    // with a cell side >= range the 3x3 stencil reaches every pair in
+    // range, and the grid applies the symmetric test distance2 <= range^2,
+    // so the edge set is the all-pairs scan's. The cell side never drops
+    // below R_TX: a tiny beta would otherwise push cell coordinates past
+    // the grid's 32-bit key packing.
+    std::vector<geom::Vec2> head_pos(n_next);
+    for (Size i = 0; i < n_next; ++i) head_pos[i] = positions[next.node0[i]];
+    geom::SpatialGrid grid(std::max(range, options.tx_radius));
+    grid.rebuild(head_pos);
+    grid.for_each_neighbor(range, 0, grid.cell_count(),
+                           [&](NodeId a, std::span<const NodeId> nbrs) {
+                             for (const NodeId b : nbrs) {
+                               if (a < b) next_edges.emplace_back(a, b);
+                             }
+                           });
+    std::sort(next_edges.begin(), next_edges.end());
   } else {
     // Graph contraction: clusters adjacent in the level-k topology.
     for (const auto& [a, b] : cur.topo.edges()) {
@@ -84,6 +93,8 @@ void HierarchyBuilder::grow(const graph::Graph& g, std::span<const NodeId> ids,
   if (options.geometric_links) {
     MANET_CHECK_MSG(positions.size() == n,
                     "geometric level-k links need level-0 node positions");
+    MANET_CHECK_MSG(options.beta > 0.0 && options.tx_radius > 0.0,
+                    "geometric level-k links need a positive range (beta, tx_radius > 0)");
   }
   Hierarchy& h = out;
   h.levels_.clear();

@@ -53,6 +53,9 @@ std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
       !(connectivity_margin > -std::log(static_cast<double>(n)))) {
     errors.push_back({"connectivity_margin", "must be > -ln(n)"});
   }
+  // The geometric link range is beta * R_TX * sqrt(c_k); contraction links
+  // ignore beta.
+  if (geometric_links) positive("link_beta", link_beta);
   probability("fault.loss", fault.loss);
   probability("fault.burst_loss", fault.burst_loss);
   probability("fault.burst_on", fault.burst_on);

@@ -101,6 +101,7 @@ struct ScenarioConfig {
   ///   mu > 0 unless mobility is kStatic;
   ///   target_degree > 0 under kMeanDegree;
   ///   connectivity_margin > -ln(n) under kConnectivity;
+  ///   link_beta > 0 under geometric_links;
   ///   fault.loss, fault.burst_loss, fault.burst_on in [0, 1];
   ///   fault.burst_len, fault.crash_rate, fault.mean_downtime,
   ///   fault.outage_radius, fault.outage_start, fault.outage_duration and

@@ -12,7 +12,15 @@ Graph::Graph(Size n, std::span<const Edge> edges) { assign(n, edges); }
 
 void Graph::assign(Size n, std::span<const Edge> edges) {
   edges_.assign(edges.begin(), edges.end());
-  std::sort(edges_.begin(), edges_.end());
+  // Sort only what is out of order: the longest sorted prefix stays, the
+  // rest is sorted and merged in. The merge buffers the smaller range, so a
+  // sorted list plus a t-edge tail (the unit-disk builder's appended
+  // bridges) costs O(E + t log t) instead of a full O(E log E) sort.
+  const auto tail = std::is_sorted_until(edges_.begin(), edges_.end());
+  if (tail != edges_.end()) {
+    std::sort(tail, edges_.end());
+    std::inplace_merge(edges_.begin(), tail, edges_.end());
+  }
   for (const auto& [u, v] : edges_) {
     MANET_CHECK_MSG(u < v, "edges must be canonical (u < v), no self loops");
     MANET_CHECK_MSG(v < n, "edge endpoint out of range");
@@ -28,15 +36,14 @@ void Graph::assign(Size n, std::span<const Edge> edges) {
   }
   for (Size i = 1; i <= n; ++i) offsets_[i] += offsets_[i - 1];
   adjacency_.resize(2 * edges_.size());
+  // The scatter leaves every list sorted, with no per-vertex sort: vertex x
+  // receives each u < x from an edge (u, x) and each w > x from an edge
+  // (x, w). The lexicographic walk visits every (u, x) before any (x, w),
+  // because u < x, and each of the two groups in ascending neighbor order.
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (const auto& [u, v] : edges_) {
     adjacency_[cursor[u]++] = v;
     adjacency_[cursor[v]++] = u;
-  }
-  // Neighbor lists come out sorted because the edge list is sorted by (u, v)
-  // for the u side; the v side needs an explicit sort.
-  for (Size vtx = 0; vtx < n; ++vtx) {
-    std::sort(adjacency_.begin() + offsets_[vtx], adjacency_.begin() + offsets_[vtx + 1]);
   }
 }
 

@@ -34,7 +34,11 @@ class Graph {
   /// Rebuild in place from an edge list, with the same validation as the
   /// constructor. Internal buffers keep their capacity, so per-tick snapshot
   /// producers (the unit-disk builder, the fault-plane edge stripper) do not
-  /// reallocate once warmed up.
+  /// reallocate once warmed up. Linear on a canonical sorted list plus a
+  /// short unsorted tail (the unit-disk builder's bridges): only the tail is
+  /// sorted and merged in, and the CSR scatter of a sorted list lands every
+  /// neighbor list sorted. Any order is accepted; a shuffled list pays one
+  /// O(E log E) sort.
   void assign(Size n, std::span<const Edge> edges);
 
   Size vertex_count() const noexcept { return offsets_.empty() ? 0 : offsets_.size() - 1; }

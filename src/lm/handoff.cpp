@@ -1,6 +1,7 @@
 #include "lm/handoff.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <utility>
 
@@ -11,6 +12,9 @@ namespace manet::lm {
 namespace {
 /// Transfer-cost histogram buckets (hops per moved entry).
 constexpr double kHopBuckets[] = {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0};
+/// Pairs a pricing task claims at a time: small enough that the threads
+/// finish together, large enough that the shared cursor is rarely contended.
+constexpr Size kPriceChunk = 64;
 }  // namespace
 
 HandoffEngine::HandoffEngine(HandoffConfig config) : config_(config) {}
@@ -144,17 +148,26 @@ void HandoffEngine::price_moves(const graph::Graph& g0, const Snapshot& next) {
   if (price_keys_.empty()) return;
 
   price_vals_.resize(price_keys_.size());
-  const Size shards = par_->shard_count();
-  par_->for_each_shard([&](Size s) {
+  // Pair costs are heavy-tailed, so fixed slices leave threads idle behind
+  // the slowest one: every shard task instead claims kPriceChunk pairs at a
+  // time from one shared cursor until none are left. Each answer lands at
+  // its pair's index whichever thread claims it, so the cache is the same
+  // at any thread and shard count.
+  const Size count = price_keys_.size();
+  std::atomic<Size> cursor{0};
+  par_->for_each_shard([&](Size) {
     // One scratch per executing thread, not per shard: a thread runs its
     // shards one at a time, so scratch memory follows the worker count.
     thread_local net::HopOracle::Scratch scratch;
-    const auto [begin, end] = sim::ShardExecutor::slice(price_keys_.size(), s, shards);
-    for (Size i = begin; i < end; ++i) {
-      const auto a = static_cast<NodeId>(price_keys_[i] >> 32);
-      const auto b = static_cast<NodeId>(price_keys_[i] & 0xFFFFFFFF);
-      price_vals_[i] = oracle_.ready() ? oracle_.hops(a, b, scratch)
-                                       : scratch.pair_bfs.hops(g0, a, b);
+    for (Size begin = cursor.fetch_add(kPriceChunk, std::memory_order_relaxed); begin < count;
+         begin = cursor.fetch_add(kPriceChunk, std::memory_order_relaxed)) {
+      const Size end = std::min(begin + kPriceChunk, count);
+      for (Size i = begin; i < end; ++i) {
+        const auto a = static_cast<NodeId>(price_keys_[i] >> 32);
+        const auto b = static_cast<NodeId>(price_keys_[i] & 0xFFFFFFFF);
+        price_vals_[i] = oracle_.ready() ? oracle_.hops(a, b, scratch)
+                                         : scratch.pair_bfs.hops(g0, a, b);
+      }
     }
   });
 }

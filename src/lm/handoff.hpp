@@ -180,13 +180,18 @@ class HandoffEngine {
   /// Shard the per-tick pricing work over \p executor. Until this is
   /// called, and again after set_parallel(nullptr), the engine uses
   /// sim::kInlineExecutor (one shard on the calling thread). update() walks
-  /// the tick's entry moves once to collect their (from, to) endpoint
-  /// pairs, computes the hop distances over the shards (each executing
-  /// thread with a private net::HopOracle::Scratch), and then walks the
-  /// same moves again to commit them serially, reading the answers from the
-  /// cache. Hop queries are exact and symmetric, so the cache can never
-  /// change a priced value — ledgers, traces, database versions and
-  /// observer callbacks are emitted by the serial commit in move order.
+  /// the tick's entry moves once to collect their distinct (from, to)
+  /// endpoint pairs in sorted order, computes the hop distances with one
+  /// task per shard (each executing thread with a private
+  /// net::HopOracle::Scratch), and then walks the same moves again to
+  /// commit them serially, reading the answers from the cache. The tasks
+  /// claim 64-pair chunks of the sorted list from one shared cursor rather
+  /// than fixed slices, because pair costs are heavy-tailed; each answer is
+  /// written at its pair's index by whichever thread claims it, so the
+  /// cache is the same at any thread and shard count. Hop queries are exact
+  /// and symmetric, so the cache can never change a priced value —
+  /// ledgers, traces, database versions and observer callbacks are emitted
+  /// by the serial commit in move order.
   /// That holds with an ARQ layer attached too: the cache covers a superset
   /// of the lossy commit's queries, and the channel RNG is still drawn in
   /// move order.

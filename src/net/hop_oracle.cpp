@@ -119,13 +119,16 @@ std::uint32_t HopOracle::hops(NodeId s, NodeId t, Scratch& scratch) const {
   if (lb < kNearCut) return scratch.pair_bfs.hops(g, s, t);
 
   // From here s and t share the landmarks' component, and so does every
-  // vertex A* reaches: each row it reads is all-finite.
+  // vertex A* reaches: each row it reads is all-finite, so every entry is
+  // below kFar and |a - b| <= 65 534 fits 16 bits. The difference and the
+  // running max stay in 16-bit lanes, which the compiler vectorizes 16
+  // entries wide (saturating subtracts) instead of widening to 32 bits.
   const auto h = [&](NodeId u) -> std::uint32_t {
     const std::uint16_t* lu = &land_[static_cast<Size>(u) * kLandmarks];
-    std::uint32_t best = 0;
+    std::uint16_t best = 0;
     for (Size k = 0; k < kLandmarks; ++k) {
-      const std::uint32_t a = lu[k], b = lt[k];
-      const std::uint32_t d = a > b ? a - b : b - a;
+      const std::uint16_t a = lu[k], b = lt[k];
+      const auto d = static_cast<std::uint16_t>(a > b ? a - b : b - a);
       if (d > best) best = d;
     }
     return best;

@@ -66,7 +66,11 @@ namespace manet::net {
 /// 16-bit row of 32 bytes (two rows per cache line), because the A* inner
 /// loop reads all K entries of each touched vertex. A sweep that reaches
 /// 65 535 hops does not fit the row; prepare() then leaves the oracle in
-/// pass-through mode.
+/// pass-through mode. The A* bound is evaluated in the rows' own width:
+/// every row A* reads is all-finite, so each |a - b| is at most 65 534 and
+/// the 16-bit max equals the 32-bit one exactly, while the 16-entry scan
+/// vectorizes in 16-bit lanes (saturating subtracts) instead of widening
+/// every entry to 32 bits.
 ///
 /// Farthest-point sampling starts from the highest-degree vertex (lowest id
 /// on ties): one pass over the degrees that lands in the main component on

@@ -12,13 +12,15 @@
 /// run either over a borrowed worker pool or inline on the calling thread.
 ///
 /// The tick pipeline's heavy phases (unit-disk neighborhoods, link-set
-/// differences, batch hop pricing) are data-parallel over an index space
-/// that already has a canonical sequential order. ShardExecutor splits that
-/// space into a number of contiguous shards fixed for the executor's
-/// lifetime — decoupled from the thread count — and runs one task per shard.
-/// Each shard writes its own output buffer; callers concatenate the buffers
-/// in shard index order, which reproduces the canonical iteration order
-/// exactly. The result is bit-identical at ANY shard count x ANY thread
+/// differences) are data-parallel over an index space that already has a
+/// canonical sequential order. ShardExecutor splits that space into a
+/// number of contiguous shards fixed for the executor's lifetime —
+/// decoupled from the thread count — and runs one task per shard. Each
+/// shard writes its own output buffer; callers concatenate the buffers in
+/// shard index order, which reproduces the canonical iteration order
+/// exactly. (Batch hop pricing runs one task per shard too, but its tasks
+/// claim chunks from a shared cursor and write each answer at its index;
+/// see lm::HandoffEngine::set_parallel.) The result is bit-identical at ANY shard count x ANY thread
 /// count (the sharded-tick identity suite pins shards {1, 4, 16, 64} x
 /// threads {1, 2, 8}), so the shard count is a pure throughput knob:
 /// RunOptions::shards / --shards picks it per run (resolve_shard_count(),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -172,6 +173,46 @@ TEST(Hierarchy, GeometricLinksProduceValidHierarchy) {
     total += h.members0(h.top_level(), c).size();
   }
   EXPECT_EQ(total, d.g.vertex_count());
+}
+
+TEST(Hierarchy, GeometricLinksMatchAllPairsScan) {
+  // The builder finds level-k links through a spatial grid; every level must
+  // hold exactly the pairs an all-pairs scan over the heads' level-0
+  // positions finds within beta * R_TX * sqrt(n / |V_k|). Disk deployments
+  // are centered on the origin, so coordinates run negative too; the small
+  // ones reach levels of one or two heads.
+  constexpr double kRadius = 2.2;
+  Size two_head_levels = 0;
+  for (const Size n : {Size{3}, Size{9}, Size{400}, Size{1500}}) {
+    const auto d = make_deployment(n, 100 + n);
+    for (const double beta : {0.5, 1.0, 2.0}) {
+      HierarchyOptions options;
+      options.geometric_links = true;
+      options.beta = beta;
+      options.tx_radius = kRadius;
+      const auto h = HierarchyBuilder(options).build(d.g, {}, d.positions);
+      for (Level k = 1; k <= h.top_level(); ++k) {
+        const auto& level = h.level(k);
+        const Size heads = level.vertex_count();
+        if (heads == 2) ++two_head_levels;
+        const double range = beta * kRadius *
+                             std::sqrt(static_cast<double>(n) / static_cast<double>(heads));
+        std::vector<Edge> expected;
+        for (NodeId a = 0; a < heads; ++a) {
+          for (NodeId b = a + 1; b < heads; ++b) {
+            if (geom::distance2(d.positions[level.node0[a]], d.positions[level.node0[b]]) <=
+                range * range) {
+              expected.emplace_back(a, b);
+            }
+          }
+        }
+        const auto got = level.topo.edges();
+        EXPECT_EQ(std::vector<Edge>(got.begin(), got.end()), expected)
+            << "n " << n << ", beta " << beta << ", level " << k;
+      }
+    }
+  }
+  EXPECT_GT(two_head_levels, 0u) << "no level holds a single possible link";
 }
 
 TEST(Hierarchy, MaxLevelCapIsRespected) {

@@ -172,6 +172,8 @@ TEST(Cli, RangeRulesAreValidateRulesUnderTheFlag) {
       {{"--session-pps", "-4"}, "--session-pps must be > 0"},
       {{"--handover-timeout", "0"}, "--handover-timeout must be > 0"},
       {{"--handover-backoff", "0"}, "--handover-backoff must be >= 1"},
+      {{"--beta", "0"}, "--beta must be > 0"},
+      {{"--beta", "-1"}, "--beta must be > 0"},
       {{"--threads", "1025"}, "--threads must be <= 1024"},
       {{"--trace-capacity", "0"}, "--trace-capacity must be >= 1"},
       {{"--trace-sample", "0"}, "--trace-sample must be >= 1"},

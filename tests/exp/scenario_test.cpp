@@ -197,6 +197,18 @@ TEST(ScenarioConfig, ValidateRadiusKnobsUnderTheirOwnPolicy) {
   EXPECT_TRUE(cfg.validate().empty()) << "the mean-degree policy ignores the margin";
 }
 
+TEST(ScenarioConfig, ValidateLinkBetaPositiveUnderGeometricLinks) {
+  // A non-positive beta gives no geometric level-k range: -1 squared ran as
+  // beta = 1, and 0 collapsed the hierarchy to one level. Contraction links
+  // ignore beta.
+  expect_rule([](ScenarioConfig& c, double v) { c.link_beta = v; }, "link_beta",
+              "must be > 0", {0.0, -1.0}, std::numeric_limits<double>::denorm_min());
+  ScenarioConfig cfg;
+  cfg.geometric_links = false;
+  cfg.link_beta = 0.0;
+  EXPECT_TRUE(cfg.validate().empty()) << "contraction links ignore beta";
+}
+
 TEST(Scenario, MaterializeCreatesRequestedMobility) {
   ScenarioConfig cfg;
   cfg.n = 50;

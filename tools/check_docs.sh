@@ -393,6 +393,17 @@ done
 [ -z "$containers" ] ||
     fail "a deleted hash container, arena or log level is back (flat tables for dense keys): $containers"
 
+# 8n. Sort-free graph assembly and grid-bucketed level links: a canonical
+#     sorted edge list scatters into sorted CSR neighbor lists, so
+#     Graph::assign may not sort adjacency per vertex again, and
+#     HierarchyBuilder finds geometric level-k links through a spatial grid,
+#     so the all-pairs head loop may not come back.
+resorted=$(grep -nF 'std::sort(adjacency_' "$root/src/graph/graph.cpp" || true)
+resorted="$resorted$(grep -nF 'b = a + 1; b < n_next' "$root/src/cluster/hierarchy_builder.cpp" || true)"
+[ -z "$resorted" ] ||
+    fail "a per-vertex adjacency sort or the all-pairs level-link scan is back \
+(sort-free graph assembly, grid-bucketed level links): $resorted"
+
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
 #    (GitHub-style: lowercase, punctuation stripped, spaces to dashes).
