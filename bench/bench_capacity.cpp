@@ -59,10 +59,12 @@ std::pair<NodeId, NodeId> query_pair(Size q, Size n) {
 }
 
 /// Run `ticks` steps of the sharded tick kernel (RWP mobility -> unit-disk
-/// delta -> link diff -> kQueries hop lookups) and time it over a
-/// ShardExecutor of sim::resolve_shard_count(shards, workers) shards: inline
-/// on the calling thread at threads == 1, over a pool otherwise — mirroring
-/// the RunOptions::threads / RunOptions::shards semantics exactly.
+/// delta -> link diff -> landmark table -> kQueries hop lookups) and time it
+/// over a ShardExecutor of sim::resolve_shard_count(shards, workers) shards:
+/// inline on the calling thread at threads == 1, over a pool otherwise —
+/// mirroring the RunOptions::threads / RunOptions::shards semantics exactly.
+/// The landmark sweeps run over the same executor, as the handoff engine's
+/// do.
 KernelResult run_shard_kernel(Size n, Size threads, Size shards, Size ticks) {
   constexpr Size kQueries = 256;
   auto cfg = bench::paper_scenario();
@@ -101,7 +103,7 @@ KernelResult run_shard_kernel(Size n, Size threads, Size shards, Size ticks) {
     for (const auto& e : delta.up) mix((std::uint64_t{e.first} << 32) | e.second);
     for (const auto& e : delta.down) mix((std::uint64_t{e.first} << 32) | e.second);
 
-    oracle.prepare(g);
+    oracle.prepare(g, kQueries, exec);
     exec.for_each_shard([&](Size s) {
       const auto [begin, end] = sim::ShardExecutor::slice(kQueries, s, shard_count);
       std::uint64_t sum = 0;

@@ -126,12 +126,15 @@ void BM_HopOracle(benchmark::State& state) {
   // deployment at the simulator's default connectivity radius is deep
   // enough for both depth probes of prepare(). Pairs at least 4 hops apart
   // (the oracle's near cutoff) keep the timed queries on the landmark A*
-  // route instead of bidirectional BFS.
+  // route instead of bidirectional BFS. The second argument is the table
+  // width: 32 landmarks are what a tick pricing at least n / 2 distinct
+  // pairs gets, so pairs = n selects them.
   const auto n = static_cast<Size>(state.range(0));
+  const Size priced = state.range(1) == 32 ? n : 0;
   net::UnitDiskBuilder builder(net::connectivity_radius(n, 1.0, 3.5), true);
   const auto g = builder.build(sample_points(n, 8));
   net::HopOracle oracle;
-  oracle.prepare(g);
+  oracle.prepare(g, priced);
   constexpr std::uint32_t kMinHops = 4;
   std::vector<std::pair<NodeId, NodeId>> pairs;
   graph::BfsPairScratch ref;
@@ -149,7 +152,7 @@ void BM_HopOracle(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_HopOracle)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_HopOracle)->ArgsProduct({{4096, 16384}, {16, 32}});
 
 void BM_RendezvousPick(benchmark::State& state) {
   const auto n_candidates = static_cast<Size>(state.range(0));

@@ -145,6 +145,10 @@ void HandoffEngine::price_moves(const graph::Graph& g0, const Snapshot& next) {
   });
   std::sort(price_keys_.begin(), price_keys_.end());
   price_keys_.erase(std::unique(price_keys_.begin(), price_keys_.end()), price_keys_.end());
+  // The landmark table is sized to this tick's distinct pairs. It is bound
+  // even with none to price: on_node_up() and audit_repair() price against
+  // the binding after update().
+  if (fast_pricing_) oracle_.prepare(g0, price_keys_.size(), *par_);
   if (price_keys_.empty()) return;
 
   price_vals_.resize(price_keys_.size());
@@ -335,7 +339,6 @@ HandoffEngine::TickResult HandoffEngine::update(const cluster::Hierarchy& h,
   MANET_CHECK_MSG(t >= last_time_, "handoff time must be monotone");
   MANET_CHECK_MSG(h.level(0).vertex_count() == node_count_, "node population changed");
 
-  if (fast_pricing_) oracle_.prepare(g0);
   capture(h, next_scratch_);
   const Snapshot& next = next_scratch_;
   TickResult tick;

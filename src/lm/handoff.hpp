@@ -170,28 +170,30 @@ class HandoffEngine {
 
   /// Route transfer pricing through the landmark hop oracle
   /// (net/hop_oracle.hpp) instead of per-pair bidirectional BFS: each
-  /// update() then pays a few BFS sweeps to prepare landmark bounds and
-  /// every priced move runs goal-directed A* on them. The oracle is exact on
-  /// any graph (the bounds are triangle-inequality facts about the pricing
-  /// graph itself), so enabling it never changes a priced value — the
-  /// disabled default stays the bit-identity reference.
+  /// update() then binds the oracle to g0 once it has deduplicated the
+  /// tick's pairs — 32 landmark sweeps when the distinct pairs reach n / 2,
+  /// else 16 — and every priced move runs goal-directed A* on the bounds.
+  /// The oracle is exact on any graph (the bounds are triangle-inequality
+  /// facts about the pricing graph itself), so enabling it never changes a
+  /// priced value — the disabled default stays the bit-identity reference.
   void set_fast_pricing(bool on) noexcept { fast_pricing_ = on; }
 
   /// Shard the per-tick pricing work over \p executor. Until this is
   /// called, and again after set_parallel(nullptr), the engine uses
   /// sim::kInlineExecutor (one shard on the calling thread). update() walks
   /// the tick's entry moves once to collect their distinct (from, to)
-  /// endpoint pairs in sorted order, computes the hop distances with one
-  /// task per shard (each executing thread with a private
-  /// net::HopOracle::Scratch), and then walks the same moves again to
-  /// commit them serially, reading the answers from the cache. The tasks
-  /// claim 64-pair chunks of the sorted list from one shared cursor rather
-  /// than fixed slices, because pair costs are heavy-tailed; each answer is
-  /// written at its pair's index by whichever thread claims it, so the
-  /// cache is the same at any thread and shard count. Hop queries are exact
-  /// and symmetric, so the cache can never change a priced value —
-  /// ledgers, traces, database versions and observer callbacks are emitted
-  /// by the serial commit in move order.
+  /// endpoint pairs in sorted order, prepares the landmark oracle (under
+  /// set_fast_pricing; its round-2 sweeps run over the same shards),
+  /// computes the hop distances with one task per shard (each executing
+  /// thread with a private net::HopOracle::Scratch), and then walks the
+  /// same moves again to commit them serially, reading the answers from
+  /// the cache. The tasks claim 64-pair chunks of the sorted list from one
+  /// shared cursor rather than fixed slices, because pair costs are
+  /// heavy-tailed; each answer is written at its pair's index by whichever
+  /// thread claims it, so the cache is the same at any thread and shard
+  /// count. Hop queries are exact and symmetric, so the cache can never
+  /// change a priced value — ledgers, traces, database versions and
+  /// observer callbacks are emitted by the serial commit in move order.
   /// That holds with an ARQ layer attached too: the cache covers a superset
   /// of the lossy commit's queries, and the channel RNG is still drawn in
   /// move order.
@@ -343,9 +345,9 @@ class HandoffEngine {
   graph::BfsPairScratch pair_bfs_;
 
   // Landmark pricing oracle (inert until set_fast_pricing(true)). Re-bound
-  // to the pricing graph at each update(); audit_repair() and on_node_up()
-  // price against the same graph as the last update() by the caller's tick
-  // structure, so the binding stays valid between updates.
+  // to the pricing graph by each update()'s price_moves(); audit_repair()
+  // and on_node_up() price against the same graph as the last update() by
+  // the caller's tick structure, so the binding stays valid between updates.
   net::HopOracle oracle_;
   bool fast_pricing_ = false;
 

@@ -5,6 +5,7 @@
 
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
+#include "sim/shard.hpp"
 
 /// \file hop_oracle.hpp
 /// Landmark-guided exact hop queries for the per-tick pricing loops.
@@ -59,24 +60,53 @@ namespace manet::net {
 
 /// Exact point-to-point hop distances on one prepared graph snapshot.
 ///
-/// prepare(g) selects landmarks and runs K BFS sweeps (O(K (V + E)), about
-/// 3 ms at n = 4096 and 12-21 ms at n = 16 384 on one core — amortized over
-/// thousands of same-tick queries); hops(s, t) answers one query. The
-/// landmark table is stored interleaved, all K distances of a vertex in one
-/// 16-bit row of 32 bytes (two rows per cache line), because the A* inner
-/// loop reads all K entries of each touched vertex. A sweep that reaches
-/// 65 535 hops does not fit the row; prepare() then leaves the oracle in
-/// pass-through mode. The A* bound is evaluated in the rows' own width:
-/// every row A* reads is all-finite, so each |a - b| is at most 65 534 and
-/// the 16-bit max equals the 32-bit one exactly, while the 16-entry scan
-/// vectorizes in 16-bit lanes (saturating subtracts) instead of widening
-/// every entry to 32 bits.
+/// prepare(g, pairs, executor) selects K landmarks and runs one BFS sweep
+/// per landmark (O(K (V + E)), amortized over the tick's queries); hops(s, t)
+/// answers one query. On a 4-core host at the simulator's mobile radius,
+/// 16 landmarks take 3.2 ms inline at n = 4096 and 16 ms at n = 16 384, and
+/// 8 ms over 4 threads at n = 16 384, where 32 take 14 ms; the 4 round-1
+/// sweeps (about 4 ms there) stay serial. The landmark table is stored
+/// interleaved, all K distances of a vertex in one 16-bit row (2K bytes,
+/// row stride K), because the A* inner loop reads all K entries of each
+/// touched vertex.
 ///
-/// Farthest-point sampling starts from the highest-degree vertex (lowest id
-/// on ties): one pass over the degrees that lands in the main component on
-/// the simulator's topologies, and never on an isolated vertex while any
-/// edge exists. The fault plane strips crashed vertices to degree 0, and a
-/// start on one of them would read eccentricity 0 and disarm the whole tick.
+/// Width by load: K is 32 when the tick prices at least n / 2 distinct pairs
+/// (2 * pairs >= n), else 16. On dumped n = 16 384 ticks, 32 landmarks cut
+/// A* heuristic evaluations by a fifth to a quarter (mu 1) but cost 16 more
+/// sweeps, which paid only above about 5 k pairs. The rule reads (n, pairs)
+/// only, never the thread or shard count; every width is exact, so it picks
+/// a speed, never a value. hops() dispatches to one search instantiated per
+/// width.
+///
+/// Two-round selection. Farthest-point sampling starts from the
+/// highest-degree vertex (lowest id on ties): one pass over the degrees that
+/// lands in the main component on the simulator's topologies, and never on
+/// an isolated vertex while any edge exists (the fault plane strips crashed
+/// vertices to degree 0, and a start on one of them would read eccentricity
+/// 0 and disarm the whole tick).
+///   * Round 1 runs 4 farthest-point sweeps serially, each pick reading the
+///     sweeps before it; the shallow-graph gate reads sweeps 0 and 1.
+///   * Round 2 picks the other K - 4 landmarks by farthest-point over the
+///     round-1 bound max_j |d(L_j, u) - d(L_j, v)| instead of true distances,
+///     so it needs no sweep: one vectorized pass over the four contiguous
+///     16-bit round-1 columns per pick. On dumped mu 1 ticks its picks read
+///     within -5..+5 % of full farthest-point in A* heuristic evaluations.
+///   * The K - 4 round-2 sweeps then run as tasks on the executor's shards,
+///     claiming landmarks from one atomic cursor; each executing thread
+///     sweeps into its own 16-bit column and copies it into the rows. The
+///     table is the same at any thread and shard count.
+/// Landmarks never leave landmark 0's component: vertices it does not reach
+/// are never promoted, and when every reached vertex is covered (a component
+/// with fewer vertices than K) the remaining slots repeat landmark 0.
+///
+/// 16-bit rows: each landmark lies within ecc0 (sweep 0's eccentricity) of
+/// landmark 0, so no sweep reaches 2 * ecc0 hops; prepare() leaves the oracle
+/// in pass-through mode when 2 * ecc0 >= 65 535, and below that every finite
+/// distance fits under the kFar marker. The A* bound is evaluated in the
+/// rows' own width: every row A* reads is all-finite, so each |a - b| is at
+/// most 65 534 and the 16-bit max equals the 32-bit one exactly, while the
+/// K-entry scan vectorizes in 16-bit lanes (saturating subtracts) instead of
+/// widening every entry to 32 bits.
 ///
 /// The oracle is cost-adaptive, because goal-directed search only pays off
 /// when there is distance to direct across:
@@ -113,11 +143,14 @@ class HopOracle {
     std::uint32_t epoch = 0;
   };
 
-  /// Bind the oracle to this tick's pricing graph: farthest-point landmark
-  /// selection + one BFS sweep per landmark. \p g must stay alive and
+  /// Bind the oracle to this tick's pricing graph: landmark selection and
+  /// one BFS sweep per landmark, 32 landmarks when 2 * \p pairs >= n (the
+  /// caller's count of distinct pairs it will price), else 16. The round-2
+  /// sweeps run over \p executor's shards. \p g must stay alive and
   /// unchanged until the next prepare(); call again whenever the edge set
   /// changes.
-  void prepare(const graph::Graph& g);
+  void prepare(const graph::Graph& g, Size pairs = 0,
+               const sim::ShardExecutor& executor = sim::kInlineExecutor);
 
   /// True once prepare() has run (queries before that would be meaningless).
   bool ready() const { return g_ != nullptr; }
@@ -132,9 +165,13 @@ class HopOracle {
   std::uint32_t hops(NodeId s, NodeId t, Scratch& scratch) const;
 
  private:
-  static constexpr Size kLandmarks = 16;
+  static constexpr Size kNarrow = 16;  ///< landmarks below the pair threshold
+  static constexpr Size kWide = 32;    ///< landmarks at 2 * pairs >= n
+  static constexpr Size kRoundOne = 4;  ///< serial farthest-point sweeps
+  /// Slots per vectorized block of the round-2 selection pass.
+  static constexpr Size kBlock = 16;
   /// Row entry for a vertex the landmark's sweep never reached.
-  static constexpr std::uint32_t kFar = 0xFFFF;
+  static constexpr std::uint16_t kFar = 0xFFFF;
   /// Epoch at which the A* stamps (2e, 2e + 1) restart from a cleared array.
   static constexpr std::uint32_t kEpochRestart = 1u << 31;
   /// Below this first-sweep eccentricity the whole graph is within a few
@@ -152,15 +189,32 @@ class HopOracle {
   /// 8 read 2.68 s).
   static constexpr std::uint32_t kNearCut = 4;
 
+  /// The A* search on a width-W table (W == width_).
+  template <Size W>
+  std::uint32_t search(NodeId s, NodeId t, Scratch& scratch) const;
+  /// BFS from \p source into dist[0, n) (kFar = unreached) with \p queue as
+  /// scratch; returns the eccentricity, or kFar once a level reaches kFar
+  /// hops (the sweep stops there).
+  static std::uint32_t sweep(const graph::Graph& g, NodeId source, std::uint16_t* dist,
+                             NodeId* queue);
+  /// Farthest-point step: min_dist_[v] = min(min_dist_[v], bound(v)) over
+  /// every padded slot; returns the first vertex of the largest min_dist_,
+  /// kInvalidNode when that is 0 (every vertex covered).
+  template <class Bound>
+  NodeId cover(Bound&& bound);
+
   const graph::Graph* g_ = nullptr;
   Size n_ = 0;
+  Size width_ = kNarrow;             ///< landmarks K, the row stride
   bool active_ = false;              ///< landmark table populated this bind
   std::vector<std::uint16_t> land_;  ///< interleaved: land_[v * K + k], kFar unreached
 
-  // Landmark-selection scratch (farthest-point sampling).
-  std::vector<std::uint32_t> min_dist_;
-  std::vector<std::uint32_t> sweep_dist_;
-  std::vector<NodeId> sweep_queue_;
+  // Landmark-selection scratch, padded to stride_ (a multiple of kBlock):
+  // the round-1 columns hold kFar in the padding, so min_dist_ reads 0 there.
+  Size stride_ = 0;
+  std::vector<std::uint16_t> round_one_;  ///< column j at [j * stride_, +n)
+  std::vector<std::uint16_t> min_dist_;
+  std::vector<NodeId> landmarks_;
 
   Scratch scratch_;  ///< backing state for the sequential hops(s, t) overload
 };

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "graph/components.hpp"
 
 namespace manet::net {
 
@@ -28,62 +27,67 @@ UnitDiskBuilder::UnitDiskBuilder(double tx_radius, bool ensure_connected)
   MANET_CHECK(tx_radius > 0.0);
 }
 
-void UnitDiskBuilder::compute_bridges(const std::vector<geom::Vec2>& positions,
-                                      const graph::Graph& raw,
-                                      std::vector<graph::Edge>& bridges) {
-  // Bridge every minor component to the giant one via the closest node pair
-  // (checked against every giant-component node; component populations are
-  // tiny in practice, so the quadratic scan is cheap and exact).
-  const auto labels = graph::component_labels(raw);
-  const std::uint32_t n_comp = 1 + *std::max_element(labels.begin(), labels.end());
-  comp_size_.assign(n_comp, 0);
-  for (const auto l : labels) ++comp_size_[l];
-  const std::uint32_t giant = static_cast<std::uint32_t>(
-      std::max_element(comp_size_.begin(), comp_size_.end()) - comp_size_.begin());
-
-  giant_nodes_.clear();
-  for (NodeId v = 0; v < labels.size(); ++v) {
-    if (labels[v] == giant) giant_nodes_.push_back(v);
-  }
-  for (std::uint32_t c = 0; c < n_comp; ++c) {
-    if (c == giant) continue;
-    double best_d2 = std::numeric_limits<double>::infinity();
-    NodeId best_u = kInvalidNode, best_v = kInvalidNode;
-    for (NodeId u = 0; u < labels.size(); ++u) {
-      if (labels[u] != c) continue;
-      for (const NodeId v : giant_nodes_) {
-        const double d2 = geom::distance2(positions[u], positions[v]);
-        if (d2 < best_d2) {
-          best_d2 = d2;
-          best_u = u;
-          best_v = v;
-        }
+void UnitDiskBuilder::compute_bridges(const std::vector<geom::Vec2>& positions) {
+  // Components of the raw graph, labeled by BFS from each unlabeled node in
+  // id order (component_labels' numbering); the giant is the first largest.
+  // The scratch is per call, as component_labels' was: kept, the labels
+  // and the queue would add 8 bytes per node to the peak of every run.
+  constexpr std::uint32_t kUnlabeled = std::numeric_limits<std::uint32_t>::max();
+  const Size n = positions.size();
+  std::vector<std::uint32_t> labels(n, kUnlabeled);
+  std::vector<NodeId> queue(n);
+  std::vector<Size> comp_size;
+  for (NodeId s = 0; s < n; ++s) {
+    if (labels[s] != kUnlabeled) continue;
+    const auto c = static_cast<std::uint32_t>(comp_size.size());
+    Size head = 0, tail = 0;
+    labels[s] = c;
+    queue[tail++] = s;
+    while (head < tail) {
+      for (const NodeId w : adj_[queue[head++]]) {
+        if (labels[w] != kUnlabeled) continue;
+        labels[w] = c;
+        queue[tail++] = w;
       }
     }
-    MANET_CHECK(best_u != kInvalidNode);
-    bridges.emplace_back(std::min(best_u, best_v), std::max(best_u, best_v));
+    comp_size.push_back(tail);
+  }
+  if (comp_size.size() < 2) return;
+  const auto giant = static_cast<std::uint32_t>(
+      std::max_element(comp_size.begin(), comp_size.end()) - comp_size.begin());
+
+  // Each minor member in id order asks the grid for its nearest giant node
+  // (lowest id on ties) strictly closer than its component's pair so far,
+  // so a later member wins only when strictly closer: the first minimum in
+  // (u, v) order, as the all-pairs scan found it.
+  struct ClosestPair {
+    double d2;
+    NodeId u, v;
+  };
+  std::vector<ClosestPair> closest(
+      comp_size.size(), {std::numeric_limits<double>::infinity(), kInvalidNode, kInvalidNode});
+  const auto in_giant = [&](NodeId w) { return labels[w] == giant; };
+  for (NodeId u = 0; u < n; ++u) {
+    if (labels[u] == giant) continue;
+    ClosestPair& pair = closest[labels[u]];
+    const NodeId v = grid_.nearest(positions[u], in_giant, pair.d2);
+    if (v != kInvalidNode) {
+      pair.u = u;
+      pair.v = v;
+    }
+  }
+  for (std::uint32_t c = 0; c < closest.size(); ++c) {
+    if (c == giant) continue;
+    const ClosestPair& pair = closest[c];
+    MANET_CHECK(pair.u != kInvalidNode);
+    bridges_.emplace_back(std::min(pair.u, pair.v), std::max(pair.u, pair.v));
   }
 }
 
 graph::Graph UnitDiskBuilder::build(const std::vector<geom::Vec2>& positions) {
+  rescan(positions);
   seeded_ = false;  // stateless path; next update() re-seeds
-  grid_.rebuild(positions);
-  edge_buffer_.clear();
-  // Each pair is seen from both ends; keep the canonical (u < v) one.
-  grid_.for_each_neighbor(tx_radius_, 0, grid_.cell_count(),
-                          [this](NodeId u, std::span<const NodeId> nbrs) {
-                            for (const NodeId v : nbrs) {
-                              if (u < v) edge_buffer_.emplace_back(u, v);
-                            }
-                          });
-  graph::Graph g(positions.size(), edge_buffer_);
-  last_augmented_ = 0;
-  if (!ensure_connected_ || graph::is_connected(g) || positions.size() < 2) return g;
-
-  const Size raw_edges = edge_buffer_.size();
-  compute_bridges(positions, g, edge_buffer_);
-  last_augmented_ = edge_buffer_.size() - raw_edges;
-  return graph::Graph(positions.size(), edge_buffer_);
+  return graph_;
 }
 
 void UnitDiskBuilder::rescan(const std::vector<geom::Vec2>& positions) {
@@ -93,7 +97,7 @@ void UnitDiskBuilder::rescan(const std::vector<geom::Vec2>& positions) {
   adj_.resize(n);
   // Sharded adjacency build over contiguous occupied-cell ranges: every node
   // lies in exactly one cell, so each shard writes only its own nodes'
-  // sorted lists (with build()'s symmetric distance test) — no staging, no
+  // sorted lists (with the grid's symmetric distance test) — no staging, no
   // serial merge, and lists that depend on neither the shard nor the thread
   // count.
   const Size shards = par_->shard_count();
@@ -133,24 +137,19 @@ void UnitDiskBuilder::rescan(const std::vector<geom::Vec2>& positions) {
       }
     }
   });
-  raw_graph_.assign(n, edge_buffer_);
 
   // Bridges are re-derived on every rescan: the closest-pair rule reads
-  // current positions, exactly as build() would.
+  // current positions.
   std::swap(bridges_, prev_bridges_);
   bridges_.clear();
-  if (ensure_connected_ && n >= 2 && !graph::is_connected(raw_graph_)) {
-    compute_bridges(positions, raw_graph_, bridges_);
-  }
-  augmented_ = !bridges_.empty();
+  if (ensure_connected_ && n >= 2) compute_bridges(positions);
   last_augmented_ = bridges_.size();
-  if (augmented_) {
-    // Append the bridges for the augmented graph, then drop them again:
-    // edge_buffer_ must stay the raw set the next tick diffs against.
-    edge_buffer_.insert(edge_buffer_.end(), bridges_.begin(), bridges_.end());
-    aug_graph_.assign(n, edge_buffer_);
-    edge_buffer_.resize(edge_buffer_.size() - bridges_.size());
-  }
+  // One assembly, of the graph graph() returns: append the bridges, then
+  // drop them again — edge_buffer_ must stay the raw set the next tick
+  // diffs against.
+  edge_buffer_.insert(edge_buffer_.end(), bridges_.begin(), bridges_.end());
+  graph_.assign(n, edge_buffer_);
+  edge_buffer_.resize(edge_buffer_.size() - bridges_.size());
 }
 
 const graph::Graph& UnitDiskBuilder::update(const std::vector<geom::Vec2>& positions) {

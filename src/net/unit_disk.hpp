@@ -16,7 +16,8 @@
 /// experiment.
 ///
 /// Two entry points are provided:
-///   - build():  stateless full rescan (the reference path);
+///   - build():  stateless full rescan (the reference path): the same
+///     rescan as update(), with the maintained state dropped afterwards;
 ///   - update(): change-gated maintenance. A tick on which no position
 ///     changed (exact comparison) does no work and reports changed() false;
 ///     any other tick rescans every node, sharded, and reports the exact
@@ -24,6 +25,12 @@
 ///     moves every node on every tick, so a per-moved-node path would never
 ///     run. update() is bit-identical to a full rebuild at every tick — the
 ///     change-gated tick pipeline in exp/simulation.cpp relies on this.
+///
+/// A rescan labels the components once, over its per-node adjacency lists;
+/// with ensure_connected and more than one component, it finds each minor
+/// component's bridge through the spatial grid (SpatialGrid::nearest from
+/// each member) and then assembles the one graph graph() returns, bridges
+/// included. No raw-only graph is assembled beside it.
 
 namespace manet::net {
 
@@ -70,8 +77,9 @@ class UnitDiskBuilder {
   /// True when the last update() rescanned: a (re)seed or any moved node.
   bool last_full_rescan() const { return full_rescan_; }
 
-  /// The graph maintained by update(). Valid until the next build()/update().
-  const graph::Graph& graph() const { return augmented_ ? aug_graph_ : raw_graph_; }
+  /// The graph of the last rescan, bridges included. Valid until the next
+  /// build()/update().
+  const graph::Graph& graph() const { return graph_; }
 
   /// Whether the last update() changed the edge set (including augmentation
   /// bridges). The first update() after a (re)seed reports true.
@@ -93,19 +101,19 @@ class UnitDiskBuilder {
   Size last_augmented_edges() const { return last_augmented_; }
 
  private:
-  /// Rebuild the grid, adjacency, raw graph and bridges from \p positions
-  /// (sharded over par_); keeps the previous bridge set in prev_bridges_.
+  /// Rebuild the grid, adjacency, raw edges, bridges and graph from
+  /// \p positions (sharded over par_); keeps the previous bridge set in
+  /// prev_bridges_.
   void rescan(const std::vector<geom::Vec2>& positions);
-  /// Append the component bridges for \p raw to \p bridges (closest-pair
-  /// rule; shared by build() and update()).
-  void compute_bridges(const std::vector<geom::Vec2>& positions, const graph::Graph& raw,
-                       std::vector<graph::Edge>& bridges);
+  /// Label the components of adj_ and fill bridges_ with one closest-pair
+  /// bridge from each minor component to the giant one: the first minimum
+  /// in (u, v) id order, as a scan over every such pair would pick it.
+  void compute_bridges(const std::vector<geom::Vec2>& positions);
 
   double tx_radius_;
   bool ensure_connected_;
   geom::SpatialGrid grid_;
-  /// Canonical sorted raw edges of the last rescan (build() appends its
-  /// bridges after them).
+  /// Canonical sorted raw edges of the last rescan.
   std::vector<graph::Edge> edge_buffer_;
   Size last_augmented_ = 0;
 
@@ -113,10 +121,8 @@ class UnitDiskBuilder {
   bool seeded_ = false;
   std::vector<geom::Vec2> last_pos_;      ///< positions of the last rescan
   std::vector<std::vector<NodeId>> adj_;  ///< sorted raw adjacency lists
-  graph::Graph raw_graph_;
-  graph::Graph aug_graph_;
+  graph::Graph graph_;                    ///< raw edges plus bridges_
   std::vector<graph::Edge> bridges_;
-  bool augmented_ = false;
   bool changed_ = false;
   bool full_rescan_ = false;
   Size last_moved_ = 0;
@@ -127,10 +133,6 @@ class UnitDiskBuilder {
   const sim::ShardExecutor* par_ = &sim::kInlineExecutor;
   std::vector<Size> shard_offsets_;  ///< per-shard edge_buffer_ offsets
   ShardedEdgeDiff diff_;
-  /// compute_bridges() scratch (capacity kept): nodes per component and the
-  /// giant component's nodes.
-  std::vector<Size> comp_size_;
-  std::vector<NodeId> giant_nodes_;
 };
 
 }  // namespace manet::net

@@ -18,9 +18,10 @@
 /// decoupled from the thread count — and runs one task per shard. Each
 /// shard writes its own output buffer; callers concatenate the buffers in
 /// shard index order, which reproduces the canonical iteration order
-/// exactly. (Batch hop pricing runs one task per shard too, but its tasks
-/// claim chunks from a shared cursor and write each answer at its index;
-/// see lm::HandoffEngine::set_parallel.) The result is bit-identical at ANY shard count x ANY thread
+/// exactly. (Batch hop pricing and the landmark sweeps run one task per
+/// shard too, but their tasks claim work from a shared cursor and write
+/// each result at its index; see lm::HandoffEngine::set_parallel and
+/// net::HopOracle.) The result is bit-identical at ANY shard count x ANY thread
 /// count (the sharded-tick identity suite pins shards {1, 4, 16, 64} x
 /// threads {1, 2, 8}), so the shard count is a pure throughput knob:
 /// RunOptions::shards / --shards picks it per run (resolve_shard_count(),

@@ -5,10 +5,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "geom/region.hpp"
 #include "graph/bfs.hpp"
 #include "net/radio.hpp"
 #include "net/unit_disk.hpp"
+#include "sim/shard.hpp"
 
 namespace manet::net {
 namespace {
@@ -38,6 +40,10 @@ Graph random_deployment(Size n, double radius, bool ensure_connected,
   UnitDiskBuilder builder(radius, ensure_connected);
   return builder.build(positions);
 }
+
+/// The pair counts that select each table width on \p g: 16 landmarks below
+/// n / 2 distinct pairs, 32 from there on.
+std::vector<Size> both_widths(const Graph& g) { return {0, g.vertex_count()}; }
 
 /// A connected n = 4096 deployment at the simulator's default connectivity
 /// radius (margin 3.5). Its diameter (about 45 hops) clears both depth
@@ -91,31 +97,61 @@ TEST(HopOracle, MatchesPairBfsOnBridgedSparseDeployment) {
 TEST(HopOracle, ExactInActiveModeOnDeepGraph) {
   // A long path guarantees eccentricity far above the shallow-graph cutoff,
   // so this exercises the landmark A* route (and its near-query dispatch)
-  // rather than the pass-through mode.
+  // rather than the pass-through mode, at both table widths.
   const Size n = 120;
   std::vector<Edge> edges;
   for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
   const Graph g(n, edges);
-  HopOracle oracle;
-  oracle.prepare(g);
-  graph::BfsPairScratch ref;
-  for (NodeId s = 0; s < n; s += 7) {
-    for (NodeId t = 0; t < n; t += 11) {
-      ASSERT_EQ(oracle.hops(s, t), ref.hops(g, s, t)) << "s=" << s << " t=" << t;
+  for (const Size pairs : both_widths(g)) {
+    HopOracle oracle;
+    oracle.prepare(g, pairs);
+    graph::BfsPairScratch ref;
+    for (NodeId s = 0; s < n; s += 7) {
+      for (NodeId t = 0; t < n; t += 11) {
+        ASSERT_EQ(oracle.hops(s, t), ref.hops(g, s, t)) << "s=" << s << " t=" << t;
+      }
     }
+    EXPECT_EQ(oracle.hops(0, n - 1), n - 1);
+    EXPECT_EQ(oracle.hops(5, 5), 0u);
   }
-  EXPECT_EQ(oracle.hops(0, n - 1), n - 1);
-  EXPECT_EQ(oracle.hops(5, 5), 0u);
 }
 
 TEST(HopOracle, ExactWhereHopDistancesTieOnADeepDeployment) {
   // On a unit-disk graph most vertices near an s-t corridor share the
   // minimum A* key, so the order in which the bucket queue pops them is
-  // exercised on every far query. Any order must return the BFS distance.
+  // exercised on every far query. Any order must return the BFS distance,
+  // on the 16- and the 32-landmark table alike.
   const Graph g = deep_deployment();
-  HopOracle oracle;
-  oracle.prepare(g);
-  expect_matches_bfs_with_far_pairs(oracle, g, 24, 2000, 200);
+  for (const Size pairs : both_widths(g)) {
+    HopOracle oracle;
+    oracle.prepare(g, pairs);
+    expect_matches_bfs_with_far_pairs(oracle, g, 24, 2000, 200);
+  }
+}
+
+TEST(HopOracle, PoolPrepareAnswersLikeInline) {
+  // The round-2 sweeps run as tasks on the executor's shards, each thread
+  // sweeping into its own column: a pool-built table must answer every
+  // query exactly as the inline one does, at any thread count and width.
+  const Graph g = deep_deployment();
+  const Size n = g.vertex_count();
+  for (const Size pairs : both_widths(g)) {
+    HopOracle reference;
+    reference.prepare(g, pairs);
+    for (const Size threads : {1u, 4u, 7u}) {
+      common::ThreadPool pool(threads);
+      const sim::ShardExecutor exec(pool, sim::resolve_shard_count(0, threads));
+      HopOracle oracle;
+      oracle.prepare(g, pairs, exec);
+      common::Xoshiro256 rng(28 + threads);
+      for (Size i = 0; i < 300; ++i) {
+        const auto s = static_cast<NodeId>(common::uniform_index(rng, n));
+        const auto t = static_cast<NodeId>(common::uniform_index(rng, n));
+        ASSERT_EQ(oracle.hops(s, t), reference.hops(s, t))
+            << "threads=" << threads << " pairs=" << pairs << " s=" << s << " t=" << t;
+      }
+    }
+  }
 }
 
 TEST(HopOracle, ExactWithVertexZeroAndMinorComponentsStripped) {
@@ -136,30 +172,64 @@ TEST(HopOracle, ExactWithVertexZeroAndMinorComponentsStripped) {
   }
   const Graph g(n, edges);
   ASSERT_EQ(g.degree(0), 0u);
-  HopOracle oracle;
-  oracle.prepare(g);
-  expect_matches_bfs_with_far_pairs(oracle, g, 26, 2000, 200);
-  graph::BfsPairScratch ref;
-  for (NodeId v = 0; v < n; v += 97) {
-    ASSERT_EQ(oracle.hops(0, v), ref.hops(g, 0, v)) << "v=" << v;
+  for (const Size pairs : both_widths(g)) {
+    HopOracle oracle;
+    oracle.prepare(g, pairs);
+    expect_matches_bfs_with_far_pairs(oracle, g, 26, 2000, 200);
+    graph::BfsPairScratch ref;
+    for (NodeId v = 0; v < n; v += 97) {
+      ASSERT_EQ(oracle.hops(0, v), ref.hops(g, 0, v)) << "v=" << v;
+    }
+  }
+}
+
+TEST(HopOracle, ExactOnADeepComponentSmallerThanTheTable) {
+  // A 30-vertex component deep enough to arm the table (a 28-vertex path
+  // whose end carries two leaves, so that end is the highest-degree start),
+  // beside a 70 000-vertex path holding vertex 0. A 32-landmark table runs
+  // out of uncovered vertices after 30 picks; the remaining slots must stay
+  // inside the component (vertex 0's sweep would reach 69 999 hops, past
+  // what a 16-bit row holds), and every query stays exact.
+  const NodeId path = 70000;
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v + 1 < path; ++v) edges.emplace_back(v, v + 1);
+  for (NodeId i = 0; i + 1 < 28; ++i) edges.emplace_back(path + i, path + i + 1);
+  edges.emplace_back(path, path + 28);
+  edges.emplace_back(path, path + 29);
+  const Graph g(path + 30, edges);
+  for (const Size pairs : both_widths(g)) {
+    HopOracle oracle;
+    oracle.prepare(g, pairs);
+    graph::BfsPairScratch ref;
+    for (NodeId s = path; s < path + 30; ++s) {
+      for (NodeId t = path; t < path + 30; ++t) {
+        ASSERT_EQ(oracle.hops(s, t), ref.hops(g, s, t)) << "s=" << s << " t=" << t;
+      }
+      ASSERT_EQ(oracle.hops(s, 0), graph::kUnreachable) << "s=" << s;
+    }
+    EXPECT_EQ(oracle.hops(path + 27, path + 28), 28u);
+    EXPECT_EQ(oracle.hops(0, path - 1), path - 1);
+    EXPECT_EQ(oracle.hops(12345, 40), 12305u);
   }
 }
 
 TEST(HopOracle, ExactOnAPathTooDeepForSixteenBitRows) {
   // A 70 000-vertex path: the first sweep (from vertex 1, the lowest-id
-  // vertex of the highest degree) reaches 69 998 hops, which a 16-bit
-  // landmark row cannot hold, so prepare() leaves the oracle in pass-through
-  // mode and each query runs bidirectional BFS.
+  // vertex of the highest degree) reaches 69 998 hops, so later sweeps could
+  // reach twice that, past what a 16-bit landmark row holds. prepare() leaves
+  // the oracle in pass-through mode and each query runs bidirectional BFS.
   const Size n = 70000;
   std::vector<Edge> edges;
   for (NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
   const Graph g(n, edges);
-  HopOracle oracle;
-  oracle.prepare(g);
-  EXPECT_EQ(oracle.hops(0, n - 1), n - 1);
-  EXPECT_EQ(oracle.hops(n - 1, 1), n - 2);
-  EXPECT_EQ(oracle.hops(65535, 0), 65535u);
-  expect_matches_bfs(oracle, g, 27, 40);
+  for (const Size pairs : both_widths(g)) {
+    HopOracle oracle;
+    oracle.prepare(g, pairs);
+    EXPECT_EQ(oracle.hops(0, n - 1), n - 1);
+    EXPECT_EQ(oracle.hops(n - 1, 1), n - 2);
+    EXPECT_EQ(oracle.hops(65535, 0), 65535u);
+    expect_matches_bfs(oracle, g, 27, 40);
+  }
 }
 
 TEST(HopOracle, UnreachableAcrossComponents) {
@@ -188,12 +258,14 @@ TEST(HopOracle, UnreachableAcrossComponents) {
 TEST(HopOracle, FewerVerticesThanLandmarks) {
   std::vector<Edge> edges{{0, 1}, {1, 2}, {2, 3}, {3, 4}};
   const Graph g(5, edges);
-  HopOracle oracle;
-  oracle.prepare(g);
-  graph::BfsPairScratch ref;
-  for (NodeId s = 0; s < 5; ++s) {
-    for (NodeId t = 0; t < 5; ++t) {
-      ASSERT_EQ(oracle.hops(s, t), ref.hops(g, s, t)) << "s=" << s << " t=" << t;
+  for (const Size pairs : both_widths(g)) {
+    HopOracle oracle;
+    oracle.prepare(g, pairs);
+    graph::BfsPairScratch ref;
+    for (NodeId s = 0; s < 5; ++s) {
+      for (NodeId t = 0; t < 5; ++t) {
+        ASSERT_EQ(oracle.hops(s, t), ref.hops(g, s, t)) << "s=" << s << " t=" << t;
+      }
     }
   }
 }

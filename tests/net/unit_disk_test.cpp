@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -78,6 +79,116 @@ TEST(UnitDisk, NoAugmentationWhenAlreadyConnected) {
   const auto g = bridged.build({{0, 0}, {0.5, 0}, {1.0, 0}});
   EXPECT_TRUE(graph::is_connected(g));
   EXPECT_EQ(bridged.last_augmented_edges(), 0u);
+}
+
+/// The bridged edge set by the closest-pair rule, computed the slow way:
+/// brute-force raw edges, then for each minor component the first minimum
+/// over all (member, giant node) pairs in (u, v) id order.
+std::vector<graph::Edge> all_pairs_reference(const std::vector<geom::Vec2>& pts,
+                                             double radius, Size& bridges) {
+  std::vector<graph::Edge> edges;
+  for (NodeId u = 0; u < pts.size(); ++u) {
+    for (NodeId v = u + 1; v < pts.size(); ++v) {
+      if (geom::distance2(pts[u], pts[v]) <= radius * radius) edges.emplace_back(u, v);
+    }
+  }
+  const auto labels = graph::component_labels(graph::Graph(pts.size(), edges));
+  std::vector<Size> size(*std::max_element(labels.begin(), labels.end()) + 1, 0);
+  for (const auto l : labels) ++size[l];
+  const auto giant =
+      static_cast<std::uint32_t>(std::max_element(size.begin(), size.end()) - size.begin());
+  bridges = 0;
+  for (std::uint32_t c = 0; c < size.size(); ++c) {
+    if (c == giant) continue;
+    double best = std::numeric_limits<double>::infinity();
+    graph::Edge pair;
+    for (NodeId u = 0; u < pts.size(); ++u) {
+      for (NodeId v = 0; v < pts.size(); ++v) {
+        if (labels[u] != c || labels[v] != giant) continue;
+        const double d2 = geom::distance2(pts[u], pts[v]);
+        if (d2 < best) {
+          best = d2;
+          pair = {std::min(u, v), std::max(u, v)};
+        }
+      }
+    }
+    edges.push_back(pair);
+    ++bridges;
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+/// build() and a seeded update() both bridge \p pts exactly as the
+/// all-pairs reference does.
+void expect_reference_bridges(const std::vector<geom::Vec2>& pts, double radius) {
+  Size bridges = 0;
+  const auto want = all_pairs_reference(pts, radius, bridges);
+  ASSERT_GT(bridges, 0u);
+  UnitDiskBuilder builder(radius, /*ensure_connected=*/true);
+  const auto built = builder.build(pts);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), built.edges().begin(), built.edges().end()));
+  EXPECT_EQ(builder.last_augmented_edges(), bridges);
+  const auto& updated = builder.update(pts);
+  EXPECT_TRUE(
+      std::equal(want.begin(), want.end(), updated.edges().begin(), updated.edges().end()));
+  EXPECT_EQ(builder.last_augmented_edges(), bridges);
+}
+
+TEST(UnitDisk, BridgesMatchAllPairsReferenceOnSparseDeployments) {
+  // Random sparse points around the origin (negative coordinates included).
+  common::Xoshiro256 rng(53);
+  const geom::DiskRegion disk({0, 0}, 10.0);
+  std::vector<geom::Vec2> pts(160);
+  for (auto& p : pts) p = disk.sample(rng);
+  expect_reference_bridges(pts, 1.0);
+
+  // A holed integer lattice across both signs: hop-linked at radius 1 and
+  // full of exact distance ties between components.
+  std::vector<geom::Vec2> lattice;
+  for (int x = -7; x <= 7; ++x) {
+    for (int y = -7; y <= 7; ++y) {
+      if (common::uniform01(rng) < 0.45) lattice.push_back({x * 1.0, y * 1.0});
+    }
+  }
+  expect_reference_bridges(lattice, 1.0);
+
+  // Lattice clusters far apart, all-negative on one side: the nearest giant
+  // node of a far component lies beyond the ring search's reach.
+  std::vector<geom::Vec2> far;
+  for (int x = 0; x < 6; ++x) {
+    for (int y = 0; y < 4; ++y) {
+      far.push_back({x * 1.0, y * 1.0});
+      if ((x + y) % 3 == 0) far.push_back({-1000.0 - x * 2.0, -700.0 - y * 2.0});
+    }
+  }
+  expect_reference_bridges(far, 1.0);
+}
+
+TEST(UnitDiskIncremental, AlternatingBridgedTicksReturnThisTicksGraph) {
+  // Every other tick one node steps out of range and back: graph() must be
+  // this tick's graph each time, with or without bridges — the rescan
+  // assembles only the graph it returns, so nothing may be left over from
+  // the last tick of the other kind.
+  std::vector<geom::Vec2> pts;
+  for (int i = 0; i < 7; ++i) pts.push_back({0.8 * i, 0.0});
+  UnitDiskBuilder builder(1.0, /*ensure_connected=*/true);
+  UnitDiskBuilder reference(1.0, /*ensure_connected=*/true);
+  for (int step = 0; step < 12; ++step) {
+    pts[6].x = step % 2 == 1 ? 7.5 : 4.8;
+    pts[0].y = 0.01 * step;  // every tick moves a node
+    const auto want = reference.build(pts);
+    const auto& got = builder.update(pts);
+    EXPECT_EQ(&got, &builder.graph());
+    ASSERT_TRUE(std::equal(want.edges().begin(), want.edges().end(), got.edges().begin(),
+                           got.edges().end()))
+        << "step " << step;
+    EXPECT_EQ(builder.last_augmented_edges(), step % 2 == 1 ? 1u : 0u) << "step " << step;
+    EXPECT_TRUE(got.has_edge(5, 6)) << "step " << step;
+    if (step > 0) {
+      EXPECT_TRUE(builder.changed()) << "step " << step;
+    }
+  }
 }
 
 TEST(UnitDiskIncremental, UpdateMatchesBuildUnderRandomMotion) {

@@ -404,6 +404,36 @@ resorted="$resorted$(grep -nF 'b = a + 1; b < n_next' "$root/src/cluster/hierarc
     fail "a per-vertex adjacency sort or the all-pairs level-link scan is back \
 (sort-free graph assembly, grid-bucketed level links): $resorted"
 
+# 8o. One labeling, one assembly, a linear grid and landmarks swept over
+#     the shards: the unit-disk rescan labels its components once over the
+#     adjacency lists and assembles only the graph it returns, so neither a
+#     connectivity pre-check nor a second labeling may come back;
+#     SpatialGrid::rebuild places ids by a radix pass, so the keyed sort may
+#     not come back; and HopOracle picks the landmarks after round 1 from
+#     the round-1 bounds, so a farthest-point loop over every landmark that
+#     sweeps and updates min_dist_ each time (outside the kRoundOne branch)
+#     may not come back.
+unit_disk="$root/src/net/unit_disk.cpp"
+once=$(grep -nE '(^|[^_[:alnum:]])is_connected[(]' "$unit_disk" || true)
+[ "$(grep -c 'component_labels(' "$unit_disk")" -le 1 ] ||
+    once="$once $(grep -n 'component_labels(' "$unit_disk")"
+once="$once$(grep -nF 'std::sort(keyed' "$root/src/geom/spatial_grid.cpp" || true)"
+once="$once$(awk '
+    /for \(Size k = 0; k < (width_|kLandmarks|kWide|kNarrow);/ { open = 1; depth = 0; body = ""; at = FNR }
+    open {
+        body = body $0 "\n"
+        depth += gsub(/[{]/, "{") - gsub(/[}]/, "}")
+        if (depth <= 0) {
+            if (body ~ /sweep/ && body ~ /(min_dist_|cover[(])/ && body !~ /kRoundOne/)
+                printf "hop_oracle.cpp:%d ", at
+            open = 0
+        }
+    }' "$root/src/net/hop_oracle.cpp")"
+[ -z "$(echo "$once" | tr -d ' ')" ] ||
+    fail "a connectivity pre-check, a second component labeling, the keyed grid sort or a \
+sweep-every-landmark farthest-point loop is back (one labeling, one assembly, \
+a linear grid, landmarks swept over the shards): $once"
+
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
 #    (GitHub-style: lowercase, punctuation stripped, spaces to dashes).
