@@ -2,7 +2,7 @@
 
 namespace manet::exp {
 
-traffic::LocateOutcome LmSessionLocator::locate(NodeId dst) {
+traffic::LocateOutcome LmSessionLocator::locate(NodeId dst) const {
   using traffic::LocateOutcome;
   using traffic::LocateResult;
   LocateOutcome best;  // kMiss

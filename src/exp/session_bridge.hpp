@@ -33,7 +33,7 @@ class LmSessionLocator : public traffic::LocatorView {
                    const std::vector<std::uint8_t>* down)
       : engine_(engine), manager_(manager), down_(down) {}
 
-  traffic::LocateOutcome locate(NodeId dst) override;
+  traffic::LocateOutcome locate(NodeId dst) const override;
 
  private:
   bool is_down(NodeId v) const {

@@ -159,9 +159,10 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   handoff.set_trace(options.trace);
 
   // --- Sharded tick --- The heavy per-tick phases (unit-disk delta, link
-  // diffing, pricing, the query plane) run over one executor whose grid is
-  // resolved from RunOptions::shards (0 = auto from the worker count;
-  // sim::resolve_shard_count). threads == 1 runs it inline on this thread;
+  // diffing, pricing, routing tables and session fates, the query plane)
+  // run over one executor whose grid is resolved from RunOptions::shards
+  // (0 = auto from the worker count; sim::resolve_shard_count).
+  // threads == 1 runs it inline on this thread;
   // any other value gives it a per-run pool. Per-shard outputs merge in
   // shard index order, so every artifact of the run is bit-identical
   // regardless of options.threads AND options.shards (see sim/shard.hpp).
@@ -235,6 +236,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     sessions = std::make_unique<traffic::SessionWorkload>(
         cfg.session, common::derive_seed(cfg.seed, 0x5E55));
     sessions->set_metrics(options.metrics);
+    sessions->set_parallel(&tick_shards);
     locator = std::make_unique<LmSessionLocator>(handoff, handover.get(),
                                                  faulted ? &down : nullptr);
   }
@@ -500,12 +502,13 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
     // fire on gated ticks too), then each live session resolves through the
     // locator and routes once for all its packets, over tables rebuilt only
     // on changed ticks (a gated tick proves the level-0 graph and hierarchy
-    // are both unchanged, so the cached tables stay exact).
+    // are both unchanged, so the cached tables stay exact). The rebuild and
+    // the fates run over the tick's shards.
     if (cfg.sessions) {
       handover->tick(now);
       if (rebuild || session_tables == nullptr) {
         session_tables.reset();  // free the stale set first: two would set the memory peak
-        session_tables = std::make_unique<routing::RoutingTables>(*g, hier);
+        session_tables = std::make_unique<routing::RoutingTables>(*g, hier, tick_shards);
       }
       traffic::SessionWorkload::TickContext sctx;
       sctx.tables = session_tables.get();
@@ -803,7 +806,7 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   }
 
   if (options.measure_routing) {
-    const routing::RoutingTables tables(*g, hier);
+    const routing::RoutingTables tables(*g, hier, tick_shards);
     out.set("rt_table_size", tables.mean_table_size());
     const auto stretch =
         routing::measure_stretch(tables, *g, options.stretch_pairs,

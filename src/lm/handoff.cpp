@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/radix_sort.hpp"
 
 namespace manet::lm {
 
@@ -143,8 +145,11 @@ void HandoffEngine::price_moves(const graph::Graph& g0, const Snapshot& next) {
   for_each_move(next, [&](const Move& m) {
     if (m.from != m.to) price_keys_.push_back(pack_pair(m.from, m.to));
   });
-  std::sort(price_keys_.begin(), price_keys_.end());
-  price_keys_.erase(std::unique(price_keys_.begin(), price_keys_.end()), price_keys_.end());
+  // Both halves of a key are vertex ids, so a radix sort over their
+  // significant bits orders the pairs in a few linear passes.
+  const Size n = g0.vertex_count();
+  common::radix_sort_unique(price_keys_, price_sort_buffer_,
+                            static_cast<unsigned>(std::bit_width(n > 0 ? n - 1 : 0)));
   // The landmark table is sized to this tick's distinct pairs. It is bound
   // even with none to price: on_node_up() and audit_repair() price against
   // the binding after update().

@@ -362,6 +362,7 @@ class HandoffEngine {
   }
   const sim::ShardExecutor* par_ = &sim::kInlineExecutor;
   std::vector<std::uint64_t> price_keys_;
+  std::vector<std::uint64_t> price_sort_buffer_;  ///< radix_sort_unique's ping-pong buffer
   std::vector<std::uint32_t> price_vals_;
 
   // Observability (resolved once in set_metrics; hot path is pointer adds).

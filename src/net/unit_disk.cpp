@@ -87,6 +87,7 @@ void UnitDiskBuilder::compute_bridges(const std::vector<geom::Vec2>& positions) 
 graph::Graph UnitDiskBuilder::build(const std::vector<geom::Vec2>& positions) {
   rescan(positions);
   seeded_ = false;  // stateless path; next update() re-seeds
+  built_ = true;
   return graph_;
 }
 
@@ -157,7 +158,10 @@ const graph::Graph& UnitDiskBuilder::update(const std::vector<geom::Vec2>& posit
   ups_.clear();
   downs_.clear();
   if (!seeded_ || last_pos_.size() != n) {
-    rescan(positions);
+    // A seed on the very positions build() just scanned takes that rescan's
+    // state as it stands: it is exactly what a rescan here would produce.
+    if (!built_ || positions != last_pos_) rescan(positions);
+    built_ = false;
     seeded_ = true;
     last_moved_ = n;
     full_rescan_ = true;

@@ -52,7 +52,8 @@ class UnitDiskBuilder {
   explicit UnitDiskBuilder(double tx_radius, bool ensure_connected = false);
 
   /// Full rescan. Invalidates the update() state, so interleaving build()
-  /// and update() is safe (the next update() re-seeds itself).
+  /// and update() is safe (the next update() re-seeds itself; on the
+  /// positions of this build() it seeds from this rescan without another).
   graph::Graph build(const std::vector<geom::Vec2>& positions);
 
   /// Change-gated maintenance: returns the graph of \p positions. When no
@@ -119,6 +120,7 @@ class UnitDiskBuilder {
 
   // --- update() state (valid while seeded_) ---
   bool seeded_ = false;
+  bool built_ = false;  ///< the state is the last build()'s rescan, not yet seeded
   std::vector<geom::Vec2> last_pos_;      ///< positions of the last rescan
   std::vector<std::vector<NodeId>> adj_;  ///< sorted raw adjacency lists
   graph::Graph graph_;                    ///< raw edges plus bridges_

@@ -1,6 +1,7 @@
 #include "routing/table.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -44,14 +45,133 @@ void RouteScratch::label_until(const graph::Graph& g, NodeId root, NodeId a, Nod
 }
 
 namespace {
-constexpr std::uint32_t kNoCluster = 0xFFFFFFFFu;
+
+/// One thread's workspace for the table build: the induced-subgraph and
+/// fallback distance fields (kUnreachable between children: each child's
+/// BFS resets them through its queue), the component stamps and both
+/// queues, each sized to the largest n the thread has built for.
+struct BuildScratch {
+  std::vector<std::uint32_t> dist, global, component_stamp;
+  std::vector<NodeId> queue, global_queue;
+  std::uint32_t stamp = 0;
+};
+
+BuildScratch& build_scratch(Size n) {
+  thread_local BuildScratch scratch;
+  if (scratch.dist.size() < n) {
+    scratch.dist.resize(n, graph::kUnreachable);
+    scratch.global.resize(n, graph::kUnreachable);
+    scratch.component_stamp.resize(n, 0);
+    scratch.queue.resize(n);
+    scratch.global_queue.resize(n);
+  }
+  return scratch;
+}
+
+/// Append, to the table of every member of level-\p parent_level cluster
+/// \p parent, its entry toward each of the parent's children in child
+/// order. Writes no other node's table; \p component labels g's components.
+void fill_parent(const graph::Graph& g, const cluster::Hierarchy& h,
+                 const std::vector<std::uint32_t>& component, Level parent_level,
+                 NodeId parent, BuildScratch& s, std::vector<std::vector<RouteEntry>>& tables) {
+  const Level child_level = parent_level - 1;
+  const auto& children = h.children(parent_level, parent);
+  if (children.size() < 2) return;  // no siblings, no entries
+  const auto& parent_members = h.members0(parent_level, parent);
+  const auto inside = [&](NodeId w) { return h.ancestor(w, parent_level) == parent; };
+
+  for (const NodeId child : children) {
+    const auto& targets = h.members0(child_level, child);
+
+    // Multi-source BFS over the induced subgraph of parent_members.
+    Size tail = 0;
+    for (const NodeId t : targets) {
+      s.dist[t] = 0;
+      s.queue[tail++] = t;
+    }
+    for (Size head = 0; head < tail; ++head) {
+      const NodeId u = s.queue[head];
+      for (const NodeId w : g.neighbors(u)) {
+        if (s.dist[w] != graph::kUnreachable || !inside(w)) continue;
+        s.dist[w] = s.dist[u] + 1;
+        s.queue[tail++] = w;
+      }
+    }
+
+    // Fallback field for members the induced subgraph cannot reach
+    // (cluster membership is not always level-0 contiguous): a global BFS
+    // from the targets that stops once every cut-off member in the targets'
+    // components is labeled. Members in other components (a crashed node is
+    // an isolated member) stay unreachable, as under a full BFS, and cost
+    // nothing. When the last cut-off member, at distance D, is labeled,
+    // every node at D - 1 already is, so each next-hop scan below reads
+    // exact distances.
+    if (++s.stamp == 0) {  // stamp wraparound: old stamps become ambiguous
+      std::fill(s.component_stamp.begin(), s.component_stamp.end(), 0u);
+      s.stamp = 1;
+    }
+    for (const NodeId t : targets) s.component_stamp[component[t]] = s.stamp;
+    Size cut_off = 0;
+    for (const NodeId v : parent_members) {
+      if (s.dist[v] == graph::kUnreachable && s.component_stamp[component[v]] == s.stamp) {
+        ++cut_off;
+      }
+    }
+    Size global_tail = 0;
+    if (cut_off > 0) {
+      for (const NodeId t : targets) {
+        if (s.global[t] == 0) continue;
+        s.global[t] = 0;
+        s.global_queue[global_tail++] = t;
+      }
+      for (Size head = 0; head < global_tail && cut_off > 0; ++head) {
+        const NodeId u = s.global_queue[head];
+        for (const NodeId w : g.neighbors(u)) {
+          if (s.global[w] != graph::kUnreachable) continue;
+          s.global[w] = s.global[u] + 1;
+          s.global_queue[global_tail++] = w;
+          if (s.dist[w] == graph::kUnreachable && inside(w) && --cut_off == 0) break;
+        }
+      }
+    }
+
+    for (const NodeId v : parent_members) {
+      const auto& field = s.dist[v] != graph::kUnreachable ? s.dist : s.global;
+      const std::uint32_t dv = field[v];
+      if (dv == 0) continue;  // v inside the target cluster
+      if (dv == graph::kUnreachable) continue;  // cut off from every target
+      // Next hop: the smallest-id neighbor strictly closer to the target
+      // (deterministic tie-break).
+      NodeId hop = kInvalidNode;
+      for (const NodeId w : g.neighbors(v)) {
+        if (field[w] == dv - 1 && (hop == kInvalidNode || w < hop)) hop = w;
+      }
+      MANET_CHECK(hop != kInvalidNode);
+      tables[v].push_back(RouteEntry{child_level, child, hop, dv});
+    }
+    for (Size i = 0; i < tail; ++i) s.dist[s.queue[i]] = graph::kUnreachable;
+    for (Size i = 0; i < global_tail; ++i) s.global[s.global_queue[i]] = graph::kUnreachable;
+  }
+}
+
 }  // namespace
 
-RoutingTables::RoutingTables(const graph::Graph& g, const cluster::Hierarchy& h)
+RoutingTables::RoutingTables(const graph::Graph& g, const cluster::Hierarchy& h,
+                             const sim::ShardExecutor& executor)
     : g_(&g), h_(&h) {
   const Size n = g.vertex_count();
   MANET_CHECK(h.level(0).vertex_count() == n);
   tables_.resize(n);
+  // Each node gets at most one entry per sibling of its own branch at every
+  // level, so reserving that bound here, on the calling thread, keeps the
+  // workers' push_backs from allocating (and the heap out of their arenas).
+  for (NodeId v = 0; v < n; ++v) {
+    Size bound = 0;
+    for (Level k = 1; k <= h.top_level(); ++k) {
+      bound += h.children(k, h.ancestor(v, k)).size() - 1;
+    }
+    tables_[v].reserve(bound);
+  }
 
   // For every cluster c at every level L-1 .. 0: BFS toward c's members
   // *restricted to the parent cluster's induced subgraph*, so that forwarded
@@ -59,94 +179,25 @@ RoutingTables::RoutingTables(const graph::Graph& g, const cluster::Hierarchy& h)
   // matched — this is what keeps strict hierarchical routing loop-free (a
   // path that left the parent would raise the longest-matched prefix again
   // and could oscillate). Members cut off inside the induced subgraph fall
-  // back to the global shortest-path field. Both fields are built in place
-  // and reset through their queues, so a build allocates O(n) once.
+  // back to the global shortest-path field.
+  //
+  // The parents of one level partition the nodes, so each level is one pass
+  // over the executor's shards whose tasks claim parents from one cursor:
+  // a task writes only its parent's members' tables, reads membership from
+  // the hierarchy, and keeps its fields in its thread's scratch. Levels run
+  // in order, so every table holds its entries in (level, child) order at
+  // any shard and thread count.
   const std::vector<std::uint32_t> component = graph::component_labels(g);
-  std::vector<std::uint32_t> component_stamp(n, 0);
-  std::uint32_t stamp = 0;
-  std::vector<std::uint32_t> membership(n, kNoCluster);  // node -> parent cluster id
-  std::vector<std::uint32_t> dist(n, graph::kUnreachable);    // induced-subgraph field
-  std::vector<std::uint32_t> global(n, graph::kUnreachable);  // fallback field
-  std::vector<NodeId> queue, global_queue;
   for (Level parent_level = 1; parent_level <= h.top_level(); ++parent_level) {
-    const Level child_level = parent_level - 1;
-    for (NodeId parent = 0; parent < h.cluster_count(parent_level); ++parent) {
-      const auto& children = h.children(parent_level, parent);
-      if (children.size() < 2) continue;  // no siblings, no entries
-      const auto& parent_members = h.members0(parent_level, parent);
-      for (const NodeId v : parent_members) membership[v] = parent;
-
-      for (const NodeId child : children) {
-        const auto& targets = h.members0(child_level, child);
-
-        // Multi-source BFS over the induced subgraph of parent_members.
-        queue.clear();
-        for (const NodeId s : targets) {
-          dist[s] = 0;
-          queue.push_back(s);
-        }
-        for (Size head = 0; head < queue.size(); ++head) {
-          const NodeId u = queue[head];
-          for (const NodeId w : g.neighbors(u)) {
-            if (membership[w] != parent || dist[w] != graph::kUnreachable) continue;
-            dist[w] = dist[u] + 1;
-            queue.push_back(w);
-          }
-        }
-
-        // Fallback field for members the induced subgraph cannot reach
-        // (cluster membership is not always level-0 contiguous): a global
-        // BFS from the targets that stops once every cut-off member in the
-        // targets' components is labeled. Members in other components (a
-        // crashed node is an isolated member) stay unreachable, as under a
-        // full BFS, and cost nothing. When the last cut-off member, at
-        // distance D, is labeled, every node at D - 1 already is, so each
-        // next-hop scan below reads exact distances.
-        ++stamp;
-        for (const NodeId s : targets) component_stamp[component[s]] = stamp;
-        Size cut_off = 0;
-        for (const NodeId v : parent_members) {
-          if (dist[v] == graph::kUnreachable && component_stamp[component[v]] == stamp) ++cut_off;
-        }
-        global_queue.clear();
-        if (cut_off > 0) {
-          for (const NodeId s : targets) {
-            if (global[s] == 0) continue;
-            global[s] = 0;
-            global_queue.push_back(s);
-          }
-          for (Size head = 0; head < global_queue.size() && cut_off > 0; ++head) {
-            const NodeId u = global_queue[head];
-            for (const NodeId w : g.neighbors(u)) {
-              if (global[w] != graph::kUnreachable) continue;
-              global[w] = global[u] + 1;
-              global_queue.push_back(w);
-              if (membership[w] == parent && dist[w] == graph::kUnreachable && --cut_off == 0) {
-                break;
-              }
-            }
-          }
-        }
-
-        for (const NodeId v : parent_members) {
-          const auto& field = dist[v] != graph::kUnreachable ? dist : global;
-          const std::uint32_t dv = field[v];
-          if (dv == 0) continue;  // v inside the target cluster
-          if (dv == graph::kUnreachable) continue;  // cut off from every target
-          // Next hop: the smallest-id neighbor strictly closer to the
-          // target (deterministic tie-break).
-          NodeId hop = kInvalidNode;
-          for (const NodeId w : g.neighbors(v)) {
-            if (field[w] == dv - 1 && (hop == kInvalidNode || w < hop)) hop = w;
-          }
-          MANET_CHECK(hop != kInvalidNode);
-          tables_[v].push_back(RouteEntry{child_level, child, hop, dv});
-        }
-        for (const NodeId v : queue) dist[v] = graph::kUnreachable;
-        for (const NodeId v : global_queue) global[v] = graph::kUnreachable;
+    const Size parents = h.cluster_count(parent_level);
+    std::atomic<Size> cursor{0};
+    executor.for_each_shard([&](Size) {
+      BuildScratch& s = build_scratch(n);
+      for (Size p = cursor.fetch_add(1, std::memory_order_relaxed); p < parents;
+           p = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        fill_parent(g, h, component, parent_level, static_cast<NodeId>(p), s, tables_);
       }
-      for (const NodeId v : parent_members) membership[v] = kNoCluster;
-    }
+    });
   }
 }
 

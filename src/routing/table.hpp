@@ -5,6 +5,7 @@
 #include "cluster/hierarchy.hpp"
 #include "graph/bfs.hpp"
 #include "graph/graph.hpp"
+#include "sim/shard.hpp"
 
 /// \file table.hpp
 /// Strict hierarchical routing (paper Section 2.1, after Steenstrup [14] and
@@ -70,7 +71,18 @@ class RoutingTables {
   /// cluster over its parent cluster's induced subgraph, plus, when the
   /// parent has members cut off inside that subgraph, one global BFS from
   /// the child that stops once every cut-off member it can reach is labeled.
-  RoutingTables(const graph::Graph& g, const cluster::Hierarchy& h);
+  ///
+  /// The BFS work runs over \p executor's shards, one pass per level in
+  /// level order, each task claiming parent clusters from one cursor (the
+  /// HopOracle::prepare idiom). The parents of a level partition the nodes,
+  /// so a task writes only its parent's members' tables, and every table is
+  /// identical, entry for entry and in order, at any shard and thread count.
+  /// The calling thread reserves every table to its exact bound first, so
+  /// workers allocate nothing but their thread's BFS scratch (5 words per
+  /// node, kept for later builds). A level's parallelism is its parent
+  /// count: the top levels, with a handful of parents, run nearly serial.
+  RoutingTables(const graph::Graph& g, const cluster::Hierarchy& h,
+                const sim::ShardExecutor& executor = sim::kInlineExecutor);
 
   /// Entries held by node \p v (its "hierarchical map" worth of routes).
   const std::vector<RouteEntry>& entries(NodeId v) const;
@@ -112,7 +124,8 @@ class RoutingTables {
   /// packet, one BFS from dest that stops once `cur` and `h` are labeled
   /// (the whole component of dest only when `cur` is cut off from it).
   /// \p path, when given, receives the nodes visited, inclusive of both
-  /// ends, from the same walk.
+  /// ends, from the same walk. route() only reads the tables, so any number
+  /// of threads may route over one table at once, each with its own scratch.
   RouteResult route(NodeId u, NodeId dest, RouteScratch& scratch,
                     std::vector<NodeId>* path = nullptr) const;
 

@@ -97,7 +97,8 @@ void SessionWorkload::close_window(Live& session, Time now) {
 }
 
 SessionWorkload::PacketFate SessionWorkload::fate_of(const Live& session,
-                                                    const TickContext& ctx) {
+                                                    const TickContext& ctx,
+                                                    routing::RouteScratch& scratch) const {
   PacketFate fate;
   if (is_down(ctx, session.src) || is_down(ctx, session.dst)) return fate;
   LocateOutcome loc{LocateResult::kFresh, session.dst, kInvalidNode};
@@ -108,16 +109,16 @@ SessionWorkload::PacketFate SessionWorkload::fate_of(const Live& session,
     // The packet chases the out-of-date locator to its holder first, then
     // on to the real destination — the user-visible cost of a stale entry.
     fate.misrouted = true;
-    const auto chase = ctx.tables->route(session.src, loc.holder, route_scratch_);
+    const auto chase = ctx.tables->route(session.src, loc.holder, scratch);
     if (!chase.delivered) return fate;
-    const auto onward = ctx.tables->route(loc.holder, session.dst, route_scratch_);
+    const auto onward = ctx.tables->route(loc.holder, session.dst, scratch);
     if (!onward.delivered) return fate;
     fate.delivered = true;
     fate.misroute_extra = chase.hops;
     fate.transmissions = static_cast<PacketCount>(chase.hops) + onward.hops;
     return fate;
   }
-  const auto routed = ctx.tables->route(session.src, session.dst, route_scratch_);
+  const auto routed = ctx.tables->route(session.src, session.dst, scratch);
   fate.delivered = routed.delivered;
   fate.undeliverable = !routed.delivered;  // a genuine routing failure, as in legacy mode
   fate.recovered = routed.recovered;
@@ -189,13 +190,25 @@ void SessionWorkload::tick_sessions(const TickContext& ctx) {
     }
   }
 
-  // Per-tick packets for every live session, all with the session's one
-  // fate this tick; delivered packets close an open interruption window, a
-  // failed tick opens one.
+  // Every live session's one fate this tick, over the shards: fate_of only
+  // reads, and each shard writes the slots of its own slice. One route
+  // scratch per executing thread, not per shard, as in handoff pricing.
+  fates_.resize(live_.size());
+  const Size shards = par_->shard_count();
+  par_->for_each_shard([&](Size shard) {
+    thread_local routing::RouteScratch scratch;
+    const auto [begin, end] = sim::ShardExecutor::slice(live_.size(), shard, shards);
+    for (Size i = begin; i < end; ++i) fates_[i] = fate_of(live_[i], ctx, scratch);
+  });
+
+  // Charged serially in session order to each of the session's per-tick
+  // packets; delivered packets close an open interruption window, a failed
+  // tick opens one.
   const auto packets_per_tick = static_cast<Size>(
       std::max<long>(1, std::lround(config_.packets_per_sec * ctx.dt)));
-  for (auto& session : live_) {
-    const PacketFate fate = fate_of(session, ctx);
+  for (Size i = 0; i < live_.size(); ++i) {
+    Live& session = live_[i];
+    const PacketFate& fate = fates_[i];
     charge(fate, packets_per_tick);
     if (fate.delivered) {
       close_window(session, ctx.now);

@@ -5,6 +5,7 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "routing/table.hpp"
+#include "sim/shard.hpp"
 
 /// \file sessions.hpp
 /// Data-plane session workload in two modes.
@@ -60,11 +61,13 @@ struct LocateOutcome {
 /// this interface lives here. nullptr in TickContext = always fresh
 /// (idealized resolution, the legacy behavior). locate() must answer from
 /// the tick's state alone: tick_sessions() asks once per live session per
-/// tick and applies the answer to all of that session's packets.
+/// tick and applies the answer to all of that session's packets. It is
+/// const and must only read, because tick_sessions() calls it from every
+/// thread of its executor at once.
 class LocatorView {
  public:
   virtual ~LocatorView() = default;
-  virtual LocateOutcome locate(NodeId dst) = 0;
+  virtual LocateOutcome locate(NodeId dst) const = 0;
 };
 
 struct SessionStats {
@@ -111,7 +114,7 @@ class SessionWorkload {
   /// and `down` are optional (nullptr = idealized resolution / nobody down).
   struct TickContext {
     const routing::RoutingTables* tables = nullptr;
-    LocatorView* locator = nullptr;
+    const LocatorView* locator = nullptr;
     const std::vector<std::uint8_t>* down = nullptr;
     Size node_count = 0;
     Time now = 0.0;
@@ -122,7 +125,24 @@ class SessionWorkload {
   /// then resolve and route each live session once and charge that fate to
   /// each of its per-tick packets. Skips (and counts) the tick when
   /// node_count < 2.
+  ///
+  /// Cost: per live session, one locate() and one route() (two for a stale
+  /// hit); per arrival, with the query-hop histogram on, one more of each.
+  /// The fates are computed over the shards of the executor given to
+  /// set_parallel(), each shard a contiguous slice of the live sessions
+  /// writing its own slots, with one RouteScratch per executing thread;
+  /// arrivals, expiry and the charging of fates and interruption windows
+  /// stay serial, in session order. So every statistic, window and
+  /// histogram count is identical at any shard and thread count. ctx's
+  /// tables, locator and down mask must stay unchanged during the call.
   void tick_sessions(const TickContext& ctx);
+
+  /// Compute tick_sessions()' fates over \p executor's shards. Until this
+  /// is called, and again after set_parallel(nullptr), the workload uses
+  /// sim::kInlineExecutor (one shard on the calling thread).
+  void set_parallel(sim::ShardExecutor* executor) noexcept {
+    par_ = executor != nullptr ? executor : &sim::kInlineExecutor;
+  }
 
   /// Close any interruption window still open (sessions interrupted at run
   /// end would otherwise never report their window). Call once after the
@@ -166,8 +186,10 @@ class SessionWorkload {
   bool is_down(const TickContext& ctx, NodeId v) const {
     return ctx.down != nullptr && v < ctx.down->size() && (*ctx.down)[v] != 0;
   }
-  /// Resolve and route \p session once for this tick.
-  PacketFate fate_of(const Live& session, const TickContext& ctx);
+  /// Resolve and route \p session once for this tick. Reads only ctx and
+  /// \p session, so the shards of tick_sessions() call it concurrently.
+  PacketFate fate_of(const Live& session, const TickContext& ctx,
+                     routing::RouteScratch& scratch) const;
   /// Charge \p fate to \p packets packets: stats and session.* counters.
   void charge(const PacketFate& fate, Size packets);
   void close_window(Live& session, Time now);
@@ -177,7 +199,9 @@ class SessionWorkload {
   routing::RouteScratch route_scratch_;
   SessionStats stats_;
   std::vector<Live> live_;
-  std::vector<double> windows_;  ///< closed interruption window lengths, s
+  std::vector<PacketFate> fates_;  ///< this tick's fate per live session, kept across ticks
+  std::vector<double> windows_;    ///< closed interruption window lengths, s
+  const sim::ShardExecutor* par_ = &sim::kInlineExecutor;
 
   common::Counter* offered_c_ = nullptr;
   common::Counter* delivered_c_ = nullptr;

@@ -12,10 +12,22 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/hierarchy_builder.hpp"
+#include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "exp/montecarlo.hpp"
+#include "exp/scenario.hpp"
+#include "exp/session_bridge.hpp"
 #include "exp/simulation.hpp"
+#include "lm/handoff.hpp"
+#include "lm/handover_fsm.hpp"
+#include "lm/reliable.hpp"
+#include "net/lossy_channel.hpp"
+#include "net/unit_disk.hpp"
+#include "routing/table.hpp"
+#include "sim/shard.hpp"
 #include "sim/trace.hpp"
+#include "traffic/sessions.hpp"
 
 namespace manet::exp {
 namespace {
@@ -181,6 +193,123 @@ TEST(HandoverSessions, SessionStatsReachTheMetricsRegistry) {
   const auto* completion = registry.find_histogram("lm.handover.completion_s");
   ASSERT_NE(completion, nullptr);
   EXPECT_GT(completion->count(), 0u);
+}
+
+/// Counter values and histogram counts and sums of \p registry, one line each.
+std::string serialize(const common::MetricsRegistry& registry) {
+  std::string out;
+  for (const auto& entry : registry.entries()) {
+    out += entry.name;
+    if (entry.kind == common::MetricsRegistry::Entry::Kind::kCounter) {
+      out += " " + std::to_string(entry.counter->value());
+    } else if (entry.kind == common::MetricsRegistry::Entry::Kind::kHistogram) {
+      out += " " + std::to_string(entry.histogram->count()) + " " +
+             std::to_string(entry.histogram->sum());
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(HandoverSessions, PooledSessionTicksMatchInlineWithStaleAndInFlightEntries) {
+  // The session plane driven tick by tick over a live LM plane: lossy ARQ
+  // leaves stale entries and lossy signalling keeps handovers in flight, so
+  // the locator answers fresh, stale and in-flight; a rotating set of dark
+  // nodes loses packets and opens interruption windows. One workload builds
+  // its tables and fates inline, two more over a 4-thread pool (16 and 3
+  // shards); every statistic, window and histogram must agree.
+  ScenarioConfig cfg = faulted_scenario();
+  cfg.n = 160;
+  cfg.mu = 1.0;
+  cfg.session.sessions_per_node_per_sec = 0.5;
+  Scenario scenario = Scenario::materialize(cfg);
+  const auto& pos = scenario.mobility->positions();
+  net::UnitDiskBuilder disk(cfg.tx_radius(), /*ensure_connected=*/true);
+  cluster::HierarchyOptions hopts;
+  hopts.geometric_links = cfg.geometric_links;
+  hopts.tx_radius = cfg.tx_radius();
+  cluster::HierarchyBuilder builder(hopts);
+  lm::HandoffEngine handoff(cfg.handoff);
+  net::LossyChannel channel(cfg.fault, 11);
+  lm::ReliableTransfer arq(channel, cfg.fault.retry_budget, cfg.fault.arq_timeout,
+                           cfg.fault.arq_backoff);
+  std::vector<std::uint8_t> down(cfg.n, 0);
+  handoff.set_resilience(&arq, &down);
+  lm::HandoverFsmConfig hocfg = cfg.handover;
+  hocfg.signal_loss = cfg.fault.loss;
+  lm::HandoverManager manager(hocfg, 12);
+  manager.set_down(&down);
+  handoff.set_handover_observer(&manager);
+  const LmSessionLocator locator(handoff, &manager, &down);
+
+  common::ThreadPool pool(4);
+  sim::ShardExecutor wide(pool, 16), narrow(pool, 3);
+  struct Arm {
+    sim::ShardExecutor* executor;
+    traffic::SessionWorkload workload;
+    common::MetricsRegistry registry;
+  };
+  Arm arms[] = {{nullptr, {cfg.session, 13}, {}},
+                {&wide, {cfg.session, 13}, {}},
+                {&narrow, {cfg.session, 13}, {}}};
+  for (Arm& arm : arms) {
+    arm.workload.set_metrics(&arm.registry);
+    arm.workload.set_parallel(arm.executor);
+  }
+
+  handoff.prime(builder.build(disk.update(pos), scenario.ids, pos), 0.0);
+  Size in_flight_ticks = 0, stale_ticks = 0;
+  for (Size i = 1; i <= 24; ++i) {
+    const Time t = 0.5 * static_cast<Time>(i);
+    scenario.mobility->advance_to(t);
+    for (NodeId v = 0; v < cfg.n; ++v) down[v] = i % 4 >= 2 && v % 9 == i % 9 ? 1 : 0;
+    const graph::Graph& g = disk.update(pos);
+    const cluster::Hierarchy h = builder.build(g, scenario.ids, pos);
+    handoff.update(h, g, t);
+    manager.tick(t);
+    if (manager.in_flight() > 0) ++in_flight_ticks;
+    if (handoff.stale_entries() > 0) ++stale_ticks;
+    for (Arm& arm : arms) {
+      const routing::RoutingTables tables(
+          g, h, arm.executor != nullptr ? *arm.executor : sim::kInlineExecutor);
+      traffic::SessionWorkload::TickContext ctx;
+      ctx.tables = &tables;
+      ctx.locator = &locator;
+      ctx.down = &down;
+      ctx.node_count = cfg.n;
+      ctx.now = t;
+      ctx.dt = 0.5;
+      arm.workload.tick_sessions(ctx);
+    }
+  }
+  for (Arm& arm : arms) arm.workload.finish(12.5);
+
+  const auto& want = arms[0].workload.stats();
+  for (Size a = 1; a < 3; ++a) {
+    const auto& got = arms[a].workload.stats();
+    EXPECT_EQ(got.sessions, want.sessions) << "arm " << a;
+    EXPECT_EQ(got.undeliverable, want.undeliverable) << "arm " << a;
+    EXPECT_EQ(got.recovered, want.recovered) << "arm " << a;
+    EXPECT_EQ(got.data_transmissions, want.data_transmissions) << "arm " << a;
+    EXPECT_EQ(got.packets_offered, want.packets_offered) << "arm " << a;
+    EXPECT_EQ(got.packets_delivered, want.packets_delivered) << "arm " << a;
+    EXPECT_EQ(got.packets_misrouted, want.packets_misrouted) << "arm " << a;
+    EXPECT_EQ(got.packets_lost, want.packets_lost) << "arm " << a;
+    EXPECT_EQ(got.misroute_extra, want.misroute_extra) << "arm " << a;
+    EXPECT_EQ(got.interruptions, want.interruptions) << "arm " << a;
+    EXPECT_EQ(got.interruption_time, want.interruption_time) << "arm " << a;
+    EXPECT_EQ(arms[a].workload.interruption_windows(), arms[0].workload.interruption_windows())
+        << "arm " << a;
+    EXPECT_EQ(serialize(arms[a].registry), serialize(arms[0].registry)) << "arm " << a;
+  }
+  // The locator answered from stale entries and in-flight procedures, and
+  // the fates reached misroutes, losses and interruption windows.
+  EXPECT_GT(in_flight_ticks, 0u);
+  EXPECT_GT(stale_ticks, 0u);
+  EXPECT_GT(want.packets_misrouted, 0u);
+  EXPECT_GT(want.packets_lost, 0u);
+  EXPECT_GT(want.interruptions, 0u);
+  EXPECT_GT(arms[0].registry.find_histogram("session.query_hops")->count(), 0u);
 }
 
 }  // namespace

@@ -279,6 +279,60 @@ TEST(UnitDiskIncremental, BuildInvalidatesIncrementalState) {
   EXPECT_EQ(g.edge_count(), 1u);
 }
 
+TEST(UnitDiskIncremental, SeedAfterBuildOnTheSamePositionsMatchesAFreshSeed) {
+  // run_simulation builds the first snapshot with build() and seeds update()
+  // on the same positions when nothing moved in between (static runs): that
+  // seed reuses build()'s rescan and must be indistinguishable from a fresh
+  // builder's seed, and from a seed on moved positions, which rescans.
+  common::Xoshiro256 rng(17);
+  const geom::DiskRegion region({0, 0}, 7.0);
+  std::vector<geom::Vec2> pts(140);
+  for (auto& p : pts) p = region.sample(rng);
+  const auto same_edges = [](const graph::Graph& a, const graph::Graph& b) {
+    return a.vertex_count() == b.vertex_count() &&
+           std::equal(a.edges().begin(), a.edges().end(), b.edges().begin(), b.edges().end());
+  };
+  const auto expect_seed = [&](const UnitDiskBuilder& b) {
+    EXPECT_TRUE(b.changed());
+    EXPECT_TRUE(b.last_full_rescan());
+    EXPECT_EQ(b.last_moved_nodes(), pts.size());
+    EXPECT_TRUE(b.links_up().empty());
+    EXPECT_TRUE(b.links_down().empty());
+  };
+
+  UnitDiskBuilder builder(1.1, /*ensure_connected=*/true);
+  const graph::Graph built = builder.build(pts);
+  ASSERT_GT(builder.last_augmented_edges(), 0u);  // bridges are part of the reused state
+  const auto& seeded = builder.update(pts);
+  UnitDiskBuilder fresh(1.1, /*ensure_connected=*/true);
+  const auto& want = fresh.update(pts);
+  EXPECT_TRUE(same_edges(seeded, built));
+  EXPECT_TRUE(same_edges(seeded, want));
+  EXPECT_EQ(builder.last_augmented_edges(), fresh.last_augmented_edges());
+  expect_seed(builder);
+
+  // The reused seed diffs the next tick exactly as the fresh one does.
+  std::vector<geom::Vec2> moved = pts;
+  for (auto& p : moved) {
+    p.x += common::uniform(rng, -0.3, 0.3);
+    p.y += common::uniform(rng, -0.3, 0.3);
+  }
+  const auto& next = builder.update(moved);
+  const auto& next_want = fresh.update(moved);
+  EXPECT_TRUE(same_edges(next, next_want));
+  EXPECT_EQ(builder.changed(), fresh.changed());
+  EXPECT_EQ(builder.links_up(), fresh.links_up());
+  EXPECT_EQ(builder.links_down(), fresh.links_down());
+
+  // build() then a seed on other positions rescans them.
+  (void)builder.build(pts);
+  const auto& reseeded = builder.update(moved);
+  UnitDiskBuilder other(1.1, /*ensure_connected=*/true);
+  EXPECT_TRUE(same_edges(reseeded, other.update(moved)));
+  EXPECT_EQ(builder.last_augmented_edges(), other.last_augmented_edges());
+  expect_seed(builder);
+}
+
 TEST(UnitDiskIncremental, BridgeMotionAloneReportsChange) {
   // Two 2-node components; the raw edge set never changes, but swapping the
   // positions inside the far component flips which node is the closest-pair

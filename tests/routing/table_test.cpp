@@ -6,9 +6,11 @@
 
 #include "cluster/hierarchy_builder.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "geom/region.hpp"
 #include "graph/bfs.hpp"
 #include "net/unit_disk.hpp"
+#include "sim/shard.hpp"
 
 namespace manet::routing {
 namespace {
@@ -389,6 +391,61 @@ TEST(RoutingTables, BoundedFallbackMatchesTheFullFallbackEntryForEntry) {
   }
   EXPECT_GT(fallbacks, 0u);  // the worlds reach the global fallback
   EXPECT_GT(entries, fallbacks);
+}
+
+/// True when \p got holds exactly \p want's entries, in order.
+bool same_entries(const std::vector<RouteEntry>& got, const std::vector<RouteEntry>& want) {
+  return std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                    [](const RouteEntry& a, const RouteEntry& b) {
+                      return a.level == b.level && a.target == b.target &&
+                             a.next_hop == b.next_hop && a.distance == b.distance;
+                    });
+}
+
+TEST(RoutingTables, PoolBuildMatchesInlineAndReferenceEntryForEntry) {
+  // A contiguous random deployment, a crash-stripped one (isolated members
+  // of degree 0) and a disconnected one with non-contiguous clusters, which
+  // sends members through the global fallback BFS.
+  std::vector<World> worlds;
+  worlds.push_back(make(300, 31));
+  worlds.push_back(make_geometric(220, 23, 1.8, true, 20));
+  worlds.push_back(make_geometric(200, 24, 1.5, false, 0));
+  Size fallbacks = 0;
+  Size isolated = 0;
+  for (const Size threads : {Size{1}, Size{4}, Size{7}}) {
+    common::ThreadPool pool(threads);
+    // More shards than threads, and a count that is no power of two.
+    const sim::ShardExecutor exec(pool, 2 * threads + 1);
+    for (Size i = 0; i < worlds.size(); ++i) {
+      const World& w = worlds[i];
+      const Size n = w.g.vertex_count();
+      const RoutingTables inline_tables(w.g, w.h);
+      const RoutingTables pooled(w.g, w.h, exec);
+      const auto want = reference_tables(w.g, w.h, fallbacks);
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_TRUE(same_entries(pooled.entries(v), inline_tables.entries(v)))
+            << "world " << i << " threads " << threads << " node " << v;
+        ASSERT_TRUE(same_entries(pooled.entries(v), want[v]))
+            << "world " << i << " threads " << threads << " node " << v;
+        if (threads == 1 && w.g.degree(v) == 0) ++isolated;
+      }
+      RouteScratch a, b;
+      std::vector<NodeId> path_a, path_b;
+      common::Xoshiro256 rng(i + 40);
+      for (int pair = 0; pair < 400; ++pair) {
+        const auto u = static_cast<NodeId>(common::uniform_index(rng, n));
+        const auto d = static_cast<NodeId>(common::uniform_index(rng, n));
+        const auto want_route = inline_tables.route(u, d, a, &path_a);
+        const auto got_route = pooled.route(u, d, b, &path_b);
+        ASSERT_EQ(got_route.delivered, want_route.delivered) << u << " -> " << d;
+        ASSERT_EQ(got_route.recovered, want_route.recovered) << u << " -> " << d;
+        ASSERT_EQ(got_route.hops, want_route.hops) << u << " -> " << d;
+        ASSERT_EQ(path_b, path_a) << u << " -> " << d;
+      }
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);  // the global fallback BFS ran
+  EXPECT_GT(isolated, 0u);   // crashed members were present
 }
 
 }  // namespace

@@ -141,7 +141,7 @@ TEST(Sessions, FewerThanTwoNodesSkipsTheTickInsteadOfAborting) {
 /// continuity accounting is exactly predictable.
 struct FixedLocator : LocatorView {
   LocateOutcome outcome;
-  LocateOutcome locate(NodeId /*dst*/) override { return outcome; }
+  LocateOutcome locate(NodeId /*dst*/) const override { return outcome; }
 };
 
 TEST(Sessions, LongLivedSessionsPersistAndDeliver) {

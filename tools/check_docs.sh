@@ -434,6 +434,32 @@ once="$once$(awk '
 sweep-every-landmark farthest-point loop is back (one labeling, one assembly, \
 a linear grid, landmarks swept over the shards): $once"
 
+# 8p. Routing tables and session fates over the shards: the RoutingTables
+#     build runs its per-level passes on the executor and reads membership
+#     through Hierarchy::ancestor, so no shared membership[] array that one
+#     task writes and another reads may come back in src/routing/table.cpp;
+#     and tick_sessions computes every fate inside for_each_shard, so
+#     src/traffic/sessions.cpp may not call fate_of there outside it (nor
+#     drop the sharded call altogether).
+sharded="$(grep -nF 'membership[' "$root/src/routing/table.cpp" || true)"
+sharded="$sharded$(awk '
+    /^void SessionWorkload::tick_sessions[(]/ { open = 1; depth = 0; shard = 0 }
+    open {
+        if (!shard && $0 ~ /for_each_shard[(]/) { shard = 1; at = depth }
+        if ($0 ~ /fate_of[(]/) {
+            if (shard) inside++
+            else printf "sessions.cpp:%d ", FNR
+        }
+        depth += gsub(/[{]/, "{") - gsub(/[}]/, "}")
+        if (shard && depth <= at) shard = 0
+        if (depth <= 0 && started) { open = 0; if (!inside) printf "sessions.cpp:%d(no sharded fate_of) ", FNR }
+        if (depth > 0) started = 1
+    }' "$root/src/traffic/sessions.cpp")"
+[ -z "$sharded" ] ||
+    fail "a shared membership array in the table build, or a session fate computed \
+outside for_each_shard, is back (routing tables and session fates over the \
+shards): $sharded"
+
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
 #    (GitHub-style: lowercase, punctuation stripped, spaces to dashes).
