@@ -10,25 +10,24 @@ const LevelView& Hierarchy::level(Level k) const {
 }
 
 NodeId Hierarchy::ancestor(NodeId v, Level k) const {
-  MANET_CHECK(k < ancestor_.size());
-  MANET_CHECK(v < ancestor_[k].size());
-  return ancestor_[k][v];
+  const LevelView& lv = level(k);
+  MANET_CHECK(v < levels_[0].ids.size());
+  return k == 0 ? v : lv.ancestor[v];
 }
 
 NodeId Hierarchy::ancestor_id(NodeId v, Level k) const {
   return level(k).ids[ancestor(v, k)];
 }
 
-const std::vector<NodeId>& Hierarchy::children(Level k, NodeId cluster) const {
-  MANET_CHECK(k >= 1 && k < levels_.size());
-  MANET_CHECK(cluster < children_[k].size());
-  return children_[k][cluster];
+std::span<const NodeId> Hierarchy::children(Level k, NodeId cluster) const {
+  MANET_CHECK(k >= 1 && cluster < cluster_count(k));
+  return levels_[k].children.row(cluster);
 }
 
-const std::vector<NodeId>& Hierarchy::members0(Level k, NodeId cluster) const {
-  MANET_CHECK(k < levels_.size());
-  MANET_CHECK(cluster < members0_[k].size());
-  return members0_[k][cluster];
+std::span<const NodeId> Hierarchy::members0(Level k, NodeId cluster) const {
+  MANET_CHECK(cluster < cluster_count(k));
+  if (k == 0) return {levels_[0].node0.data() + cluster, 1};
+  return levels_[k].members0.row(cluster);
 }
 
 std::vector<NodeId> Hierarchy::address(NodeId v) const {
@@ -39,18 +38,6 @@ std::vector<NodeId> Hierarchy::address(NodeId v) const {
     if (k == 0) break;
   }
   return out;
-}
-
-double Hierarchy::alpha(Level k) const {
-  MANET_CHECK(k >= 1 && k < levels_.size());
-  return static_cast<double>(levels_[k - 1].vertex_count()) /
-         static_cast<double>(levels_[k].vertex_count());
-}
-
-double Hierarchy::aggregation(Level k) const {
-  MANET_CHECK(k < levels_.size());
-  return static_cast<double>(levels_[0].vertex_count()) /
-         static_cast<double>(levels_[k].vertex_count());
 }
 
 }  // namespace manet::cluster

@@ -82,6 +82,18 @@ graph::Graph link_next_level(const LevelView& cur, const LevelView& next, Size n
   return graph::Graph(n_next, next_edges);
 }
 
+/// Counting placement of the indices [0, keys.size()) into \p rows by key:
+/// row c lists, ascending, every i with keys[i] == c.
+void place_rows(std::span<const NodeId> keys, Size row_count, ClusterRows& rows) {
+  rows.start.assign(row_count + 1, 0);
+  for (const NodeId key : keys) ++rows.start[key];
+  std::partial_sum(rows.start.begin(), rows.start.end(), rows.start.begin());
+  // start[c] now ends row c; a descending scan fills each row back to front,
+  // which leaves it ascending and start[c] at its first entry.
+  rows.items.resize(keys.size());
+  for (Size i = keys.size(); i-- > 0;) rows.items[--rows.start[keys[i]]] = static_cast<NodeId>(i);
+}
+
 }  // namespace
 
 void HierarchyBuilder::grow(const graph::Graph& g, std::span<const NodeId> ids,
@@ -98,27 +110,14 @@ void HierarchyBuilder::grow(const graph::Graph& g, std::span<const NodeId> ids,
   }
   Hierarchy& h = out;
   h.levels_.clear();
-  h.ancestor_.clear();
-  h.children_.clear();
-  h.members0_.clear();
 
   // Level 0: the physical topology.
   LevelView base;
   base.topo = g;
-  if (ids.empty()) {
-    base.ids.resize(n);
-    std::iota(base.ids.begin(), base.ids.end(), NodeId{0});
-  } else {
-    base.ids.assign(ids.begin(), ids.end());
-  }
   base.node0.resize(n);
   std::iota(base.node0.begin(), base.node0.end(), NodeId{0});
+  base.ids = ids.empty() ? base.node0 : std::vector<NodeId>(ids.begin(), ids.end());
   h.levels_.push_back(std::move(base));
-  h.children_.emplace_back();  // children_[0] unused
-  auto& level0_members = h.members0_.emplace_back(n);  // singleton sets
-  for (NodeId v = 0; v < n; ++v) level0_members[v] = {v};
-  auto& level0_ancestor = h.ancestor_.emplace_back(n);
-  std::iota(level0_ancestor.begin(), level0_ancestor.end(), NodeId{0});
 
   // Recursive promotion.
   for (Level k = 0; k < options.max_levels; ++k) {
@@ -153,18 +152,11 @@ void HierarchyBuilder::grow(const graph::Graph& g, std::span<const NodeId> ids,
     }
     next.topo = link_next_level(cur, next, n, options, positions);
 
-    // Rollups by linear bucket placement: ascending scans land every
-    // bucket's entries already sorted.
-    std::vector<std::vector<NodeId>> children(n_next);
-    for (NodeId u = 0; u < cur.vertex_count(); ++u) children[cur.parent[u]].push_back(u);
-    std::vector<NodeId> anc(n);
-    for (NodeId v = 0; v < n; ++v) anc[v] = cur.parent[h.ancestor_[k][v]];
-    std::vector<std::vector<NodeId>> members(n_next);
-    for (NodeId v = 0; v < n; ++v) members[anc[v]].push_back(v);
-
-    h.children_.push_back(std::move(children));
-    h.members0_.push_back(std::move(members));
-    h.ancestor_.push_back(std::move(anc));
+    // Rollups: each level-0 node's cluster one level up, then the rows.
+    next.ancestor.resize(n);
+    for (NodeId v = 0; v < n; ++v) next.ancestor[v] = cur.parent[k == 0 ? v : cur.ancestor[v]];
+    place_rows(cur.parent, n_next, next.children);
+    place_rows(next.ancestor, n_next, next.members0);
     h.levels_.push_back(std::move(next));
   }
 

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "cluster/hierarchy_builder.hpp"
+#include "cluster/maxmin.hpp"
 #include "common/rng.hpp"
 #include "geom/region.hpp"
 #include "net/unit_disk.hpp"
@@ -33,6 +36,63 @@ Deployment make_deployment(Size n, std::uint64_t seed) {
   net::UnitDiskBuilder builder(2.2, /*ensure_connected=*/true);
   d.g = builder.build(d.positions);
   return d;
+}
+
+std::vector<NodeId> to_vector(std::span<const NodeId> row) {
+  return {row.begin(), row.end()};
+}
+
+/// Rebuilds every row of \p h by brute force from the parent chains and
+/// requires the stored rows to match: level-k cluster c's children are the
+/// ascending u with level(k-1).parent[u] == c, its members0 the ascending v
+/// whose walked-up ancestor is c, and level 0 is the identity.
+void expect_rows_match_parent_chains(const Hierarchy& h) {
+  const Size n = h.cluster_count(0);
+  std::vector<NodeId> walked(n);  // each level-0 node's cluster at level k
+  for (NodeId v = 0; v < n; ++v) {
+    walked[v] = v;
+    EXPECT_EQ(h.ancestor(v, 0), v);
+    EXPECT_EQ(to_vector(h.members0(0, v)), std::vector<NodeId>{v});
+  }
+  for (Level k = 1; k <= h.top_level(); ++k) {
+    const auto& below = h.level(k - 1);
+    for (NodeId v = 0; v < n; ++v) {
+      walked[v] = below.parent[walked[v]];
+      ASSERT_EQ(h.ancestor(v, k), walked[v]) << "v " << v << ", level " << k;
+    }
+    for (NodeId c = 0; c < h.cluster_count(k); ++c) {
+      std::vector<NodeId> children;
+      for (NodeId u = 0; u < below.vertex_count(); ++u) {
+        if (below.parent[u] == c) children.push_back(u);
+      }
+      std::vector<NodeId> members;
+      for (NodeId v = 0; v < n; ++v) {
+        if (walked[v] == c) members.push_back(v);
+      }
+      EXPECT_EQ(to_vector(h.children(k, c)), children) << "cluster " << c << ", level " << k;
+      EXPECT_EQ(to_vector(h.members0(k, c)), members) << "cluster " << c << ", level " << k;
+    }
+  }
+}
+
+/// Every level's stored state, rows included, is equal in \p a and \p b.
+void expect_same_hierarchy(const Hierarchy& a, const Hierarchy& b) {
+  ASSERT_EQ(a.level_count(), b.level_count());
+  for (Level k = 0; k <= a.top_level(); ++k) {
+    const LevelView& x = a.level(k);
+    const LevelView& y = b.level(k);
+    EXPECT_EQ(x.ids, y.ids) << "level " << k;
+    EXPECT_EQ(x.node0, y.node0) << "level " << k;
+    EXPECT_EQ(x.parent, y.parent) << "level " << k;
+    EXPECT_EQ(x.election.head_of, y.election.head_of) << "level " << k;
+    EXPECT_EQ(x.election.clusterheads, y.election.clusterheads) << "level " << k;
+    EXPECT_TRUE(std::ranges::equal(x.topo.edges(), y.topo.edges())) << "level " << k;
+    EXPECT_EQ(x.ancestor, y.ancestor) << "level " << k;
+    EXPECT_EQ(x.children.start, y.children.start) << "level " << k;
+    EXPECT_EQ(x.children.items, y.children.items) << "level " << k;
+    EXPECT_EQ(x.members0.start, y.members0.start) << "level " << k;
+    EXPECT_EQ(x.members0.items, y.members0.items) << "level " << k;
+  }
 }
 
 TEST(Hierarchy, SingleNode) {
@@ -64,7 +124,15 @@ TEST(Hierarchy, ClusterCountsStrictlyDecrease) {
   const auto h = HierarchyBuilder().build(d.g);
   for (Level k = 1; k <= h.top_level(); ++k) {
     EXPECT_LT(h.cluster_count(k), h.cluster_count(k - 1)) << "level " << k;
-    EXPECT_GT(h.alpha(k), 1.0);
+    // The aggregation ratio alpha_k = |V_{k-1}| / |V_k| (paper Section 1.1)
+    // is the mean children row length.
+    Size children = 0;
+    for (NodeId c = 0; c < h.cluster_count(k); ++c) children += h.children(k, c).size();
+    const double alpha =
+        static_cast<double>(h.cluster_count(k - 1)) / static_cast<double>(h.cluster_count(k));
+    EXPECT_GT(alpha, 1.0) << "level " << k;
+    EXPECT_DOUBLE_EQ(alpha, static_cast<double>(children) /
+                                static_cast<double>(h.cluster_count(k)));
   }
 }
 
@@ -136,14 +204,22 @@ TEST(Hierarchy, AddressChainTopDown) {
 }
 
 TEST(Hierarchy, AggregationMatchesClusterCounts) {
+  // The aggregation factor c_k = |V| / |V_k| (paper eq. (2)) is the mean
+  // members0 row length, and it grows with k.
   const auto d = make_deployment(300, 8);
   const auto h = HierarchyBuilder().build(d.g);
+  double previous = 0.0;
   for (Level k = 0; k <= h.top_level(); ++k) {
-    EXPECT_NEAR(h.aggregation(k),
-                static_cast<double>(d.g.vertex_count()) /
-                    static_cast<double>(h.cluster_count(k)),
-                1e-12);
+    Size members = 0;
+    for (NodeId c = 0; c < h.cluster_count(k); ++c) members += h.members0(k, c).size();
+    const double c_k = static_cast<double>(d.g.vertex_count()) /
+                       static_cast<double>(h.cluster_count(k));
+    EXPECT_DOUBLE_EQ(c_k, static_cast<double>(members) /
+                              static_cast<double>(h.cluster_count(k)));
+    EXPECT_GT(c_k, previous) << "level " << k;
+    previous = c_k;
   }
+  EXPECT_DOUBLE_EQ(previous, static_cast<double>(d.g.vertex_count()));
 }
 
 TEST(Hierarchy, ShuffledIdsStillYieldValidHierarchy) {
@@ -231,6 +307,54 @@ TEST(Hierarchy, DeterministicForFixedInput) {
   for (Level k = 0; k <= h1.top_level(); ++k) {
     EXPECT_EQ(h1.level(k).ids, h2.level(k).ids);
   }
+}
+
+TEST(Hierarchy, RowsMatchParentChains) {
+  // ALCA with contraction and with geometric links, and MaxMin-2.
+  const auto d = make_deployment(500, 14);
+  expect_rows_match_parent_chains(HierarchyBuilder().build(d.g));
+  HierarchyOptions geometric;
+  geometric.geometric_links = true;
+  geometric.tx_radius = 2.2;
+  expect_rows_match_parent_chains(HierarchyBuilder(geometric).build(d.g, {}, d.positions));
+  const auto maxmin = HierarchyBuilder(std::make_shared<MaxMinDCluster>(2)).build(d.g);
+  EXPECT_GE(maxmin.top_level(), 2u);
+  expect_rows_match_parent_chains(maxmin);
+
+  // One and two nodes.
+  expect_rows_match_parent_chains(HierarchyBuilder().build(Graph(1)));
+  expect_rows_match_parent_chains(HierarchyBuilder().build(Graph(2, std::vector<Edge>{{0, 1}})));
+}
+
+TEST(Hierarchy, RowsMatchParentChainsOnDisconnectedDeployment) {
+  // Three deployments far apart: contraction links never join them, so the
+  // recursion stops with at least one top cluster per deployment.
+  std::vector<geom::Vec2> positions;
+  for (int part = 0; part < 3; ++part) {
+    const auto d = make_deployment(120, 20 + static_cast<std::uint64_t>(part));
+    for (const auto& p : d.positions) positions.push_back({p.x + 100.0 * part, p.y});
+  }
+  net::UnitDiskBuilder disk(2.2, /*ensure_connected=*/false);
+  const Graph g = disk.build(positions);
+  const auto h = HierarchyBuilder().build(g);
+  EXPECT_GE(h.cluster_count(h.top_level()), 3u);
+  expect_rows_match_parent_chains(h);
+}
+
+TEST(Hierarchy, GrowIntoDeeperHierarchyEqualsFreshBuild) {
+  const auto deep = make_deployment(600, 16);
+  const auto shallow = make_deployment(30, 17);
+  const HierarchyBuilder builder;
+  Hierarchy h = builder.build(deep.g);
+  const Hierarchy fresh = builder.build(shallow.g);
+  ASSERT_GT(h.top_level(), fresh.top_level());
+  HierarchyBuilder::grow(shallow.g, {}, {}, HierarchyOptions{},
+                         [&](Level, const LevelView& level, ElectionResult& out) {
+                           out = builder.algorithm().elect(level.topo, level.ids);
+                         },
+                         h);
+  expect_same_hierarchy(h, fresh);
+  expect_rows_match_parent_chains(h);
 }
 
 }  // namespace

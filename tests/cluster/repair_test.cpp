@@ -32,6 +32,11 @@ void expect_same(const Hierarchy& a, const Hierarchy& b) {
     EXPECT_TRUE(std::equal(a.level(k).topo.edges().begin(), a.level(k).topo.edges().end(),
                            b.level(k).topo.edges().begin()))
         << "level " << k;
+    EXPECT_EQ(a.level(k).ancestor, b.level(k).ancestor) << "level " << k;
+    EXPECT_EQ(a.level(k).children.start, b.level(k).children.start) << "level " << k;
+    EXPECT_EQ(a.level(k).children.items, b.level(k).children.items) << "level " << k;
+    EXPECT_EQ(a.level(k).members0.start, b.level(k).members0.start) << "level " << k;
+    EXPECT_EQ(a.level(k).members0.items, b.level(k).members0.items) << "level " << k;
   }
   for (NodeId v = 0; v < a.level(0).ids.size(); ++v) {
     EXPECT_EQ(a.address(v), b.address(v));

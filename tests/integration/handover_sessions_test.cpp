@@ -200,11 +200,16 @@ std::string serialize(const common::MetricsRegistry& registry) {
   std::string out;
   for (const auto& entry : registry.entries()) {
     out += entry.name;
+    // Appended piece by piece: GCC 12's -Wrestrict misfires on an inlined
+    // `" " + std::to_string(...)` at -O3.
     if (entry.kind == common::MetricsRegistry::Entry::Kind::kCounter) {
-      out += " " + std::to_string(entry.counter->value());
+      out += ' ';
+      out += std::to_string(entry.counter->value());
     } else if (entry.kind == common::MetricsRegistry::Entry::Kind::kHistogram) {
-      out += " " + std::to_string(entry.histogram->count()) + " " +
-             std::to_string(entry.histogram->sum());
+      out += ' ';
+      out += std::to_string(entry.histogram->count());
+      out += ' ';
+      out += std::to_string(entry.histogram->sum());
     }
     out += '\n';
   }

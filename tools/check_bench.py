@@ -126,6 +126,7 @@ def main():
     gate_scalar_keys = (
         "min_speedup", "min_capacity_n", "min_speedup_high",
         "max_orchestrator_overhead_frac", "max_allocs_per_tick",
+        "max_allocs_per_changed_tick",
         "max_session_interruption_p99", "max_misroute_rate",
         "min_lookups_per_sec", "max_lookup_p99_us", "min_parallel_speedup",
         "min_lookup_scaling")
@@ -302,29 +303,35 @@ def main():
             print(f"check_bench: ok orchestrator overhead {overhead:+.2%} "
                   f"(cap {cap:.0%})")
 
-    # Allocations-per-tick gate (bench_memory): enforced only when the
-    # artifact came from a MANET_PROFILE_ALLOC build (alloc_profile == 1);
-    # a default build has nothing interposed, so the artifact legitimately
-    # lacks the scalar and the gate reports itself skipped.
-    alloc_cap = baseline.get("scalars", {}).get("max_allocs_per_tick")
-    if alloc_cap is not None:
+    # Allocations-per-tick gates (bench_memory), one for the gated steady
+    # state and one for changed ticks: enforced only when the artifact came
+    # from a MANET_PROFILE_ALLOC build (alloc_profile == 1); a default build
+    # has nothing interposed, so the artifact legitimately lacks the scalars
+    # and each gate reports itself skipped.
+    for cap_key, value_key, tick in (
+            ("max_allocs_per_tick", "allocs_per_tick", "steady-state tick"),
+            ("max_allocs_per_changed_tick", "allocs_per_changed_tick",
+             "changed tick")):
+        alloc_cap = baseline.get("scalars", {}).get(cap_key)
+        if alloc_cap is None:
+            continue
         profiled = artifact.get("scalars", {}).get("alloc_profile")
-        allocs = artifact.get("scalars", {}).get("allocs_per_tick")
+        allocs = artifact.get("scalars", {}).get(value_key)
         if not profiled:
-            print("check_bench: alloc gate skipped (artifact from a build "
-                  "without MANET_PROFILE_ALLOC)")
+            print(f"check_bench: {cap_key} gate skipped (artifact from a "
+                  "build without MANET_PROFILE_ALLOC)")
         elif allocs is None:
-            print("check_bench: FAIL profiled artifact is missing the "
-                  "allocs_per_tick scalar", file=sys.stderr)
+            print(f"check_bench: FAIL profiled artifact is missing the "
+                  f"{value_key} scalar", file=sys.stderr)
             status = 1
         elif allocs > alloc_cap:
-            print(f"check_bench: FAIL {allocs:g} allocations per steady-state "
-                  f"tick exceeds the cap of {alloc_cap:g}", file=sys.stderr)
+            print(f"check_bench: FAIL {allocs:g} allocations per {tick} "
+                  f"exceeds the cap of {alloc_cap:g}", file=sys.stderr)
             status = 1
         else:
             checked += 1
-            print(f"check_bench: ok {allocs:g} allocations per steady-state "
-                  f"tick (cap {alloc_cap:g})")
+            print(f"check_bench: ok {allocs:g} allocations per {tick} "
+                  f"(cap {alloc_cap:g})")
 
     # Session-continuity gate (bench_sessions): the vehicular-regime p99
     # interruption window and misroute rate must stay under the caps

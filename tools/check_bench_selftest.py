@@ -96,6 +96,25 @@ def main():
                                      scalars={"min_capacity_n": 100000})),
             0, "met capacity floor passes")
 
+        # Changed-tick allocation gate (bench_memory E27): binds only on an
+        # artifact from a MANET_PROFILE_ALLOC build (alloc_profile == 1).
+        alloc_baseline = write("abase.json", doc(
+            scalars={"max_allocs_per_changed_tick": 1500}))
+        run(write("alean.json", doc(scalars={
+                "alloc_profile": 1, "allocs_per_changed_tick": 1222})),
+            alloc_baseline, 0, "changed-tick allocations under the cap pass")
+        run(write("afat.json", doc(scalars={
+                "alloc_profile": 1, "allocs_per_changed_tick": 10569})),
+            alloc_baseline, 1, "changed-tick allocations over the cap are exit 1")
+        run(write("amissing.json", doc(scalars={"alloc_profile": 1})),
+            alloc_baseline, 1,
+            "profiled artifact without allocs_per_changed_tick is exit 1")
+        unprofiled = write("aoff.json", doc(scalars={"alloc_profile": 0}))
+        run(unprofiled, alloc_baseline, 0,
+            "unprofiled artifact skips the changed-tick allocation gate")
+        logs(unprofiled, alloc_baseline,
+             "max_allocs_per_changed_tick gate skipped", "unprofiled skip")
+
         # Parallel-speedup gate (bench_capacity E30): the floor binds only
         # when the artifact's manifest reports a multi-core producer; a
         # single-core manifest (or a pre-field manifest with no

@@ -135,7 +135,7 @@ grep -q 'MANET_PROFILE_ALLOC' "$experiments" ||
     fail "EXPERIMENTS.md E27 must describe the MANET_PROFILE_ALLOC alloc gate"
 [ -f "$root/tools/baselines/BENCH_memory.json" ] ||
     fail "tools/baselines/BENCH_memory.json baseline is missing"
-for scalar in min_speedup max_allocs_per_tick; do
+for scalar in min_speedup max_allocs_per_tick max_allocs_per_changed_tick; do
     grep -q "\"$scalar\"" "$root/tools/baselines/BENCH_memory.json" ||
         fail "BENCH_memory.json baseline lost its $scalar acceptance scalar"
 done
@@ -459,6 +459,23 @@ sharded="$sharded$(awk '
     fail "a shared membership array in the table build, or a session fate computed \
 outside for_each_shard, is back (routing tables and session fates over the \
 shards): $sharded"
+
+# 8q. Flat per-level rows for the clustered hierarchy: each LevelView
+#     stores its ancestor, children and members0 rows flat and level 0
+#     stores none, so no nested vector may come back in
+#     src/cluster/hierarchy.hpp or hierarchy_builder.cpp; and the
+#     alpha() / aggregation() accessors no program called may not come back
+#     in src/cluster/hierarchy.{hpp,cpp}, nor a call to them under src/,
+#     tools/, bench/, examples/ or tests/.
+nested=$(grep -nF 'std::vector<std::vector' "$root/src/cluster/hierarchy.hpp" \
+    "$root/src/cluster/hierarchy_builder.cpp" || true)
+nested="$nested$(grep -nE '(alpha|aggregation)[(]Level' "$root/src/cluster/hierarchy.hpp" \
+    "$root/src/cluster/hierarchy.cpp" || true)"
+nested="$nested$(grep -rnE --exclude=check_docs.sh '\.(alpha|aggregation)\(' \
+    "$root/src" "$root/tools" "$root/bench" "$root/examples" "$root/tests" || true)"
+[ -z "$nested" ] ||
+    fail "a nested membership table or a deleted Hierarchy accessor is back \
+(flat per-level rows for the clustered hierarchy): $nested"
 
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
