@@ -135,10 +135,9 @@ int main() {
       "control/data -> 0: links need only polylog capacity headroom (paper Sec. 6)");
 
   // Data workload: each node opens `kSessionsPerNodePerSec` unicast sessions
-  // to uniform random peers, each carrying kPacketsPerSession packets along
-  // shortest paths.
+  // to uniform random peers, each carrying traffic::kPacketsPerSession (10)
+  // packets along shortest paths.
   constexpr double kSessionsPerNodePerSec = 0.2;
-  constexpr double kPacketsPerSession = 10.0;
 
   auto cfg = bench::paper_scenario();
   exp::RunOptions opts;
@@ -167,7 +166,6 @@ int main() {
 
     traffic::SessionConfig session_cfg;
     session_cfg.sessions_per_node_per_sec = kSessionsPerNodePerSec;
-    session_cfg.packets_per_session = static_cast<Size>(kPacketsPerSession);
     traffic::SessionWorkload workload(session_cfg, common::derive_seed(cfg.seed, 0xCAFE));
     for (int t = 0; t < 30; ++t) workload.tick(tables, n, 1.0);
     const double data = workload.stats().rate(n);

@@ -12,7 +12,7 @@
 #include "bench_util.hpp"
 #include "cluster/hierarchy_builder.hpp"
 #include "graph/bfs.hpp"
-#include "lm/chlm.hpp"
+#include "lm/handoff.hpp"
 #include "net/unit_disk.hpp"
 
 using namespace manet;
@@ -36,8 +36,8 @@ FailureResult run_failure(Size n, double kill_fraction, std::uint64_t seed) {
   cluster::HierarchyBuilder hb;
   const auto before = hb.build(g);
 
-  lm::ChlmService chlm_before;
-  chlm_before.rebuild(before);
+  lm::HandoffEngine chlm_before;
+  chlm_before.prime(before, 0.0);
 
   // Kill a uniform random fraction.
   std::vector<bool> keep(n, true);
@@ -64,8 +64,8 @@ FailureResult run_failure(Size n, double kill_fraction, std::uint64_t seed) {
   const auto surv_g = surv_builder.build(surv_pts);
   const auto after = hb.build(surv_g, surv_ids);
 
-  lm::ChlmService chlm_after;
-  chlm_after.rebuild(after);
+  lm::HandoffEngine chlm_after;
+  chlm_after.prime(after, 0.0);
 
   FailureResult result;
   result.surviving_levels = static_cast<double>(after.top_level());
@@ -106,8 +106,8 @@ FailureResult run_failure(Size n, double kill_fraction, std::uint64_t seed) {
     const auto owner_new = static_cast<NodeId>(i);
     const Level top = std::min(before.top_level(), after.top_level());
     for (Level k = lm::kFirstServedLevel; k <= top; ++k) {
-      const NodeId s_before = chlm_before.server_of(owner_old, k);
-      const NodeId s_after_new = chlm_after.server_of(owner_new, k);
+      const NodeId s_before = chlm_before.current_server(owner_old, k);
+      const NodeId s_after_new = chlm_after.current_server(owner_new, k);
       if (s_before == kInvalidNode || s_after_new == kInvalidNode) continue;
       ++entries;
       const NodeId s_after_old = surv_ids[s_after_new];

@@ -24,7 +24,8 @@
 #include "cluster/hierarchy_builder.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/bfs.hpp"
-#include "lm/chlm.hpp"
+#include "lm/address.hpp"
+#include "lm/handoff.hpp"
 #include "lm/query_engine.hpp"
 #include "net/unit_disk.hpp"
 
@@ -41,11 +42,11 @@ constexpr Size kScalingPairs = 7;    // interleaved 1-thread / 4-thread pairs
 constexpr Size kScalingWarmups = 5;  // unrecorded 4-thread runs before the pairs
 
 /// Frozen serving state: one static scenario, its hierarchy and the CHLM
-/// database built from it.
+/// database of a handoff engine primed on it.
 struct FrozenState {
   graph::Graph g;
   cluster::Hierarchy h;
-  lm::ChlmService service;
+  lm::HandoffEngine servers;
 };
 
 FrozenState build_state(Size n, std::uint64_t seed, Time now) {
@@ -58,7 +59,7 @@ FrozenState build_state(Size n, std::uint64_t seed, Time now) {
   FrozenState state;
   state.g = disk.build(scenario.mobility->positions());
   state.h = cluster::HierarchyBuilder().build(state.g, scenario.ids);
-  state.service.rebuild(state.h, now);
+  state.servers.prime(state.h, now);
   return state;
 }
 
@@ -133,9 +134,6 @@ int main() {
     const auto g = disk.build(scenario.mobility->positions());
     const auto h = cluster::HierarchyBuilder().build(g, scenario.ids);
 
-    lm::ChlmService service;
-    service.rebuild(h);
-
     common::Xoshiro256 rng(common::derive_seed(cfg.seed, 0x51AA));
     graph::BfsScratch bfs;
     double query_sum = 0.0, direct_sum = 0.0, max_ratio = 0.0;
@@ -144,7 +142,7 @@ int main() {
       const auto u = static_cast<NodeId>(common::uniform_index(rng, n));
       const auto v = static_cast<NodeId>(common::uniform_index(rng, n));
       if (u == v) continue;
-      const auto cost = service.query_cost(h, g, u, v);
+      const auto cost = lm::query_cost(h, g, u, v);
       bfs.run(g, u);
       const auto direct = bfs.hops_to(v);
       if (direct == graph::kUnreachable || direct == 0) continue;
@@ -181,9 +179,9 @@ int main() {
 
   FrozenState state = build_state(kQueryN, qcfg.seed, /*now=*/1.0);
   lm::QueryEngine engine;
-  engine.publish(state.h, state.service.database(), 1.0);
-  const Level top = state.service.top_level();
-  const Size width = state.service.served_levels();
+  engine.publish(state.h, state.servers.database(), 1.0);
+  const Level top = state.servers.top_level();
+  const Size width = top >= lm::kFirstServedLevel ? top - lm::kFirstServedLevel + 1 : 0;
   std::printf("frozen snapshot: n=%zu top=%u served levels=%zu epoch=%llu\n",
               static_cast<std::size_t>(kQueryN), top, static_cast<std::size_t>(width),
               static_cast<unsigned long long>(engine.epoch()));
@@ -273,10 +271,10 @@ int main() {
   // field — a mixed (pre-flip server, post-flip version/update) answer is a
   // torn read and counts as a violation.
   FrozenState state_b = build_state(kQueryN, qcfg.seed + 1, /*now=*/2.0);
-  const Level top_b = state_b.service.top_level();
+  const Level top_b = state_b.servers.top_level();
   const Level probe_top = std::min(top, top_b);
   const auto answers_a = capture_answers(engine, kQueryN, probe_top);
-  engine.publish(state_b.h, state_b.service.database(), 2.0);
+  engine.publish(state_b.h, state_b.servers.database(), 2.0);
   const auto answers_b = capture_answers(engine, kQueryN, probe_top);
   const Size probe_width = probe_top >= lm::kFirstServedLevel
                                ? probe_top - lm::kFirstServedLevel + 1
@@ -312,9 +310,9 @@ int main() {
     }
     for (Size flip = 0; flip < kChurnFlips; ++flip) {
       if (flip % 2 == 0) {
-        engine.publish(state.h, state.service.database(), 1.0);
+        engine.publish(state.h, state.servers.database(), 1.0);
       } else {
-        engine.publish(state_b.h, state_b.service.database(), 2.0);
+        engine.publish(state_b.h, state_b.servers.database(), 2.0);
       }
       std::this_thread::yield();
     }

@@ -10,9 +10,9 @@
 
 #include "cluster/hierarchy_builder.hpp"
 #include "exp/simulation.hpp"
-#include "lm/chlm.hpp"
-#include "lm/database.hpp"
+#include "lm/address.hpp"
 #include "lm/gls.hpp"
+#include "lm/handoff.hpp"
 #include "net/unit_disk.hpp"
 
 int main(int argc, char** argv) {
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   const auto g = disk.build(scenario.mobility->positions());
   const auto h = cluster::HierarchyBuilder().build(g, scenario.ids);
 
-  lm::ChlmService chlm;
-  chlm.rebuild(h);
+  lm::HandoffEngine chlm;
+  chlm.prime(h, 0.0);
   const auto chlm_load = lm::load_stats(chlm.database().load_vector());
 
   const auto* region = dynamic_cast<const geom::DiskRegion*>(scenario.region.get());
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   // One worked location query, CHLM-style (paper Sec. 6: cost ~ hop count).
   const NodeId requester = 0, target = static_cast<NodeId>(n / 2);
-  const auto cost = chlm.query_cost(h, g, requester, target);
+  const auto cost = lm::query_cost(h, g, requester, target);
   std::printf("\nsample CHLM query: node %u locates node %u for %llu packet transmissions\n",
               requester, target, static_cast<unsigned long long>(cost));
 

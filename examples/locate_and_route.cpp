@@ -15,7 +15,7 @@
 #include "exp/scenario.hpp"
 #include "graph/bfs.hpp"
 #include "lm/address.hpp"
-#include "lm/chlm.hpp"
+#include "lm/handoff.hpp"
 #include "net/unit_disk.hpp"
 #include "routing/table.hpp"
 
@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
               h.ancestor_id(src, shared));
 
   // Step 1: location resolution.
-  lm::ChlmService chlm;
-  chlm.rebuild(h);
-  const auto query_cost = chlm.query_cost(h, g, src, dst);
+  const auto query_cost = lm::query_cost(h, g, src, dst);
   std::printf("CHLM lookup: %llu packet transmissions (probe chain up to level %u)\n",
               static_cast<unsigned long long>(query_cost), shared);
   if (shared >= lm::kFirstServedLevel) {
-    const NodeId server = chlm.server_of(dst, shared);
+    lm::HandoffEngine chlm;
+    chlm.prime(h, 0.0);
+    const NodeId server = chlm.current_server(dst, shared);
     std::printf("  %u's level-%u location server is node %u\n", dst, shared, server);
   } else {
     std::printf("  same level-1 cluster: full intra-cluster topology known, no probe\n");

@@ -6,11 +6,10 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <type_traits>
 #include <utility>
-
-#include "sim/shard.hpp"
 
 namespace manet::exp {
 
@@ -48,28 +47,14 @@ bool parse_double(const std::string& text, double& out) {
 }
 
 /// Split a "--flag=value" token. Returns true (and truncates \p flag at the
-/// '=') when an inline value is present; both CLI parsers accept the form
-/// for every value-taking flag and reject it on boolean flags.
+/// '=') when an inline value is present; scan_flags accepts the form for
+/// every value-taking flag and rejects it on boolean flags.
 bool split_inline_value(std::string& flag, std::string& value) {
   if (flag.size() < 3 || flag[0] != '-' || flag[1] != '-') return false;
   const auto eq = flag.find('=');
   if (eq == std::string::npos) return false;
   value = flag.substr(eq + 1);
   flag.resize(eq);
-  return true;
-}
-
-bool parse_shard(const std::string& text, Size& index, Size& count) {
-  const auto slash = text.find('/');
-  if (slash == std::string::npos) return false;
-  Size i = 0;
-  Size k = 0;
-  if (!parse_size(text.substr(0, slash), i) || !parse_size(text.substr(slash + 1), k)) {
-    return false;
-  }
-  if (k < 1 || i >= k) return false;
-  index = i;
-  count = k;
   return true;
 }
 
@@ -95,9 +80,24 @@ ValueSyntax number(double& target) {
   return {"a number", [&target](const std::string& text) { return parse_double(text, target); }};
 }
 
-ValueSyntax path(std::string& target) {
-  return {"a path", [&target](const std::string& text) {
+ValueSyntax path(std::string& target, std::string needs = "a path") {
+  return {std::move(needs), [&target](const std::string& text) {
             target = text;
+            return true;
+          }};
+}
+
+ValueSyntax shard(Size& index, Size& count) {
+  return {"i/k with 0 <= i < k", [&index, &count](const std::string& text) {
+            const auto slash = text.find('/');
+            Size i = 0;
+            Size k = 0;
+            if (slash == std::string::npos || !parse_size(text.substr(0, slash), i) ||
+                !parse_size(text.substr(slash + 1), k) || k < 1 || i >= k) {
+              return false;
+            }
+            index = i;
+            count = k;
             return true;
           }};
 }
@@ -140,7 +140,7 @@ struct ValueFlag {
   const char* flag;
   const char* field;
   ValueSyntax syntax;
-  bool sessions = false;  ///< setting it also switches the session plane on
+  bool* also = nullptr;  ///< set true with the value (a session flag's plane)
 };
 
 /// One boolean flag and the value it stores.
@@ -149,6 +149,46 @@ struct Switch {
   bool& target;
   bool value;
 };
+
+/// The one flag loop of both parsers: reads argv[1..] against a parser's
+/// tables. A switch stores its value and refuses an inline value; a value
+/// flag reads its inline value or the next token through its syntax;
+/// "--help" / "-h" sets \p help and ends the scan. Returns the first error
+/// ("<unknown> '<flag>'" for a flag in neither table), empty when none.
+std::string scan_flags(int argc, const char* const* argv, std::span<const Switch> switches,
+                       std::span<const ValueFlag> values, const char* unknown, bool& help) {
+  for (int i = 1; i < argc; ++i) {
+    std::string flag = argv[i];
+    std::string inline_value;
+    const bool has_inline = split_inline_value(flag, inline_value);
+    if (flag == "--help" || flag == "-h") {
+      help = true;
+      return {};
+    }
+    const auto named = [&flag](const auto& row) { return flag == row.flag; };
+    if (const auto sw = std::find_if(switches.begin(), switches.end(), named);
+        sw != switches.end()) {
+      if (has_inline) return "'" + flag + "' does not take a value";
+      sw->target = sw->value;
+      continue;
+    }
+    const auto row = std::find_if(values.begin(), values.end(), named);
+    if (row == values.end()) return std::string(unknown) + " '" + flag + "'";
+    const char* value =
+        has_inline ? inline_value.c_str() : (i + 1 < argc ? argv[++i] : nullptr);
+    if (value == nullptr || !row->syntax.set(value)) return flag + " needs " + row->syntax.needs;
+    if (row->also != nullptr) *row->also = true;
+  }
+  return {};
+}
+
+/// The flag that sets \p field, or the field name when no flag does.
+std::string flag_of(std::span<const ValueFlag> values, const std::string& field) {
+  for (const auto& row : values) {
+    if (field == row.field) return row.flag;
+  }
+  return field;
+}
 
 }  // namespace
 
@@ -187,62 +227,28 @@ CampaignCliParseResult parse_campaign_cli(int argc, const char* const* argv) {
 
   std::string out_dir;
   std::string resume_dir;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string inline_value;
-    const bool has_inline = split_inline_value(flag, inline_value);
-    bool inline_used = false;
-    auto next = [&]() -> const char* {
-      if (has_inline) {
-        inline_used = true;
-        return inline_value.c_str();
-      }
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-
-    if (flag == "--help" || flag == "-h") {
-      opt.show_help = true;
-      result.ok = true;
-      return result;
-    } else if (flag == "--plan") {
-      opt.plan = true;
-    } else if (flag == "--merge") {
-      opt.merge = true;
-    } else if (flag == "--spec") {
-      const char* value = next();
-      if (value == nullptr) return fail("--spec needs a file path");
-      opt.spec_path = value;
-    } else if (flag == "--out") {
-      const char* value = next();
-      if (value == nullptr) return fail("--out needs a directory");
-      out_dir = value;
-    } else if (flag == "--resume") {
-      const char* value = next();
-      if (value == nullptr) return fail("--resume needs a campaign directory");
-      resume_dir = value;
-    } else if (flag == "--shard") {
-      const char* value = next();
-      if (value == nullptr || !parse_shard(value, opt.shard_index, opt.shard_count)) {
-        return fail("--shard needs i/k with 0 <= i < k");
-      }
-    } else if (flag == "--threads" || flag == "--max-units") {
-      const char* value = next();
-      Size parsed = 0;
-      if (value == nullptr || !parse_size(value, parsed)) {
-        return fail(flag + " needs an unsigned integer");
-      }
-      // The replication pool keeps the run's worker ceiling.
-      if (flag == "--threads" && parsed > sim::kMaxShardCount) {
-        return fail("--threads must be <= " + std::to_string(sim::kMaxShardCount));
-      }
-      if (flag == "--threads") opt.threads = parsed;
-      else opt.max_units = parsed;
-    } else {
-      return fail("unknown campaign flag '" + flag + "'");
-    }
-    if (has_inline && !inline_used) {
-      return fail("'" + flag + "' does not take a value");
-    }
+  const Switch switches[] = {
+      {"--plan", opt.plan, true},
+      {"--merge", opt.merge, true},
+  };
+  const ValueFlag values[] = {
+      {"--spec", "spec_path", path(opt.spec_path, "a file path")},
+      {"--out", "dir", path(out_dir, "a directory")},
+      {"--resume", "dir", path(resume_dir, "a campaign directory")},
+      {"--shard", "shard", shard(opt.shard_index, opt.shard_count)},
+      {"--threads", "threads", count(opt.threads)},
+      {"--max-units", "max_units", count(opt.max_units)},
+  };
+  result.error = scan_flags(argc, argv, switches, values, "unknown campaign flag", opt.show_help);
+  if (!result.error.empty() || opt.show_help) {
+    result.ok = opt.show_help;  // the scan stops at --help or at an error, never both
+    return result;
+  }
+  // The replication pool keeps the run's worker ceiling.
+  RunOptions workers;
+  workers.threads = opt.threads;
+  if (const auto errors = workers.validate(); !errors.empty()) {
+    return fail(flag_of(values, errors.front().field) + " " + errors.front().rule);
   }
 
   if (!out_dir.empty() && !resume_dir.empty()) {
@@ -368,7 +374,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       {"--sessions", scenario.sessions, true},
       {"--trace", opt.trace, true},
   };
-  constexpr bool kSessions = true;
+  bool* const kSessions = &scenario.sessions;
   const ValueFlag values[] = {
       {"--n", "n", count(scenario.n)},
       {"--density", "density", number(scenario.density)},
@@ -434,43 +440,19 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
       {"--trace-sample", "trace_sample", count(opt.trace_sample)},
   };
 
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    std::string inline_value;
-    const bool has_inline = split_inline_value(flag, inline_value);
-    if (flag == "--help" || flag == "-h") {
-      opt.show_help = true;
-      result.ok = true;
-      return result;
-    }
-    const auto named = [&flag](const auto& row) { return flag == row.flag; };
-    if (const auto sw = std::find_if(std::begin(switches), std::end(switches), named);
-        sw != std::end(switches)) {
-      if (has_inline) return fail("'" + flag + "' does not take a value");
-      sw->target = sw->value;
-      continue;
-    }
-    const auto row = std::find_if(std::begin(values), std::end(values), named);
-    if (row == std::end(values)) return fail("unknown flag '" + flag + "'");
-    const char* value =
-        has_inline ? inline_value.c_str() : (i + 1 < argc ? argv[++i] : nullptr);
-    if (value == nullptr || !row->syntax.set(value)) {
-      return fail(flag + " needs " + row->syntax.needs);
-    }
-    if (row->sessions) scenario.sessions = true;
+  result.error = scan_flags(argc, argv, switches, values, "unknown flag", opt.show_help);
+  if (!result.error.empty() || opt.show_help) {
+    result.ok = opt.show_help;  // the scan stops at --help or at an error, never both
+    return result;
   }
 
   // Every range rule is validate()'s; the first error is reported under the
   // flag that sets its field. A sweep point is validated with its own n.
-  const auto flag_of = [&values](const std::string& field) {
-    for (const auto& row : values) {
-      if (field == row.field) return std::string(row.flag);
-    }
-    return field;
-  };
   auto errors = scenario.validate();
   if (errors.empty()) errors = run.validate();
-  if (!errors.empty()) return fail(flag_of(errors.front().field) + " " + errors.front().rule);
+  if (!errors.empty()) {
+    return fail(flag_of(values, errors.front().field) + " " + errors.front().rule);
+  }
   for (const Size n : opt.sweep) {
     ScenarioConfig point = scenario;
     point.n = n;
@@ -478,7 +460,7 @@ CliParseResult parse_cli(int argc, const char* const* argv) {
     if (point_errors.empty()) continue;
     const auto& e = point_errors.front();
     return fail("--sweep point n=" + std::to_string(n) + ": " +
-                (e.field == "n" ? e.field : flag_of(e.field)) + " " + e.rule);
+                (e.field == "n" ? e.field : flag_of(values, e.field)) + " " + e.rule);
   }
   // The CLI's own counts.
   if (opt.replications < 1) return fail("--reps must be >= 1");

@@ -69,9 +69,6 @@ std::vector<ScenarioConfig::Error> ScenarioConfig::validate() const {
   at_least_one("fault.arq_backoff", fault.arq_backoff);
   non_negative("fault.audit_period", fault.audit_period);
   positive("session.sessions_per_node_per_sec", session.sessions_per_node_per_sec);
-  if (session.packets_per_session < 1) {
-    errors.push_back({"session.packets_per_session", "must be >= 1"});
-  }
   positive("session.mean_duration", session.mean_duration);
   positive("session.packets_per_sec", session.packets_per_sec);
   positive("handover.timeout", handover.timeout);

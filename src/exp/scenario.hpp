@@ -108,8 +108,7 @@ struct ScenarioConfig {
   ///   fault.arq_timeout >= 0; fault.arq_backoff >= 1;
   ///   fault.audit_period >= 0;
   ///   session.sessions_per_node_per_sec > 0;
-  ///   session.packets_per_session >= 1; session.mean_duration > 0;
-  ///   session.packets_per_sec > 0;
+  ///   session.mean_duration > 0; session.packets_per_sec > 0;
   ///   handover.timeout > 0; handover.backoff >= 1.
   /// NaN fails every rule. This is the only place a scenario rule is
   /// written: run_simulation() refuses an invalid config, and the CLI

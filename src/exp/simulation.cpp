@@ -335,7 +335,6 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   std::unique_ptr<lm::RegistrationTracker> registration;
   if (options.track_registration) {
     lm::RegistrationConfig reg_cfg;
-    reg_cfg.select = cfg.handoff.select;
     reg_cfg.tx_radius = cfg.tx_radius();
     registration = std::make_unique<lm::RegistrationTracker>(reg_cfg);
     registration->prime(hier, scenario.mobility->positions(), t0);
@@ -357,6 +356,11 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
   auto accumulate_shape = [&](const cluster::Hierarchy& h) {
     levels_sum += static_cast<double>(h.top_level());
     ++levels_ticks;
+    // g_k / gprime_k are reported, zero or not, for every level of every
+    // hierarchy the run observed, so the link accumulator spans them all.
+    if (options.track_events && level_link_events.size() < h.level_count()) {
+      level_link_events.resize(h.level_count(), 0);
+    }
     for (Level k = 1; k <= h.top_level(); ++k) {
       if (ek_time_sum.size() <= k) {
         ek_time_sum.resize(k + 1, 0.0);
@@ -457,7 +461,9 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
       }
     }
     if (gls) gls->update(scenario.mobility->positions(), *g, scenario.ids, now);
-    if (registration) registration->update(hnow, *g, scenario.mobility->positions(), now);
+    if (registration) {
+      registration->update(hnow, handoff, *g, scenario.mobility->positions(), now);
+    }
 
     if (options.track_events && rebuild) {
       cluster::diff_hierarchies(hier, next, delta);
@@ -477,22 +483,9 @@ RunMetrics run_simulation(const ScenarioConfig& config, const RunOptions& option
         if (acc.size() < per_level.size()) acc.resize(per_level.size(), 0);
         for (Level k = 0; k < per_level.size(); ++k) acc[k] += per_level[k];
       }
-      for (Level k = 1; k < delta.links_up.size(); ++k) {
+      for (Level k = 1; k < delta.links_up.size(); ++k) {  // links_down has the same size
         if (level_link_events.size() <= k) level_link_events.resize(k + 1, 0);
-        level_link_events[k] += delta.links_up[k].size();
-      }
-      for (Level k = 1; k < delta.links_down.size(); ++k) {
-        if (level_link_events.size() <= k) level_link_events.resize(k + 1, 0);
-        level_link_events[k] += delta.links_down[k].size();
-      }
-    } else if (options.track_events) {
-      // Gated tick: the full-rebuild path would diff two identical snapshots
-      // here, adding nothing but growing the per-level link accumulator to
-      // the level count. Reproduce that sizing so the zero-valued g_k /
-      // gprime_k entries are emitted identically.
-      const Size levels_now = hier.level_count();
-      if (levels_now >= 2 && level_link_events.size() < levels_now) {
-        level_link_events.resize(levels_now, 0);
+        level_link_events[k] += delta.links_up[k].size() + delta.links_down[k].size();
       }
     }
 

@@ -1,6 +1,7 @@
 #include "lm/address.hpp"
 
 #include "common/check.hpp"
+#include "graph/bfs.hpp"
 
 namespace manet::lm {
 
@@ -34,6 +35,37 @@ Size hierarchical_map_size(const cluster::Hierarchy& h, NodeId v) {
     total += h.children(k, h.ancestor(v, k)).size();
   }
   return total;
+}
+
+PacketCount query_cost(const cluster::Hierarchy& h, const graph::Graph& g, NodeId requester,
+                       NodeId target, const ServerSelectConfig& select) {
+  MANET_CHECK(requester < g.vertex_count() && target < g.vertex_count());
+  if (requester == target) return 0;
+
+  const Level shared = lowest_common_level(h, requester, target);
+  graph::BfsPairScratch bfs;
+
+  // Within a shared level-1 cluster the full topology is known (paper
+  // Section 3.2) — route directly.
+  if (shared <= 1) return bfs.hops(g, requester, target);
+
+  // Probe chain: the requester asks the *would-be* level-k server of the
+  // target inside its own level-k cluster; every probe below `shared`
+  // misses and the lookup escalates one level. The level-`shared` probe
+  // lands on the target's true server (same cluster at that level), which
+  // forwards the query to the target.
+  PacketCount cost = 0;
+  NodeId cursor = requester;
+  for (Level k = kFirstServedLevel; k <= shared && k <= h.top_level(); ++k) {
+    const NodeId probe = select_server_in(h, h.ancestor(requester, k), k, target, select);
+    const auto hops = bfs.hops(g, cursor, probe);
+    MANET_CHECK_MSG(hops != graph::kUnreachable, "query path through disconnected graph");
+    cost += hops;
+    cursor = probe;
+  }
+  const auto final_hops = bfs.hops(g, cursor, target);
+  MANET_CHECK_MSG(final_hops != graph::kUnreachable, "query path through disconnected graph");
+  return cost + final_hops;
 }
 
 }  // namespace manet::lm

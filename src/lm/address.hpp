@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "cluster/hierarchy.hpp"
+#include "graph/graph.hpp"
+#include "lm/server_select.hpp"
 
 /// \file address.hpp
 /// Hierarchical addresses (paper Section 2.1): packet forwarding in a strict
@@ -40,5 +42,14 @@ Level lowest_common_level(const cluster::Hierarchy& h, NodeId u, NodeId v);
 /// cluster at every level of its chain (paper: O(log|V|)). Used by E7 to
 /// verify the storage claim.
 Size hierarchical_map_size(const cluster::Hierarchy& h, NodeId v);
+
+/// Query cost in packet transmissions: \p requester looks up \p target by
+/// probing its candidate level-k servers computed within the requester's
+/// own level-k clusters, k ascending, until the true server is hit; then
+/// the reply returns directly. Requires both nodes in the (connected)
+/// level-0 graph \p g. Implements the paper's Section 6 observation that
+/// query cost is on the order of the requester-target hop count.
+PacketCount query_cost(const cluster::Hierarchy& h, const graph::Graph& g, NodeId requester,
+                       NodeId target, const ServerSelectConfig& select = {});
 
 }  // namespace manet::lm

@@ -62,7 +62,6 @@ class LmDatabase {
   Size entry_count(NodeId server) const;
 
   Size total_entries() const { return total_; }
-  Size node_count() const { return counts_.size(); }
 
   /// Entry counts for every node (the load histogram source).
   std::vector<Size> load_vector() const { return counts_; }

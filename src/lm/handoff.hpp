@@ -8,8 +8,9 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "graph/bfs.hpp"
-#include "lm/chlm.hpp"
+#include "lm/database.hpp"
 #include "lm/reliable.hpp"
+#include "lm/server_select.hpp"
 #include "net/hop_oracle.hpp"
 #include "sim/shard.hpp"
 #include "sim/trace.hpp"
@@ -29,6 +30,8 @@
 ///           composition changed (link change, election, rejection, ...).
 /// Summing per-level rates reproduces the paper's phi = Theta(log^2 |V|) and
 /// gamma = Theta(log^2 |V|) claims (experiments E8/E9).
+/// The engine is the one owner of that table: registration, the session
+/// locator and the benches read a primed engine's servers (current_server()).
 
 namespace manet::lm {
 
@@ -144,8 +147,8 @@ class HandoffEngine {
     observer_ = observer;
   }
 
-  // --- Read-only assignment view (the locator plane resolves through these;
-  // they never touch the ledgers) ---
+  // --- Read-only assignment view (the locator plane and the registration
+  // tracker resolve through these; they never touch the ledgers) ---
 
   /// Current assignment server for (owner, k); kInvalidNode when the level
   /// is not served or the engine is unprimed.

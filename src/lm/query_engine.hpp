@@ -13,7 +13,7 @@
 /// \file query_engine.hpp
 /// Read-optimized concurrent query front over the LM database.
 ///
-/// The simulator's write plane (HandoffEngine / ChlmService) mutates the
+/// The simulator's write plane (HandoffEngine) mutates the
 /// (owner, level) LmDatabase table during the tick's write phase; this engine turns
 /// that state into a *serving* surface: many reader threads answering
 /// location lookups at memory speed while the handoff plane churns the
@@ -22,10 +22,10 @@
 /// Concurrency model — epoch-gated double buffering (RCU-lite):
 ///  - The single writer (the tick's write phase) calls publish() with the
 ///    fresh hierarchy + database. publish() builds the *inactive* snapshot
-///    slot — the server assignment serially, the per-owner record rows over
-///    the executor given to set_parallel() — then flips the front-slot index
-///    with one atomic store. Each publish is one **epoch**; epoch() exposes
-///    the monotone counter.
+///    slot — the server assignment serially (recomputed from the hierarchy),
+///    the per-owner record rows over the executor given to set_parallel() —
+///    then flips the front-slot index with one atomic store. Each publish is
+///    one **epoch**; epoch() exposes the monotone counter.
 ///  - Readers pin the front slot through a Reader, with a pin -> validate
 ///    -> retry protocol: bump the reader count, then re-check the front
 ///    index; if it moved, retract and retry. A validated pin guarantees the

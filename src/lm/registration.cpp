@@ -30,12 +30,14 @@ PacketCount RegistrationTracker::price(const graph::Graph& g, NodeId from, NodeI
 }
 
 RegistrationTracker::TickResult RegistrationTracker::update(
-    const cluster::Hierarchy& h, const graph::Graph& g,
+    const cluster::Hierarchy& h, const HandoffEngine& servers, const graph::Graph& g,
     const std::vector<geom::Vec2>& positions, Time t) {
   MANET_CHECK_MSG(primed_, "RegistrationTracker::update before prime");
   MANET_CHECK_MSG(t >= last_time_, "registration time must be monotone");
   const Size n = anchors_.size();
   MANET_CHECK(positions.size() == n);
+  MANET_CHECK_MSG(servers.node_count() == n && servers.top_level() == h.top_level(),
+                  "registration servers come from an engine on another hierarchy");
 
   TickResult tick;
   const Level top = std::min(top_, h.top_level());
@@ -58,7 +60,7 @@ RegistrationTracker::TickResult RegistrationTracker::update(
     for (NodeId v = 0; v < n; ++v) {
       if (geom::distance2(positions[v], anchors_[v][slot]) < delta2) continue;
       if (arq_ != nullptr && is_down(v)) continue;  // crashed nodes send nothing
-      const NodeId server = select_server(h, v, k, config_.select);
+      const NodeId server = servers.current_server(v, k);
       PacketCount cost = 0;
       if (arq_ == nullptr) {
         cost = price(g, v, server);

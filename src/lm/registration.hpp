@@ -4,8 +4,8 @@
 
 #include "geom/vec2.hpp"
 #include "graph/bfs.hpp"
+#include "lm/handoff.hpp"
 #include "lm/reliable.hpp"
-#include "lm/server_select.hpp"
 
 /// \file registration.hpp
 /// Location *registration* overhead — the owner-driven updates that keep LM
@@ -21,11 +21,11 @@
 ///
 /// so far servers hear from it rarely and near servers often — exactly the
 /// lazy-updating geometry GLS prescribes (paper Section 3.1, feature (c)).
+/// Updates go to the run's HandoffEngine servers: one table prices both.
 
 namespace manet::lm {
 
 struct RegistrationConfig {
-  ServerSelectConfig select;
   double threshold = 0.5;  ///< update distance in units of R_TX * sqrt(c_k)
   double tx_radius = 1.0;  ///< R_TX for the distance scale
 };
@@ -44,9 +44,12 @@ class RegistrationTracker {
   };
 
   /// Check every (node, level) against its distance threshold; charge
-  /// hops(owner, current level-k server) per triggered update.
-  TickResult update(const cluster::Hierarchy& h, const graph::Graph& g,
-                    const std::vector<geom::Vec2>& positions, Time t);
+  /// hops(owner, current level-k server) per triggered update. \p servers
+  /// must hold snapshot \p h (primed or updated on it): the tracker reads
+  /// each server from it and refuses an engine over another node count or
+  /// top level.
+  TickResult update(const cluster::Hierarchy& h, const HandoffEngine& servers,
+                    const graph::Graph& g, const std::vector<geom::Vec2>& positions, Time t);
 
   Time elapsed() const { return last_time_ - start_time_; }
   Size node_count() const { return anchors_.size(); }

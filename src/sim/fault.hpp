@@ -64,15 +64,10 @@ struct FaultConfig {
   Time audit_period = 5.0;    ///< server-audit / repair interval, seconds
   Size probe_pairs = 256;     ///< owners sampled per query-consistency probe
 
-  /// Attach the fault machinery even when every fault process is off. Used
-  /// by the zero-cost tests: a forced-on run with loss = 0 and no churn must
-  /// reproduce the fault-free metrics bit-identically.
-  bool force = false;
-
   bool lossy() const { return loss > 0.0 || burst_loss > 0.0; }
   bool churn() const { return crash_rate > 0.0; }
   bool outage() const { return outage_radius > 0.0 && outage_duration > 0.0; }
-  bool enabled() const { return force || lossy() || churn() || outage(); }
+  bool enabled() const { return lossy() || churn() || outage(); }
 
   /// One-line manifest form, "off" when disabled (RunManifest records it so
   /// resilience artifacts are reproducible from the manifest alone).

@@ -38,7 +38,6 @@ double SessionStats::loss_rate() const {
 SessionWorkload::SessionWorkload(SessionConfig config, std::uint64_t seed)
     : config_(config), rng_(seed) {
   MANET_CHECK(config_.sessions_per_node_per_sec > 0.0);
-  MANET_CHECK(config_.packets_per_session >= 1);
   MANET_CHECK(config_.mean_duration > 0.0);
   MANET_CHECK(config_.packets_per_sec > 0.0);
 }
@@ -80,8 +79,8 @@ void SessionWorkload::tick(const routing::RoutingTables& tables, Size node_count
       continue;
     }
     if (routed.recovered) ++stats_.recovered;
-    stats_.data_transmissions += static_cast<PacketCount>(config_.packets_per_session) *
-                                 static_cast<PacketCount>(routed.hops);
+    stats_.data_transmissions +=
+        static_cast<PacketCount>(kPacketsPerSession) * static_cast<PacketCount>(routed.hops);
   }
   stats_.window += dt;
 }

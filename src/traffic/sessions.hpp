@@ -34,9 +34,11 @@
 
 namespace manet::traffic {
 
+/// Packets per session train in the legacy tick() mode.
+inline constexpr Size kPacketsPerSession = 10;
+
 struct SessionConfig {
   double sessions_per_node_per_sec = 0.2;
-  Size packets_per_session = 10;  ///< train length (legacy tick() mode)
   // Long-lived mode (tick_sessions()):
   double mean_duration = 4.0;   ///< exponential session lifetime, s
   double packets_per_sec = 4.0; ///< per-session offered packet rate

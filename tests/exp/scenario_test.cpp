@@ -138,14 +138,6 @@ TEST(ScenarioConfig, ValidateSessionRatesPositive) {
     expect_rule([member](ScenarioConfig& c, double v) { c.session.*member = v; }, field,
                 "must be > 0", {0.0}, tiny);
   }
-  ScenarioConfig cfg;
-  cfg.session.packets_per_session = 0;
-  const auto errors = cfg.validate();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors[0].field, "session.packets_per_session");
-  EXPECT_EQ(errors[0].rule, "must be >= 1");
-  cfg.session.packets_per_session = 1;
-  EXPECT_TRUE(cfg.validate().empty());
 }
 
 TEST(ScenarioConfig, ValidateHandoverTimersPositive) {

@@ -294,8 +294,6 @@ TEST(RunSimulationDeath, NamesFieldsThePlanesWouldAbortOn) {
        [](ScenarioConfig& c) { c.session.packets_per_sec = -1.0; }},
       {"session\\.sessions_per_node_per_sec must be > 0",
        [](ScenarioConfig& c) { c.session.sessions_per_node_per_sec = 0.0; }},
-      {"session\\.packets_per_session must be >= 1",
-       [](ScenarioConfig& c) { c.session.packets_per_session = 0; }},
       {"handover\\.timeout must be > 0", [](ScenarioConfig& c) { c.handover.timeout = 0.0; }},
   };
   for (const auto& c : cases) {

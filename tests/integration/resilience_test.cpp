@@ -1,6 +1,6 @@
 /// Fault-injection integration contract:
 ///  1. zero-cost: FaultConfig off leaves run_simulation bit-identical, and
-///     even a forced-on fault plane with every process at zero reproduces
+///     even an armed fault plane whose only process never fires reproduces
 ///     all shared metrics exactly (no hidden RNG draws, no cost drift);
 ///  2. determinism: faulted runs (loss + churn) aggregate bit-identically
 ///     across 1 / 2 / 8 worker threads;
@@ -51,8 +51,13 @@ TEST(Resilience, FaultOffIsBitIdenticalAndEmitsNoFaultMetrics) {
 
 TEST(Resilience, ForcedOnFaultPlaneIsZeroCost) {
   const ScenarioConfig off = small_scenario();
+  // Machinery attached, no fault ever firing: an outage that would cover the
+  // whole deployment starts only after the horizon.
   ScenarioConfig forced = small_scenario();
-  forced.fault.force = true;  // machinery attached, every fault process off
+  forced.fault.outage_radius = 1e6;
+  forced.fault.outage_start = forced.warmup + forced.duration + 1.0;
+  forced.fault.outage_duration = 1.0;
+  ASSERT_TRUE(forced.fault.enabled());
 
   const auto bare = run_simulation(off, lean_options());
   const auto armed = run_simulation(forced, lean_options());

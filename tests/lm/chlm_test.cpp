@@ -1,14 +1,16 @@
-#include "lm/chlm.hpp"
+// The CHLM assignment table (paper Section 3.2) as a primed HandoffEngine
+// holds it, and the location-query cost read off the same hierarchy.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "cluster/hierarchy_builder.hpp"
 #include "common/rng.hpp"
 #include "geom/region.hpp"
 #include "graph/bfs.hpp"
+#include "lm/address.hpp"
+#include "lm/handoff.hpp"
 #include "net/unit_disk.hpp"
 
 namespace manet::lm {
@@ -32,24 +34,34 @@ Fixture make(Size n, std::uint64_t seed) {
   return f;
 }
 
+Size served_levels(const HandoffEngine& engine) {
+  const Level top = engine.top_level();
+  return top >= kFirstServedLevel ? top - kFirstServedLevel + 1 : 0;
+}
+
 TEST(Chlm, RebuildPopulatesAllServedLevels) {
+  // Re-priming on another snapshot replaces the whole table.
+  const auto first = make(120, 10);
   const auto f = make(300, 1);
-  ChlmService service;
-  service.rebuild(f.h);
-  ASSERT_GE(service.top_level(), 2u);
-  const Size expected = f.g.vertex_count() * service.served_levels();
-  EXPECT_EQ(service.database().total_entries(), expected);
+  HandoffEngine engine;
+  engine.prime(first.h, 0.0);
+  engine.prime(f.h, 1.0);
+  ASSERT_GE(engine.top_level(), 2u);
+  EXPECT_EQ(engine.node_count(), f.g.vertex_count());
+  const Size expected = f.g.vertex_count() * served_levels(engine);
+  EXPECT_EQ(engine.database().total_entries(), expected);
 }
 
 TEST(Chlm, ServerOfMatchesDatabaseContents) {
   const auto f = make(250, 2);
-  ChlmService service;
-  service.rebuild(f.h, 7.0);
+  HandoffEngine engine;
+  engine.prime(f.h, 7.0);
   for (NodeId owner = 0; owner < f.g.vertex_count(); owner += 5) {
-    for (Level k = kFirstServedLevel; k <= service.top_level(); ++k) {
-      const NodeId server = service.server_of(owner, k);
+    for (Level k = kFirstServedLevel; k <= engine.top_level(); ++k) {
+      const NodeId server = engine.current_server(owner, k);
       ASSERT_NE(server, kInvalidNode);
-      const auto* rec = service.database().find(server, owner, k);
+      EXPECT_EQ(server, select_server(f.h, owner, k));
+      const auto* rec = engine.database().find(server, owner, k);
       ASSERT_NE(rec, nullptr);
       EXPECT_DOUBLE_EQ(rec->updated, 7.0);
     }
@@ -58,23 +70,26 @@ TEST(Chlm, ServerOfMatchesDatabaseContents) {
 
 TEST(Chlm, OutOfRangeLevelsReturnInvalid) {
   const auto f = make(200, 3);
-  ChlmService service;
-  service.rebuild(f.h);
-  EXPECT_EQ(service.server_of(0, 0), kInvalidNode);
-  EXPECT_EQ(service.server_of(0, 1), kInvalidNode);
-  EXPECT_EQ(service.server_of(0, service.top_level() + 1), kInvalidNode);
+  HandoffEngine engine;
+  EXPECT_EQ(engine.current_server(0, kFirstServedLevel), kInvalidNode);  // unprimed
+  engine.prime(f.h, 0.0);
+  EXPECT_EQ(engine.current_server(0, 0), kInvalidNode);
+  EXPECT_EQ(engine.current_server(0, 1), kInvalidNode);
+  EXPECT_EQ(engine.current_server(0, engine.top_level() + 1), kInvalidNode);
+  EXPECT_EQ(engine.current_server(static_cast<NodeId>(f.g.vertex_count()), kFirstServedLevel),
+            kInvalidNode);
 }
 
 TEST(Chlm, EntriesPerNodeIsLogarithmic) {
   // Paper Section 3.2: each node serves Theta(log|V|) peers on average.
   const auto small = make(200, 4);
-  ChlmService s1;
-  s1.rebuild(small.h);
+  HandoffEngine s1;
+  s1.prime(small.h, 0.0);
   const double e_small = static_cast<double>(s1.database().total_entries()) / 200.0;
 
   const auto large = make(1600, 5);
-  ChlmService s2;
-  s2.rebuild(large.h);
+  HandoffEngine s2;
+  s2.prime(large.h, 0.0);
   const double e_large = static_cast<double>(s2.database().total_entries()) / 1600.0;
 
   EXPECT_GT(e_large, e_small);          // grows with n ...
@@ -84,15 +99,11 @@ TEST(Chlm, EntriesPerNodeIsLogarithmic) {
 
 TEST(Chlm, QueryCostZeroForSelf) {
   const auto f = make(150, 6);
-  ChlmService service;
-  service.rebuild(f.h);
-  EXPECT_EQ(service.query_cost(f.h, f.g, 3, 3), 0u);
+  EXPECT_EQ(query_cost(f.h, f.g, 3, 3), 0u);
 }
 
 TEST(Chlm, QueryCostBoundedByNetworkScale) {
   const auto f = make(300, 7);
-  ChlmService service;
-  service.rebuild(f.h);
   graph::BfsScratch bfs;
   common::Xoshiro256 rng(8);
   double total_query = 0.0, total_direct = 0.0;
@@ -101,7 +112,7 @@ TEST(Chlm, QueryCostBoundedByNetworkScale) {
     const auto u = static_cast<NodeId>(common::uniform_index(rng, 300));
     const auto v = static_cast<NodeId>(common::uniform_index(rng, 300));
     if (u == v) continue;
-    const auto cost = service.query_cost(f.h, f.g, u, v);
+    const auto cost = query_cost(f.h, f.g, u, v);
     bfs.run(f.g, u);
     const auto direct = bfs.hops_to(v);
     ASSERT_NE(direct, graph::kUnreachable);
@@ -118,24 +129,27 @@ TEST(Chlm, QueryCostBoundedByNetworkScale) {
 
 TEST(Chlm, RebuildIsIdempotent) {
   const auto f = make(200, 9);
-  ChlmService a, b;
-  a.rebuild(f.h);
-  b.rebuild(f.h);
+  HandoffEngine a, b;
+  a.prime(f.h, 0.0);
+  b.prime(f.h, 0.0);
+  b.prime(f.h, 0.0);
   for (NodeId owner = 0; owner < 200; owner += 7) {
     for (Level k = kFirstServedLevel; k <= a.top_level(); ++k) {
-      EXPECT_EQ(a.server_of(owner, k), b.server_of(owner, k));
+      EXPECT_EQ(a.current_server(owner, k), b.current_server(owner, k));
     }
   }
+  EXPECT_EQ(a.database().total_entries(), b.database().total_entries());
 }
 
 TEST(Chlm, ServedLevelsZeroForFlatHierarchy) {
   // A 2-node network aggregates in one level: no level-2 servers exist.
   const graph::Graph g(2, std::vector<graph::Edge>{{0, 1}});
   const auto h = cluster::HierarchyBuilder().build(g);
-  ChlmService service;
-  service.rebuild(h);
-  EXPECT_EQ(service.served_levels(), 0u);
-  EXPECT_EQ(service.database().total_entries(), 0u);
+  HandoffEngine engine;
+  engine.prime(h, 0.0);
+  EXPECT_EQ(served_levels(engine), 0u);
+  EXPECT_EQ(engine.current_server(0, kFirstServedLevel), kInvalidNode);
+  EXPECT_EQ(engine.database().total_entries(), 0u);
 }
 
 }  // namespace

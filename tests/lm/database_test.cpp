@@ -11,7 +11,7 @@ namespace {
 TEST(LmDatabase, StartsEmpty) {
   const LmDatabase db(5);
   EXPECT_EQ(db.total_entries(), 0u);
-  EXPECT_EQ(db.node_count(), 5u);
+  EXPECT_EQ(db.load_vector().size(), 5u);
   EXPECT_EQ(db.entry_count(2), 0u);
 }
 
@@ -81,7 +81,7 @@ TEST(LmDatabase, ResetClears) {
   db.put(0, LocationRecord{1, 2, 0.0, 0});
   db.reset(5);
   EXPECT_EQ(db.total_entries(), 0u);
-  EXPECT_EQ(db.node_count(), 5u);
+  EXPECT_EQ(db.load_vector().size(), 5u);
 }
 
 /// Level 2 and the highest level below the bound live in separate arrays

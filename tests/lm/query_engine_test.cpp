@@ -11,7 +11,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "geom/region.hpp"
-#include "lm/chlm.hpp"
+#include "lm/handoff.hpp"
 #include "net/unit_disk.hpp"
 
 namespace manet::lm {
@@ -21,7 +21,7 @@ struct Fixture {
   std::vector<geom::Vec2> pts;
   graph::Graph g{0};
   cluster::Hierarchy h;
-  ChlmService service;
+  HandoffEngine engine;  ///< primed: holds the CHLM table and database
 };
 
 Fixture make(Size n, std::uint64_t seed, Time now = 0.0) {
@@ -33,7 +33,7 @@ Fixture make(Size n, std::uint64_t seed, Time now = 0.0) {
   net::UnitDiskBuilder builder(2.2, true);
   f.g = builder.build(f.pts);
   f.h = cluster::HierarchyBuilder().build(f.g);
-  f.service.rebuild(f.h, now);
+  f.engine.prime(f.h, now);
   return f;
 }
 
@@ -64,16 +64,16 @@ TEST(QueryEngine, UnpublishedEngineAnswersNotFound) {
 
 TEST(QueryEngine, LookupMatchesChlmAssignment) {
   const auto f = make(300, 1, /*now=*/5.0);
-  ASSERT_GE(f.service.top_level(), 2u);
+  ASSERT_GE(f.engine.top_level(), 2u);
   QueryEngine qe;
-  qe.publish(f.h, f.service.database(), 5.0);
+  qe.publish(f.h, f.engine.database(), 5.0);
   EXPECT_EQ(qe.epoch(), 1u);
   for (NodeId owner = 0; owner < f.g.vertex_count(); ++owner) {
-    for (Level k = kFirstServedLevel; k <= f.service.top_level(); ++k) {
+    for (Level k = kFirstServedLevel; k <= f.engine.top_level(); ++k) {
       const QueryResult r = qe.lookup(owner, k);
-      EXPECT_EQ(r.server, f.service.server_of(owner, k));
+      EXPECT_EQ(r.server, f.engine.current_server(owner, k));
       ASSERT_TRUE(r.found);
-      const auto* rec = f.service.database().find(r.server, owner, k);
+      const auto* rec = f.engine.database().find(r.server, owner, k);
       ASSERT_NE(rec, nullptr);
       EXPECT_EQ(r.version, rec->version);
       EXPECT_DOUBLE_EQ(r.updated, rec->updated);
@@ -85,8 +85,8 @@ TEST(QueryEngine, LookupMatchesChlmAssignment) {
 TEST(QueryEngine, OutOfRangeTargetsAnswerNotFound) {
   const auto f = make(200, 2);
   QueryEngine qe;
-  qe.publish(f.h, f.service.database(), 0.0);
-  const Level top = f.service.top_level();
+  qe.publish(f.h, f.engine.database(), 0.0);
+  const Level top = f.engine.top_level();
   for (const auto& [owner, k] :
        {std::pair<NodeId, Level>{static_cast<NodeId>(f.g.vertex_count()), kFirstServedLevel},
         std::pair<NodeId, Level>{0, 0},
@@ -101,7 +101,7 @@ TEST(QueryEngine, OutOfRangeTargetsAnswerNotFound) {
 TEST(QueryEngine, BatchMatchesScalarLookups) {
   const auto f = make(250, 3, 1.5);
   QueryEngine qe;
-  qe.publish(f.h, f.service.database(), 1.5);
+  qe.publish(f.h, f.engine.database(), 1.5);
   common::Xoshiro256 rng(0xBA7C4);
   std::vector<NodeId> owners;
   for (Size i = 0; i < 512; ++i) {
@@ -109,7 +109,7 @@ TEST(QueryEngine, BatchMatchesScalarLookups) {
     owners.push_back(static_cast<NodeId>(common::uniform_index(rng, f.g.vertex_count() + 8)));
   }
   std::vector<QueryResult> batch(owners.size());
-  for (Level k = kFirstServedLevel; k <= f.service.top_level(); ++k) {
+  for (Level k = kFirstServedLevel; k <= f.engine.top_level(); ++k) {
     const Size found = qe.lookup_batch(owners, k, batch);
     Size expected_found = 0;
     for (Size i = 0; i < owners.size(); ++i) {
@@ -124,10 +124,10 @@ TEST(QueryEngine, BatchMatchesScalarLookups) {
 TEST(QueryEngine, ReaderAnswersEveryCellLikeLookup) {
   const auto f = make(260, 10, 4.0);
   QueryEngine qe;
-  qe.publish(f.h, f.service.database(), 4.0);
+  qe.publish(f.h, f.engine.database(), 4.0);
   const QueryEngine::Reader reader(qe);
   EXPECT_EQ(reader.epoch(), 1u);
-  const Level top = f.service.top_level();
+  const Level top = f.engine.top_level();
   std::vector<NodeId> owners;
   // Every (owner, level) cell, plus out-of-range owners and levels.
   for (NodeId owner = 0; owner < f.g.vertex_count() + 3; ++owner) owners.push_back(owner);
@@ -150,16 +150,16 @@ TEST(QueryEngine, ParallelPublishMatchesInline) {
   // publish() fills its rows over the executor's shards; the snapshot must
   // be the same at any shard and thread count.
   const auto f = make(300, 11, 3.0);
-  const Level top = f.service.top_level();
+  const Level top = f.engine.top_level();
   QueryEngine inline_qe;
-  inline_qe.publish(f.h, f.service.database(), 3.0);
+  inline_qe.publish(f.h, f.engine.database(), 3.0);
   const auto reference = capture(inline_qe, 300, top);
   common::ThreadPool pool(3);
   for (const Size shards : {Size{1}, Size{7}, Size{64}}) {
     sim::ShardExecutor executor(pool, shards);
     QueryEngine qe;
     qe.set_parallel(&executor);
-    qe.publish(f.h, f.service.database(), 3.0);
+    qe.publish(f.h, f.engine.database(), 3.0);
     const auto answers = capture(qe, 300, top);
     ASSERT_EQ(answers.size(), reference.size());
     for (Size i = 0; i < answers.size(); ++i) {
@@ -171,16 +171,16 @@ TEST(QueryEngine, ParallelPublishMatchesInline) {
 TEST(QueryEngine, ReaderHeldAcrossPublishKeepsItsEpoch) {
   const auto fa = make(220, 12, 1.0);
   const auto fb = make(220, 13, 2.0);
-  const Level top = std::min(fa.service.top_level(), fb.service.top_level());
+  const Level top = std::min(fa.engine.top_level(), fb.engine.top_level());
   QueryEngine qe;
-  qe.publish(fa.h, fa.service.database(), 1.0);
+  qe.publish(fa.h, fa.engine.database(), 1.0);
   const auto answers_a = capture(qe, 220, top);
   {
     const QueryEngine::Reader reader(qe);
     // The next publish rebuilds the other slot, so it does not wait for
     // the held Reader; the Reader keeps answering epoch 1 while lookup()
     // answers epoch 2.
-    qe.publish(fb.h, fb.service.database(), 2.0);
+    qe.publish(fb.h, fb.engine.database(), 2.0);
     EXPECT_EQ(qe.epoch(), 2u);
     EXPECT_EQ(reader.epoch(), 1u);
     const auto answers_b = capture(qe, 220, top);
@@ -190,7 +190,7 @@ TEST(QueryEngine, ReaderHeldAcrossPublishKeepsItsEpoch) {
       for (Level k = kFirstServedLevel; k <= top; ++k) {
         const Size idx = static_cast<Size>(owner) * width + (k - kFirstServedLevel);
         EXPECT_TRUE(same(reader.lookup(owner, k), answers_a[idx]));
-        EXPECT_EQ(qe.lookup(owner, k).server, fb.service.server_of(owner, k));
+        EXPECT_EQ(qe.lookup(owner, k).server, fb.engine.current_server(owner, k));
         if (!same(answers_a[idx], answers_b[idx])) ++diffs;
       }
     }
@@ -202,16 +202,16 @@ TEST(QueryEngine, PublishWaitsForReaderPinnedOnTheSlotItRebuilds) {
   const auto fa = make(200, 14, 1.0);
   const auto fb = make(200, 15, 2.0);
   QueryEngine qe;
-  qe.publish(fa.h, fa.service.database(), 1.0);
+  qe.publish(fa.h, fa.engine.database(), 1.0);
   std::atomic<bool> published{false};
   std::thread writer;
   {
     const QueryEngine::Reader reader(qe);  // pins epoch 1's slot
-    qe.publish(fb.h, fb.service.database(), 2.0);  // other slot: no wait
+    qe.publish(fb.h, fb.engine.database(), 2.0);  // other slot: no wait
     // The third publish must rebuild the pinned slot, so it cannot return
     // while the Reader lives.
     writer = std::thread([&] {
-      qe.publish(fa.h, fa.service.database(), 3.0);
+      qe.publish(fa.h, fa.engine.database(), 3.0);
       published.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -229,27 +229,27 @@ TEST(QueryEngine, RepublishFlipsEpochAndAnswers) {
   const auto fa = make(220, 4, 1.0);
   const auto fb = make(220, 5, 2.0);
   QueryEngine qe;
-  qe.publish(fa.h, fa.service.database(), 1.0);
-  const auto a = capture(qe, 220, fa.service.top_level());
-  qe.publish(fb.h, fb.service.database(), 2.0);
+  qe.publish(fa.h, fa.engine.database(), 1.0);
+  const auto a = capture(qe, 220, fa.engine.top_level());
+  qe.publish(fb.h, fb.engine.database(), 2.0);
   EXPECT_EQ(qe.epoch(), 2u);
   // Post-flip answers are exactly the B state's and differ somewhere from A.
   Size diffs = 0;
-  const Level top = std::min(fa.service.top_level(), fb.service.top_level());
+  const Level top = std::min(fa.engine.top_level(), fb.engine.top_level());
   for (NodeId owner = 0; owner < 220; ++owner) {
     for (Level k = kFirstServedLevel; k <= top; ++k) {
       const QueryResult r = qe.lookup(owner, k);
-      EXPECT_EQ(r.server, fb.service.server_of(owner, k));
+      EXPECT_EQ(r.server, fb.engine.current_server(owner, k));
       EXPECT_DOUBLE_EQ(r.updated, 2.0);
-      const Size wa = fa.service.top_level() - kFirstServedLevel + 1;
+      const Size wa = fa.engine.top_level() - kFirstServedLevel + 1;
       if (!same(r, a[static_cast<Size>(owner) * wa + (k - kFirstServedLevel)])) ++diffs;
     }
   }
   EXPECT_GT(diffs, 0u);
   // A third publish cycles back onto the first slot without issue.
-  qe.publish(fa.h, fa.service.database(), 3.0);
+  qe.publish(fa.h, fa.engine.database(), 3.0);
   EXPECT_EQ(qe.epoch(), 3u);
-  EXPECT_EQ(qe.lookup(0, kFirstServedLevel).server, fa.service.server_of(0, kFirstServedLevel));
+  EXPECT_EQ(qe.lookup(0, kFirstServedLevel).server, fa.engine.current_server(0, kFirstServedLevel));
 }
 
 /// The tentpole concurrency contract: while the writer flips epochs between
@@ -260,14 +260,14 @@ TEST(QueryEngine, RepublishFlipsEpochAndAnswers) {
 void churn_torn_check(Size reader_threads) {
   const auto fa = make(200, 6, 1.0);
   const auto fb = make(200, 7, 2.0);
-  const Level top = std::min(fa.service.top_level(), fb.service.top_level());
+  const Level top = std::min(fa.engine.top_level(), fb.engine.top_level());
   ASSERT_GE(top, kFirstServedLevel);
   const Size width = top - kFirstServedLevel + 1;
 
   QueryEngine qe;
-  qe.publish(fa.h, fa.service.database(), 1.0);
+  qe.publish(fa.h, fa.engine.database(), 1.0);
   const auto answers_a = capture(qe, 200, top);
-  qe.publish(fb.h, fb.service.database(), 2.0);
+  qe.publish(fb.h, fb.engine.database(), 2.0);
   const auto answers_b = capture(qe, 200, top);
 
   std::atomic<bool> stop{false};
@@ -291,9 +291,9 @@ void churn_torn_check(Size reader_threads) {
   }
   for (int flip = 0; flip < 120; ++flip) {
     if (flip % 2 == 0) {
-      qe.publish(fa.h, fa.service.database(), 1.0);
+      qe.publish(fa.h, fa.engine.database(), 1.0);
     } else {
-      qe.publish(fb.h, fb.service.database(), 2.0);
+      qe.publish(fb.h, fb.engine.database(), 2.0);
     }
     std::this_thread::yield();
   }
@@ -315,13 +315,13 @@ TEST(QueryEngine, BatchAnswersAreMutuallyConsistentUnderChurn) {
   // reference state, not merely each from either state.
   const auto fa = make(180, 8, 1.0);
   const auto fb = make(180, 9, 2.0);
-  const Level top = std::min(fa.service.top_level(), fb.service.top_level());
+  const Level top = std::min(fa.engine.top_level(), fb.engine.top_level());
   ASSERT_GE(top, kFirstServedLevel);
 
   QueryEngine qe;
-  qe.publish(fa.h, fa.service.database(), 1.0);
+  qe.publish(fa.h, fa.engine.database(), 1.0);
   const auto answers_a = capture(qe, 180, top);
-  qe.publish(fb.h, fb.service.database(), 2.0);
+  qe.publish(fb.h, fb.engine.database(), 2.0);
   const auto answers_b = capture(qe, 180, top);
   const Size width = top - kFirstServedLevel + 1;
 
@@ -345,9 +345,9 @@ TEST(QueryEngine, BatchAnswersAreMutuallyConsistentUnderChurn) {
   });
   for (int flip = 0; flip < 120; ++flip) {
     if (flip % 2 == 0) {
-      qe.publish(fa.h, fa.service.database(), 1.0);
+      qe.publish(fa.h, fa.engine.database(), 1.0);
     } else {
-      qe.publish(fb.h, fb.service.database(), 2.0);
+      qe.publish(fb.h, fb.engine.database(), 2.0);
     }
     std::this_thread::yield();
   }

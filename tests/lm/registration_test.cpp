@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "cluster/hierarchy_builder.hpp"
 #include "common/rng.hpp"
 #include "geom/region.hpp"
@@ -17,6 +20,7 @@ struct World {
   cluster::HierarchyBuilder hb;
   graph::Graph g{0};
   cluster::Hierarchy h;
+  HandoffEngine servers;  ///< primed on h: the registration servers
 
   explicit World(Size n, std::uint64_t seed)
       : disk(geom::DiskRegion::with_density(n, 1.0)) {
@@ -29,8 +33,16 @@ struct World {
   void refresh() {
     g = builder.build(pts);
     h = hb.build(g);
+    servers.prime(h, 0.0);
   }
 };
+
+/// \p w's graph clustered into at most \p levels levels above level 0.
+cluster::Hierarchy capped(const World& w, Level levels) {
+  cluster::HierarchyOptions options;
+  options.max_levels = levels;
+  return cluster::HierarchyBuilder(options).build(w.g);
+}
 
 RegistrationConfig config(double threshold = 0.5) {
   RegistrationConfig cfg;
@@ -43,7 +55,7 @@ TEST(Registration, NoMotionNoUpdates) {
   World w(250, 1);
   RegistrationTracker tracker(config());
   tracker.prime(w.h, w.pts, 0.0);
-  const auto tick = tracker.update(w.h, w.g, w.pts, 1.0);
+  const auto tick = tracker.update(w.h, w.servers, w.g, w.pts, 1.0);
   EXPECT_EQ(tick.updates, 0u);
   EXPECT_EQ(tick.packets, 0u);
   EXPECT_DOUBLE_EQ(tracker.rate(), 0.0);
@@ -55,7 +67,7 @@ TEST(Registration, SmallMotionBelowThresholdIsFree) {
   tracker.prime(w.h, w.pts, 0.0);
   for (auto& p : w.pts) p = w.disk.clamp(p + geom::Vec2{0.1, 0.1});
   w.refresh();
-  const auto tick = tracker.update(w.h, w.g, w.pts, 1.0);
+  const auto tick = tracker.update(w.h, w.servers, w.g, w.pts, 1.0);
   EXPECT_EQ(tick.updates, 0u);
 }
 
@@ -66,7 +78,7 @@ TEST(Registration, LargeMotionTriggersUpdatesAtEveryLevel) {
   // Push everyone far: every level's threshold is crossed.
   for (auto& p : w.pts) p = w.disk.clamp(p + geom::Vec2{15.0, -9.0});
   w.refresh();
-  const auto tick = tracker.update(w.h, w.g, w.pts, 1.0);
+  const auto tick = tracker.update(w.h, w.servers, w.g, w.pts, 1.0);
   EXPECT_GT(tick.updates, 0u);
   EXPECT_GT(tick.packets, 0u);
   EXPECT_GT(tracker.rate(), 0.0);
@@ -86,7 +98,7 @@ TEST(Registration, PerLevelRatesDecayWithLevel) {
                                       common::uniform(rng, -1, 1)});
     }
     w.refresh();
-    tracker.update(w.h, w.g, w.pts, static_cast<Time>(step));
+    tracker.update(w.h, w.servers, w.g, w.pts, static_cast<Time>(step));
   }
   // Update *frequency* falls with level (distance thresholds grow as
   // sqrt(c_k)); packet rates stay comparable because path length grows to
@@ -100,32 +112,85 @@ TEST(Registration, PerLevelRatesDecayWithLevel) {
 }
 
 TEST(Registration, ThresholdControlsUpdateVolume) {
-  World tight_world(300, 6);
-  World loose_world(300, 6);
+  World w(300, 6);
   RegistrationTracker tight(config(0.25));
   RegistrationTracker loose(config(1.0));
-  tight.prime(tight_world.h, tight_world.pts, 0.0);
-  loose.prime(loose_world.h, loose_world.pts, 0.0);
+  tight.prime(w.h, w.pts, 0.0);
+  loose.prime(w.h, w.pts, 0.0);
   common::Xoshiro256 rng(7);
   for (int step = 1; step <= 20; ++step) {
-    for (Size v = 0; v < tight_world.pts.size(); ++v) {
+    for (auto& p : w.pts) {
       const geom::Vec2 d{common::uniform(rng, -1, 1), common::uniform(rng, -1, 1)};
-      tight_world.pts[v] = tight_world.disk.clamp(tight_world.pts[v] + d);
-      loose_world.pts[v] = tight_world.pts[v];
+      p = w.disk.clamp(p + d);
     }
-    tight_world.refresh();
-    loose_world.g = tight_world.g;
-    loose_world.h = tight_world.h;
-    tight.update(tight_world.h, tight_world.g, tight_world.pts, static_cast<Time>(step));
-    loose.update(loose_world.h, loose_world.g, loose_world.pts, static_cast<Time>(step));
+    w.refresh();
+    tight.update(w.h, w.servers, w.g, w.pts, static_cast<Time>(step));
+    loose.update(w.h, w.servers, w.g, w.pts, static_cast<Time>(step));
   }
   EXPECT_GT(tight.total_updates(), loose.total_updates());
+}
+
+TEST(Registration, UpdatesGoToTheEnginesServersAsLevelsComeAndGo) {
+  // One graph clustered with level 3 absent, present, absent, present. Each
+  // tick moves every node far past every threshold, so every tracked
+  // (owner, level) fires: levels [2, min(highest top seen before the tick,
+  // the tick's top)], since a newly appearing level starts at the current
+  // position. Each update must cost hops(owner, select_server(h, owner, k)).
+  World w(400, 9);
+  const cluster::Hierarchy two = capped(w, 2);
+  const cluster::Hierarchy three = capped(w, 3);
+  ASSERT_EQ(two.top_level(), 2u);
+  ASSERT_EQ(three.top_level(), 3u);
+
+  HandoffEngine engine;
+  RegistrationTracker tracker(config());
+  engine.prime(two, 0.0);
+  tracker.prime(two, w.pts, 0.0);
+  graph::BfsPairScratch bfs;
+  Level seen = two.top_level();
+  const cluster::Hierarchy* sequence[] = {&three, &two, &three, &three};
+  for (Size step = 1; step <= std::size(sequence); ++step) {
+    const cluster::Hierarchy& h = *sequence[step - 1];
+    const auto t = static_cast<Time>(step);
+    std::vector<geom::Vec2> moved = w.pts;
+    for (auto& p : moved) p += geom::Vec2{1000.0 * t, 0.0};
+    engine.update(h, w.g, t);
+    const auto tick = tracker.update(h, engine, w.g, moved, t);
+
+    PacketCount packets = 0;
+    Size updates = 0;
+    for (Level k = kFirstServedLevel; k <= std::min(seen, h.top_level()); ++k) {
+      for (NodeId v = 0; v < w.g.vertex_count(); ++v) {
+        const NodeId server = select_server(h, v, k);
+        packets += v == server ? 0 : bfs.hops(w.g, v, server);
+        ++updates;
+      }
+    }
+    EXPECT_EQ(tick.updates, updates) << "step " << step;
+    EXPECT_EQ(tick.packets, packets) << "step " << step;
+    seen = std::max(seen, h.top_level());
+  }
+  EXPECT_GT(tracker.rate_at(3), 0.0);  // level 3 fired after it came back
 }
 
 TEST(RegistrationDeath, UpdateBeforePrime) {
   World w(100, 8);
   RegistrationTracker tracker(config());
-  EXPECT_DEATH(tracker.update(w.h, w.g, w.pts, 1.0), "prime");
+  EXPECT_DEATH(tracker.update(w.h, w.servers, w.g, w.pts, 1.0), "prime");
+}
+
+TEST(RegistrationDeath, RefusesAnEngineOnAnotherHierarchy) {
+  World w(300, 10);
+  ASSERT_GE(w.h.top_level(), 3u);
+  RegistrationTracker tracker(config());
+  tracker.prime(w.h, w.pts, 0.0);
+  const World other(320, 10);
+  EXPECT_DEATH(tracker.update(w.h, other.servers, w.g, w.pts, 1.0), "another hierarchy");
+  HandoffEngine lower;
+  lower.prime(capped(w, w.h.top_level() - 1), 0.0);
+  EXPECT_DEATH(tracker.update(w.h, lower, w.g, w.pts, 1.0), "another hierarchy");
+  HandoffEngine unprimed;
+  EXPECT_DEATH(tracker.update(w.h, unprimed, w.g, w.pts, 1.0), "another hierarchy");
 }
 
 }  // namespace

@@ -26,9 +26,7 @@ TEST(LossyChannel, ZeroLossAlwaysDeliversAtIdealCost) {
 TEST(LossyChannel, ZeroLossConsumesNoRng) {
   // The zero-cost contract: at p = 0 the channel must not advance its RNG,
   // so a later lossy draw sequence is unaffected by earlier p = 0 traffic.
-  sim::FaultConfig cfg = with_loss(0.0);
-  cfg.force = true;
-  LossyChannel quiet(cfg, 77);
+  LossyChannel quiet(with_loss(0.0), 77);
   for (int i = 0; i < 1000; ++i) quiet.try_deliver(5);
 
   // Two channels, same seed: one pre-warmed through p=0 config, one fresh.

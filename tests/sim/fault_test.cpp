@@ -34,12 +34,6 @@ TEST(FaultConfig, AnyProcessEnables) {
   outage.outage_duration = 10.0;
   EXPECT_TRUE(outage.outage());
   EXPECT_TRUE(outage.enabled());
-
-  FaultConfig forced;
-  forced.force = true;
-  EXPECT_TRUE(forced.enabled());
-  EXPECT_FALSE(forced.lossy());
-  EXPECT_NE(forced.describe(), "");
 }
 
 TEST(FaultPlan, NoChurnMeansEmptyPlan) {

@@ -61,7 +61,6 @@ TEST(Sessions, GeneratesExpectedVolume) {
   const routing::RoutingTables tables(w.g, w.h);
   SessionConfig cfg;
   cfg.sessions_per_node_per_sec = 0.5;
-  cfg.packets_per_session = 5;
   SessionWorkload workload(cfg, 2);
   for (int t = 0; t < 40; ++t) workload.tick(tables, w.n, 1.0);
   const auto& stats = workload.stats();
@@ -72,30 +71,14 @@ TEST(Sessions, GeneratesExpectedVolume) {
   EXPECT_GT(stats.data_transmissions, 0u);
 }
 
-TEST(Sessions, RateScalesWithPacketTrainLength) {
-  const auto w = make(150, 3);
-  const routing::RoutingTables tables(w.g, w.h);
-  SessionConfig small_cfg, big_cfg;
-  small_cfg.packets_per_session = 2;
-  big_cfg.packets_per_session = 20;
-  SessionWorkload small_load(small_cfg, 4), big_load(big_cfg, 4);  // same seed: same pairs
-  for (int t = 0; t < 20; ++t) {
-    small_load.tick(tables, w.n, 1.0);
-    big_load.tick(tables, w.n, 1.0);
-  }
-  EXPECT_EQ(big_load.stats().data_transmissions,
-            10 * small_load.stats().data_transmissions);
-}
-
 TEST(Sessions, MeanTransmissionsMatchPathScale) {
   const auto w = make(300, 5);
   const routing::RoutingTables tables(w.g, w.h);
-  SessionConfig cfg;
-  cfg.packets_per_session = 10;
-  SessionWorkload workload(cfg, 6);
+  SessionWorkload workload(SessionConfig{}, 6);
   for (int t = 0; t < 20; ++t) workload.tick(tables, w.n, 1.0);
   const double per_session = workload.stats().mean_transmissions_per_session();
-  // 10 packets x typical path of a 300-node disk (a few to ~20 hops).
+  // kPacketsPerSession (10) packets x typical path of a 300-node disk (a few
+  // to ~20 hops).
   EXPECT_GT(per_session, 10.0);
   EXPECT_LT(per_session, 400.0);
 }

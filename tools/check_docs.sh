@@ -315,11 +315,15 @@ done
     fail "a deleted LM-layer duplicate is back (one entry-move walk): $dups"
 
 # 8j. One validation site: ScenarioConfig::validate() holds every scenario
-#     rule and RunOptions::validate() every run rule, and parse_cli reads
-#     syntax only. So parse_cli may not range-check a scenario or run field
+#     rule and RunOptions::validate() every run rule, and parse_cli and
+#     parse_campaign_cli read syntax only, through one flag loop
+#     (scan_flags). So neither parser may range-check a scenario or run field
 #     or a parsed value (the CLI's own counts --reps, --trace-capacity and
-#     --trace-sample keep their >= 1 checks), and src/exp/cli.cpp may not
-#     grow back a field-to-flag map (kFlags) or a "needs a non-negative /
+#     --trace-sample keep their >= 1 checks, and the campaign's cross-flag
+#     rule that --merge runs unsharded keeps its shard_count > 1; the
+#     campaign's --threads ceiling is RunOptions::validate()'s), a second
+#     flag loop may not split "--flag=value" again, and src/exp/cli.cpp may
+#     not grow back a field-to-flag map (kFlags) or a "needs a non-negative /
 #     positive number" branch. run_simulation hands the repairer
 #     LinkTracker's exact level-0 delta, so the raw-delta exactness flags may
 #     not come back in src/exp/simulation.cpp, and the readers no program
@@ -327,12 +331,16 @@ done
 #     query engine's publish time) may not come back under src/.
 parse_cli_body=$(sed -n '/^CliParseResult parse_cli(/,/^}/p' "$cli_src")
 [ -n "$parse_cli_body" ] || fail "src/exp/cli.cpp no longer defines parse_cli"
-range=$(printf '%s\n' "$parse_cli_body" | grep -E \
-    'kMaxShardCount|parsed|(scenario|run|fault|session|handover)\.[a-z_.]+ *[<>]|[<>]=? *(opt\.)?(scenario|run)\.|[<>]=? *-?[0-9]' |
-    grep -vE 'opt\.(replications|trace_capacity|trace_sample) < 1\)' || true)
+campaign_body=$(sed -n '/^CampaignCliParseResult parse_campaign_cli(/,/^}/p' "$cli_src")
+[ -n "$campaign_body" ] || fail "src/exp/cli.cpp no longer defines parse_campaign_cli"
+range=$(printf '%s\n%s\n' "$parse_cli_body" "$campaign_body" | grep -E \
+    'kMaxShardCount|parsed|(scenario|run|fault|session|handover)\.[a-z_.]+ *[<>]|[<>]=? *(opt\.)?(scenario|run)\.|[<>]=? *-?[0-9]|opt\.(threads|max_units|shard_index|shard_count) *[<>]|[<>]=? *opt\.(threads|max_units|shard_index|shard_count)' |
+    grep -vE 'opt\.(replications|trace_capacity|trace_sample) < 1\)|opt\.merge && opt\.shard_count > 1\)' || true)
 range="$range$(grep -nE 'kFlags|needs a (non-negative|positive)' "$cli_src" || true)"
+[ "$(grep -c 'split_inline_value(' "$cli_src")" -le 2 ] ||
+    range="$range $(grep -n 'split_inline_value(' "$cli_src")"
 [ -z "$range" ] ||
-    fail "a range rule or field-to-flag map is back in src/exp/cli.cpp \
+    fail "a range rule, a second flag loop or a field-to-flag map is back in src/exp/cli.cpp \
 (one validation site): $range"
 raw_delta=$(grep -nE 'prev_bridged|delta_exact' "$root/src/exp/simulation.cpp" || true)
 [ -z "$raw_delta" ] ||
@@ -347,10 +355,11 @@ readers=$(grep -rnE \
 #     bounded BFS from dest and reports a hop count, the table builder
 #     bounds its fallback BFS, and measure_stretch and query_cost ask exact
 #     pair queries. So no full single-source BFS (bfs_hops( or BfsScratch)
-#     may come back under src/routing/ or in src/lm/chlm.cpp, no per-call
-#     std::vector<bool> in src/routing/table.cpp, and the session workload
-#     may not read a path length (path.size()) back in src/traffic/sessions.cpp.
-full_bfs=$(grep -rnE 'bfs_hops\(|BfsScratch' "$root/src/routing" "$root/src/lm/chlm.cpp" || true)
+#     may come back under src/routing/ or in src/lm/address.cpp (the home of
+#     query_cost), no per-call std::vector<bool> in src/routing/table.cpp,
+#     and the session workload may not read a path length (path.size())
+#     back in src/traffic/sessions.cpp.
+full_bfs=$(grep -rnE 'bfs_hops\(|BfsScratch' "$root/src/routing" "$root/src/lm/address.cpp" || true)
 full_bfs="$full_bfs$(grep -nF 'std::vector<bool>' "$root/src/routing/table.cpp" || true)"
 full_bfs="$full_bfs$(grep -nF 'path.size()' "$root/src/traffic/sessions.cpp" || true)"
 [ -z "$full_bfs" ] ||
@@ -476,6 +485,28 @@ nested="$nested$(grep -rnE --exclude=check_docs.sh '\.(alpha|aggregation)\(' \
 [ -z "$nested" ] ||
     fail "a nested membership table or a deleted Hierarchy accessor is back \
 (flat per-level rows for the clustered hierarchy): $nested"
+
+# 8r. One CHLM assignment table: lm::HandoffEngine owns it, so its second
+#     owner (ChlmService, lm/chlm.hpp) may not come back under src/, tools/,
+#     bench/, examples/ or tests/; the registration tracker reads each server
+#     from the engine, so src/lm/registration.cpp may not call select_server(
+#     and RegistrationConfig may not hold a select config again; and the
+#     config fields with one value in use are constants now, so
+#     FaultConfig::force and packets_per_session may not come back.
+one_table=$(grep -rnE --exclude=check_docs.sh '\bChlmService\b|lm/chlm\.hpp' \
+    "$root/src" "$root/tools" "$root/bench" "$root/examples" "$root/tests" || true)
+for f in src/lm/chlm.hpp src/lm/chlm.cpp; do
+    if [ -e "$root/$f" ]; then one_table="$one_table $f"; fi
+done
+one_table="$one_table$(grep -nF 'select_server(' "$root/src/lm/registration.cpp" || true)"
+one_table="$one_table$(sed -n '/^struct RegistrationConfig {/,/^};/p' "$root/src/lm/registration.hpp" |
+    grep -nE 'ServerSelectConfig|\bselect *[;={]' || true)"
+one_table="$one_table$(grep -nE 'bool force\b' "$root/src/sim/fault.hpp" || true)"
+one_table="$one_table$(grep -rnE --exclude=check_docs.sh '\.force\b|packets_per_session' \
+    "$root/src" "$root/tools" "$root/bench" "$root/examples" "$root/tests" || true)"
+[ -z "$one_table" ] ||
+    fail "a second CHLM assignment table, a registration server scan or a \
+one-value config field is back (one CHLM assignment table): $one_table"
 
 # 9. No dangling intra-doc links in docs/*.md: every relative link target
 #    must exist on disk and every #fragment must match a heading slug
